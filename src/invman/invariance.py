@@ -112,6 +112,15 @@ class FrameSamples:
     def dprojector(self) -> np.ndarray:
         return self.dembedding @ self.chart + self.embedding @ self.dchart
 
+    def defect(self, coeff: np.ndarray) -> np.ndarray:
+        """The defect dP/dt + P A - A P per sample, given A on the same grid."""
+        proj = self.projector
+        return self.dprojector + proj @ coeff - coeff @ proj
+
+    def reduced(self, coeff: np.ndarray) -> np.ndarray:
+        """The reduced coefficient R = (dC/dt + C A) C+ per sample, given A on the same grid."""
+        return (self.dchart + self.chart @ coeff) @ self.embedding
+
 
 def frame_samples(spec: SystemSpec, ts, pivot_tol: float = linalg.DEFAULT_TOL) -> FrameSamples:
     """Sample the chart and its embedding (with exact derivatives) over ``ts``.
@@ -129,8 +138,7 @@ def frame_samples(spec: SystemSpec, ts, pivot_tol: float = linalg.DEFAULT_TOL) -
     if spec.comp_chart is None:
         for i, t in enumerate(ts):
             try:
-                embed_g[i] = linalg.right_pseudoinverse(chart_g[i], pivot_tol)
-                dembed_g[i] = linalg.right_pseudoinverse_derivative(
+                embed_g[i], dembed_g[i] = linalg._pseudoinverse_and_derivative(
                     chart_g[i], dchart_g[i], pivot_tol
                 )
             except RankDeficiencyError as exc:
@@ -160,18 +168,12 @@ def projector_derivative(spec: SystemSpec, t: float) -> np.ndarray:
 
 def invariance_defect(spec: SystemSpec, t: float) -> np.ndarray:
     """The defect matrix dP/dt + P A - A P at ``t``."""
-    fs = frame_samples(spec, [t])
-    proj = fs.projector[0]
-    dproj = fs.dprojector[0]
-    a = spec.coeff.eval(t)
-    return dproj + proj @ a - a @ proj
+    return frame_samples(spec, [t]).defect(spec.coeff.eval(t))[0]
 
 
 def reduced_matrix(spec: SystemSpec, t: float) -> np.ndarray:
     """Coefficient matrix R(t) = (dC/dt + C A) C+ of the reduced n-dimensional flow."""
-    fs = frame_samples(spec, [t])
-    a = spec.coeff.eval(t)
-    return (fs.dchart[0] + fs.chart[0] @ a) @ fs.embedding[0]
+    return frame_samples(spec, [t]).reduced(spec.coeff.eval(t))[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -244,13 +246,20 @@ def verdicts(spec: SystemSpec, tol: float = DEFAULT_VERDICT_TOL) -> InvarianceRe
     residual against ``tol``.  The grid is a sampled stand-in for "for all t";
     nothing is certified between grid points.
     """
+    return _sampled_verdicts(spec, tol)[0]
+
+
+def _sampled_verdicts(
+    spec: SystemSpec, tol: float
+) -> tuple[InvarianceReport, FrameSamples, np.ndarray]:
+    """``verdicts`` plus the frames and A it sampled on the grid, for callers that reuse them."""
     if tol <= 0:
         raise ValueError("verdicts: tolerance must be positive")
     grid = spec.t_grid
     fs = frame_samples(spec, grid)
     coeff_g = spec.coeff.eval_grid(grid)
     proj = fs.projector
-    defect = fs.dprojector + proj @ coeff_g - coeff_g @ proj
+    defect = fs.defect(coeff_g)
 
     eye = np.eye(spec.m)
     norm_defect = _batch_frobenius(defect)
@@ -272,4 +281,4 @@ def verdicts(spec: SystemSpec, tol: float = DEFAULT_VERDICT_TOL) -> InvarianceRe
         joint_invariant=joint,
         main_invariant=main,
         complement_kernel_condition=comp,
-    )
+    ), fs, coeff_g

@@ -150,39 +150,45 @@ def stacked_pseudoinverse(top, bottom, tol: float = DEFAULT_TOL) -> Pseudoinvers
     return PseudoinversePair(top_pinv=inv[:, :n], bottom_pinv=inv[:, n:])
 
 
+def _gram_inverse(mat: np.ndarray, tol: float) -> np.ndarray:
+    """(A A^T)^-1 of a full-row-rank A; both ways to fail are rank deficiency."""
+    n = mat.shape[0]
+    if rank(mat, tol) != n:
+        raise RankDeficiencyError(
+            f"right_pseudoinverse: matrix does not have full row rank {n} at tolerance {tol:g}"
+        )
+    try:
+        return invert(mat @ mat.T, tol)
+    except SingularMatrixError as exc:
+        raise RankDeficiencyError(f"right_pseudoinverse: gram matrix is singular: {exc}") from exc
+
+
+def _pseudoinverse_and_derivative(mat: np.ndarray, dmat: np.ndarray, tol: float):
+    """A^+ and its derivative along dA, sharing one rank check and one Gram inverse.
+
+    With G = A A^T:  d(A^+) = dA^T G^-1 - A^T G^-1 (dA A^T + A dA^T) G^-1.
+    """
+    gram_inv = _gram_inverse(mat, tol)
+    pinv = mat.T @ gram_inv
+    dgram = dmat @ mat.T + mat @ dmat.T
+    return pinv, dmat.T @ gram_inv - pinv @ dgram @ gram_inv
+
+
 def right_pseudoinverse(mat, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Moore-Penrose right inverse A^T (A A^T)^-1 of a full-row-rank matrix."""
     mat = _as_matrix(mat, "right_pseudoinverse")
     n, m = mat.shape
     if n > m:
         raise ShapeError(f"right_pseudoinverse: matrix is {mat.shape}, needs rows <= cols")
-    if rank(mat, tol) != n:
-        raise RankDeficiencyError(
-            f"right_pseudoinverse: matrix does not have full row rank {n} at tolerance {tol:g}"
-        )
-    try:
-        gram_inv = invert(mat @ mat.T, tol)
-    except SingularMatrixError as exc:
-        raise RankDeficiencyError(f"right_pseudoinverse: gram matrix is singular: {exc}") from exc
-    return mat.T @ gram_inv
+    return mat.T @ _gram_inverse(mat, tol)
 
 
 def right_pseudoinverse_derivative(mat, dmat, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Derivative of the Moore-Penrose right inverse along d(mat)/dt = dmat.
-
-    With G = A A^T:  d(A^+) = dA^T G^-1 - A^T G^-1 (dA A^T + A dA^T) G^-1.
-    """
+    """Derivative of the Moore-Penrose right inverse along d(mat)/dt = dmat."""
     mat = _as_matrix(mat, "right_pseudoinverse_derivative")
     dmat = _as_matrix(dmat, "right_pseudoinverse_derivative")
     if mat.shape != dmat.shape:
         raise ShapeError(
             f"right_pseudoinverse_derivative: shapes differ, {mat.shape} vs {dmat.shape}"
         )
-    n = mat.shape[0]
-    if rank(mat, tol) != n:
-        raise RankDeficiencyError(
-            f"right_pseudoinverse_derivative: matrix does not have full row rank {n}"
-        )
-    gram_inv = invert(mat @ mat.T, tol)
-    dgram = dmat @ mat.T + mat @ dmat.T
-    return dmat.T @ gram_inv - mat.T @ gram_inv @ dgram @ gram_inv
+    return _pseudoinverse_and_derivative(mat, dmat, tol)[1]

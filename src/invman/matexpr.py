@@ -453,8 +453,6 @@ class MatrixFunction:
             out.append(tuple(parsed_row))
         return cls(tuple(out))
 
-    from_strings = build
-
     @classmethod
     def constant(cls, values) -> "MatrixFunction":
         arr = np.atleast_2d(np.asarray(values, dtype=float))

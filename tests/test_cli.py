@@ -1,10 +1,12 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from invman.cli import main
+from invman.cli import load_config, main
+from invman.invariance import reduced_matrix
 
 from helpers import schema_paths
 
@@ -66,6 +68,28 @@ class TestCheck:
         path.write_text("{not json")
         assert main(["check", "--config", str(path)]) == 2
 
+    def test_integer_literal_past_the_digit_limit_exits_2(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"m": 2, "n": 1, "seed": 1' + "0" * 4300 + "}")
+        assert main(["check", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("command, option", [
+        ("check", {"tolerance": "abc"}),
+        ("check", {"tolerance": math.nan}),
+        ("check", {"grid": {"start": 0.0, "end": 2.0, "count": 2.5}}),
+        ("flow", {"window": ["a", "b"]}),
+        ("flow", {"trials": "x"}),
+        ("flow", {"step": math.nan}),
+        ("flow", {"step": math.inf}),
+        ("flow", {"seed": 1.7}),
+        ("flow", {"seed": -1}),
+    ])
+    def test_malformed_run_option_exits_2(self, tmp_path, capsys, command, option):
+        config = _write(tmp_path, dict(NILPOTENT_CONFIG, **option))
+        assert main([command, "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+
     def test_missing_file_exits_2(self):
         assert main(["check", "--config", "/nonexistent/nowhere.json"]) == 2
 
@@ -111,6 +135,15 @@ class TestReduce:
         err = capsys.readouterr().err
         assert rc == 1
         assert "not invariant" in err
+
+    @pytest.mark.parametrize("name", ["nilpotent_shear", "upper_triangular"])
+    def test_reduced_equals_pointwise_reduced_matrix(self, tmp_path, name):
+        config = str(CONFIGS / f"{name}.json")
+        out = tmp_path / "reduce.json"
+        assert main(["reduce", "--config", config, "--json", str(out)]) == 0
+        spec, _ = load_config(config)
+        expected = [reduced_matrix(spec, t).tolist() for t in spec.t_grid]
+        assert json.loads(out.read_text())["reduced"] == expected
 
     def test_schema_golden(self, tmp_path):
         out = tmp_path / "reduce.json"

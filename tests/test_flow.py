@@ -206,3 +206,28 @@ class TestRunFlow:
         assert result.conjugacy_residuals is None
         assert result.to_dict()["conjugacy_residual"] is None
         assert list(result.csv_rows())[0][3] == "nan"
+
+    @pytest.mark.parametrize("structure, m, trials", [
+        (Structure.UPPER_TRIANGULAR, 16, 2),
+        (Structure.LOWER_TRIANGULAR, 8, 1),
+    ])
+    def test_one_march_equals_the_separate_checks(self, structure, m, trials):
+        # run_flow advances both launches and the fundamental matrix in one
+        # march; each curve must still be exactly the one its own check gives.
+        # A BLAS product rounds by the width of its operand, and these widths
+        # make a single product over all the columns round differently.
+        spec = to_system(random_scenario(structure, m=m, n=m // 2, seed=3))
+        kwargs = dict(h=1e-3, t_span=(0.0, 0.25))
+        result = run_flow(spec, trials=trials, seed=7, **kwargs)
+        for side, curve in ((SIDE_MAIN, result.drift_mn), (SIDE_COMPLEMENT, result.drift_complement)):
+            drift = manifold_drift(spec, side, trials=trials, seed=7, **kwargs)
+            np.testing.assert_array_equal(curve, drift.residuals)
+            np.testing.assert_array_equal(result.ts, drift.ts)
+        if structure is Structure.UPPER_TRIANGULAR:
+            assert result.main_invariant
+            conj = conjugacy_check(spec, **kwargs)
+            np.testing.assert_array_equal(result.conjugacy_residuals, conj.embedding_residuals)
+        else:
+            assert result.conjugacy_residuals is None
+            with pytest.raises(PreconditionError):
+                conjugacy_check(spec, **kwargs)
