@@ -51,6 +51,11 @@ EXIT_VERDICT = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
+# Most matrix entries (points x m x m) that one sampling of a grid may hold:
+# the verdict grid, or the RK4 half-step grid of the flow window.  A config
+# past it exits 2 before anything is allocated.
+MAX_SAMPLED_ENTRIES = 2**26
+
 _NUMERICAL_ERRORS = (
     SingularMatrixError,
     RankDeficiencyError,
@@ -155,6 +160,13 @@ def load_config(path: str) -> tuple[SystemSpec, RunOptions]:
     window = (_finite(window_cfg[0], "window t0"), _finite(window_cfg[1], "window t1"))
     if tolerance <= 0 or h <= 0 or trials < 1 or seed < 0:
         raise ConfigError("tolerance and step must be positive, trials >= 1, seed >= 0")
+    half_steps = 2 * abs(window[1] - window[0]) / h + 1
+    for what, points in ((f"grid count {count}", count), (f"step {h!r} over the window", half_steps)):
+        if points * m * m > MAX_SAMPLED_ENTRIES:
+            raise ConfigError(
+                f"{what} would sample {points:.4g} points of {m}x{m} matrices, "
+                f"more than {MAX_SAMPLED_ENTRIES} entries"
+            )
 
     try:
         spec = SystemSpec(

@@ -28,11 +28,25 @@ class ShapeError(InvmanError):
 
 
 class SingularMatrixError(InvmanError):
-    """A matrix that must be invertible is singular to tolerance."""
+    """A matrix that must be invertible is singular to tolerance.
+
+    ``index`` is the position of the first such matrix in a stack; 0 for a single matrix.
+    """
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
 
 
 class RankDeficiencyError(InvmanError):
-    """A matrix that must have full row rank does not."""
+    """A matrix that must have full row rank does not.
+
+    ``index`` is the position of the first such matrix in a stack; 0 for a single matrix.
+    """
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
 
 
 class FrameError(InvmanError):

@@ -125,37 +125,36 @@ class FrameSamples:
 def frame_samples(spec: SystemSpec, ts, pivot_tol: float = linalg.DEFAULT_TOL) -> FrameSamples:
     """Sample the chart and its embedding (with exact derivatives) over ``ts``.
 
-    Rank loss of the chart, or singularity of the stacked frame, is reported
-    with the offending time point.
+    The whole grid goes through one ``linalg.invert`` call: the stacked
+    frames [C; C_comp] on the stacked route, the Gram matrices C C^T on the
+    Moore-Penrose route (whose rank check runs point by point).  Rank loss
+    of the chart, or singularity of the stacked frame, is reported with the
+    earliest offending time point.
     """
     ts = np.asarray(ts, dtype=float).reshape(-1)
     n = spec.n
     chart_g = spec.chart.eval_grid(ts)
     dchart_g = spec.chart.derivative().eval_grid(ts)
-    embed_g = np.empty((ts.size, spec.m, n))
-    dembed_g = np.empty_like(embed_g)
 
     if spec.comp_chart is None:
-        for i, t in enumerate(ts):
-            try:
-                embed_g[i], dembed_g[i] = linalg._pseudoinverse_and_derivative(
-                    chart_g[i], dchart_g[i], pivot_tol
-                )
-            except RankDeficiencyError as exc:
-                raise RankDeficiencyError(f"chart loses full row rank at t={t!r}: {exc}") from exc
+        try:
+            embed_g, dembed_g = linalg._pseudoinverse_and_derivative(chart_g, dchart_g, pivot_tol)
+        except RankDeficiencyError as exc:
+            raise RankDeficiencyError(
+                f"chart loses full row rank at t={ts[exc.index]!r}: {exc}", exc.index
+            ) from exc
     else:
         comp_g = spec.comp_chart.eval_grid(ts)
         dcomp_g = spec.comp_chart.derivative().eval_grid(ts)
-        for i, t in enumerate(ts):
-            stack = np.vstack([chart_g[i], comp_g[i]])
-            try:
-                inv = linalg.invert(stack, pivot_tol)
-            except SingularMatrixError as exc:
-                raise SingularMatrixError(f"stacked frame is singular at t={t!r}: {exc}") from exc
-            dstack = np.vstack([dchart_g[i], dcomp_g[i]])
-            dinv = -inv @ dstack @ inv
-            embed_g[i] = inv[:, :n]
-            dembed_g[i] = dinv[:, :n]
+        try:
+            inv = linalg.invert(np.concatenate([chart_g, comp_g], axis=1), pivot_tol)
+        except SingularMatrixError as exc:
+            raise SingularMatrixError(
+                f"stacked frame is singular at t={ts[exc.index]!r}: {exc}", exc.index
+            ) from exc
+        dinv = -inv @ np.concatenate([dchart_g, dcomp_g], axis=1) @ inv
+        embed_g = inv[:, :, :n]
+        dembed_g = dinv[:, :, :n]
     return FrameSamples(ts=ts, chart=chart_g, dchart=dchart_g, embedding=embed_g, dembedding=dembed_g)
 
 
@@ -235,10 +234,6 @@ class InvarianceReport:
         }
 
 
-def _batch_frobenius(stack: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(stack * stack, axis=(1, 2)))
-
-
 def verdicts(spec: SystemSpec, tol: float = DEFAULT_VERDICT_TOL) -> InvarianceReport:
     """Evaluate the defect operator over the spec's grid and render verdicts.
 
@@ -262,10 +257,10 @@ def _sampled_verdicts(
     defect = fs.defect(coeff_g)
 
     eye = np.eye(spec.m)
-    norm_defect = _batch_frobenius(defect)
-    norm_main = _batch_frobenius(defect @ proj)
-    norm_comp = _batch_frobenius(defect @ (eye - proj))
-    norm_embed = _batch_frobenius(defect @ fs.embedding)
+    norm_defect = linalg.frobenius(defect)
+    norm_main = linalg.frobenius(defect @ proj)
+    norm_comp = linalg.frobenius(defect @ (eye - proj))
+    norm_embed = linalg.frobenius(defect @ fs.embedding)
 
     joint = bool(np.max(norm_defect) <= tol)
     main = joint or bool(np.max(norm_main) <= tol)

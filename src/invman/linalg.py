@@ -3,7 +3,11 @@
 Inversion and rank are implemented by row elimination with partial pivoting
 rather than an orthogonal factorization: the matrices here are small (desk
 scale, m of order ten) and an auditable elimination beats an opaque one.
-All residual norms in this package are Frobenius norms.
+``invert`` takes one matrix or a whole stack of them, and runs one
+elimination over the stack, column by column, with each matrix's own pivots
+and threshold, so a stack inverts bit for bit like a loop over its matrices.
+``rank`` takes one matrix at a time.  All residual norms in this package are
+Frobenius norms.
 """
 
 from __future__ import annotations
@@ -38,9 +42,12 @@ def _as_matrix(a, what: str) -> np.ndarray:
     return arr
 
 
-def frobenius(a) -> float:
+def frobenius(a):
+    """Frobenius norm over the last two axes: a float for a matrix, an array for a stack."""
     arr = np.asarray(a, dtype=float)
-    return float(np.sqrt(np.sum(arr * arr)))
+    if arr.ndim <= 2:
+        return float(np.sqrt(np.sum(arr * arr)))
+    return np.sqrt(np.sum(arr * arr, axis=(-2, -1)))
 
 
 def matmul(a, b) -> np.ndarray:
@@ -53,34 +60,58 @@ def matmul(a, b) -> np.ndarray:
 
 
 def invert(a, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Inverse of a square matrix by Gauss-Jordan elimination with partial pivoting.
+    """Inverse of a square matrix, or of each matrix of an (N, k, k) stack, by
+    Gauss-Jordan elimination with partial pivoting.
 
-    A pivot whose magnitude falls at or below ``tol`` times the largest entry
-    magnitude of the input marks the matrix as singular to tolerance.
+    One elimination runs over the whole stack, column by column.  Each matrix
+    takes the first largest pivot candidate in its current row order, and
+    each of its entries sees the same operations as if it were inverted on
+    its own.  A pivot whose magnitude falls at or below ``tol`` times the
+    largest entry magnitude of its matrix marks that matrix as singular to
+    tolerance.  The error names the first such matrix of the stack in its
+    ``index`` and carries the message of that matrix's first failing column.
     """
-    mat = _as_matrix(a, "invert")
-    k = mat.shape[0]
-    if mat.shape[0] != mat.shape[1]:
-        raise ShapeError(f"invert: matrix is {mat.shape}, not square")
-    scale = float(np.max(np.abs(mat)))
-    if scale == 0.0:
-        raise SingularMatrixError("invert: zero matrix")
+    mats = np.asarray(a, dtype=float)
+    single = mats.ndim == 2
+    if single:
+        mats = mats[None]
+    if mats.ndim != 3:
+        raise ShapeError(f"invert: expected a matrix or a stack of matrices, got ndim={mats.ndim}")
+    count, k, cols = mats.shape
+    if k != cols:
+        raise ShapeError(f"invert: matrix is {mats.shape[1:]}, not square")
+    scale = abs(mats).max(axis=(1, 2))
     limit = tol * scale
-    aug = np.hstack([mat.copy(), np.eye(k)])
+    aug = np.empty((count, k, 2 * k))
+    aug[:, :, :k] = mats
+    aug[:, :, k:] = np.eye(k)
+    rows = np.arange(count)
+    failures: dict[int, str] = {}
     for col in range(k):
-        p = col + int(np.argmax(np.abs(aug[col:, col])))
-        pivot = aug[p, col]
-        if abs(pivot) <= limit:
-            raise SingularMatrixError(
-                f"invert: singular to tolerance (pivot {abs(pivot):.3e} <= {limit:.3e} in column {col})"
-            )
-        if p != col:
-            aug[[col, p]] = aug[[p, col]]
-        aug[col] /= aug[col, col]
-        factors = aug[:, col].copy()
-        factors[col] = 0.0
-        aug -= np.outer(factors, aug[col])
-    return aug[:, k:]
+        p = col + abs(aug[:, col:, col]).argmax(axis=1)
+        pivot_rows = aug[rows, p]
+        pivot = pivot_rows[:, col]
+        bad = abs(pivot) <= limit
+        if np.count_nonzero(bad):
+            for i in bad.nonzero()[0]:
+                failures.setdefault(int(i), "invert: zero matrix" if scale[i] == 0.0 else (
+                    f"invert: singular to tolerance (pivot {abs(pivot[i]):.3e} <= {limit[i]:.3e} in column {col})"
+                ))
+            # A failed matrix carries on as [E | E], so the others run undisturbed.
+            aug[bad] = np.eye(k, 2 * k) + np.eye(k, 2 * k, k)
+            p[bad] = col
+            pivot_rows = aug[rows, p]
+            pivot = pivot_rows[:, col]
+        aug[rows, p] = aug[:, col]
+        aug[:, col] = pivot_rows / pivot[:, None]
+        factors = aug[:, :, col].copy()
+        factors[:, col] = 0.0
+        aug -= factors[:, :, None] * aug[:, None, col]
+    if failures:
+        first = min(failures)
+        raise SingularMatrixError(failures[first], index=first)
+    inv = aug[:, :, k:]
+    return inv[0] if single else inv
 
 
 def rank(a, tol: float = DEFAULT_TOL) -> int:
@@ -92,7 +123,7 @@ def rank(a, tol: float = DEFAULT_TOL) -> int:
         raise ValueError("rank: tolerance must be positive")
     mat = _as_matrix(a, "rank").copy()
     n_rows, n_cols = mat.shape
-    scale = float(np.max(np.abs(mat)))
+    scale = float(abs(mat).max())
     if scale == 0.0:
         return 0
     limit = tol * scale
@@ -101,13 +132,13 @@ def rank(a, tol: float = DEFAULT_TOL) -> int:
     for col in range(n_cols):
         if row == n_rows:
             break
-        p = row + int(np.argmax(np.abs(mat[row:, col])))
+        p = row + int(abs(mat[row:, col]).argmax())
         if abs(mat[p, col]) <= limit:
             continue
         if p != row:
             mat[[row, p]] = mat[[p, row]]
         factors = mat[row + 1:, col] / mat[row, col]
-        mat[row + 1:] -= np.outer(factors, mat[row])
+        mat[row + 1:] -= factors[:, None] * mat[row]
         found += 1
         row += 1
     return found
@@ -150,28 +181,38 @@ def stacked_pseudoinverse(top, bottom, tol: float = DEFAULT_TOL) -> Pseudoinvers
     return PseudoinversePair(top_pinv=inv[:, :n], bottom_pinv=inv[:, n:])
 
 
-def _gram_inverse(mat: np.ndarray, tol: float) -> np.ndarray:
-    """(A A^T)^-1 of a full-row-rank A; both ways to fail are rank deficiency."""
-    n = mat.shape[0]
-    if rank(mat, tol) != n:
-        raise RankDeficiencyError(
-            f"right_pseudoinverse: matrix does not have full row rank {n} at tolerance {tol:g}"
-        )
+def _gram_inverse(mats: np.ndarray, tol: float) -> np.ndarray:
+    """(A A^T)^-1 of each full-row-rank A of an (N, n, m) stack; both ways to fail are rank deficiency.
+
+    The error's ``index`` names the first A that fails either way: rank is
+    checked matrix by matrix up to the first loss, and the Gram matrices
+    before it are inverted in one call.
+    """
+    n = mats.shape[-2]
+    deficient = next((i for i, mat in enumerate(mats) if rank(mat, tol) != n), len(mats))
+    full = mats[:deficient]
     try:
-        return invert(mat @ mat.T, tol)
+        gram_inv = invert(full @ np.swapaxes(full, -1, -2), tol)
     except SingularMatrixError as exc:
-        raise RankDeficiencyError(f"right_pseudoinverse: gram matrix is singular: {exc}") from exc
+        raise RankDeficiencyError(f"right_pseudoinverse: gram matrix is singular: {exc}", exc.index) from exc
+    if deficient < len(mats):
+        raise RankDeficiencyError(
+            f"right_pseudoinverse: matrix does not have full row rank {n} at tolerance {tol:g}", deficient
+        )
+    return gram_inv
 
 
-def _pseudoinverse_and_derivative(mat: np.ndarray, dmat: np.ndarray, tol: float):
-    """A^+ and its derivative along dA, sharing one rank check and one Gram inverse.
+def _pseudoinverse_and_derivative(mats: np.ndarray, dmats: np.ndarray, tol: float):
+    """A^+ and its derivative along dA for each A of an (N, n, m) stack, from one Gram inverse.
 
     With G = A A^T:  d(A^+) = dA^T G^-1 - A^T G^-1 (dA A^T + A dA^T) G^-1.
     """
-    gram_inv = _gram_inverse(mat, tol)
-    pinv = mat.T @ gram_inv
-    dgram = dmat @ mat.T + mat @ dmat.T
-    return pinv, dmat.T @ gram_inv - pinv @ dgram @ gram_inv
+    gram_inv = _gram_inverse(mats, tol)
+    mats_t = np.swapaxes(mats, -1, -2)
+    dmats_t = np.swapaxes(dmats, -1, -2)
+    pinv = mats_t @ gram_inv
+    dgram = dmats @ mats_t + mats @ dmats_t
+    return pinv, dmats_t @ gram_inv - pinv @ dgram @ gram_inv
 
 
 def right_pseudoinverse(mat, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -180,7 +221,7 @@ def right_pseudoinverse(mat, tol: float = DEFAULT_TOL) -> np.ndarray:
     n, m = mat.shape
     if n > m:
         raise ShapeError(f"right_pseudoinverse: matrix is {mat.shape}, needs rows <= cols")
-    return mat.T @ _gram_inverse(mat, tol)
+    return mat.T @ _gram_inverse(mat[None], tol)[0]
 
 
 def right_pseudoinverse_derivative(mat, dmat, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -191,4 +232,4 @@ def right_pseudoinverse_derivative(mat, dmat, tol: float = DEFAULT_TOL) -> np.nd
         raise ShapeError(
             f"right_pseudoinverse_derivative: shapes differ, {mat.shape} vs {dmat.shape}"
         )
-    return _pseudoinverse_and_derivative(mat, dmat, tol)[1]
+    return _pseudoinverse_and_derivative(mat[None], dmat[None], tol)[1][0]

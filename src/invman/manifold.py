@@ -37,6 +37,14 @@ __all__ = [
 
 # Loud-failure threshold for the construction identities of a frame.
 IDENTITY_TOL = 1e-9
+# The construction identities, in the order build_frame checks them.
+_IDENTITIES = (
+    "idempotency (main)",
+    "idempotency (comp)",
+    "annihilation (main*comp)",
+    "annihilation (comp*main)",
+    "complementarity",
+)
 
 
 class Subspace(Enum):
@@ -99,18 +107,17 @@ def build_frame(
     proj_main = pair.top_pinv @ c1
     proj_comp = pair.bottom_pinv @ c2
 
-    eye = np.eye(m)
-    residuals = {
-        "idempotency (main)": linalg.frobenius(proj_main @ proj_main - proj_main),
-        "idempotency (comp)": linalg.frobenius(proj_comp @ proj_comp - proj_comp),
-        "annihilation (main*comp)": linalg.frobenius(proj_main @ proj_comp),
-        "annihilation (comp*main)": linalg.frobenius(proj_comp @ proj_main),
-        "complementarity": linalg.frobenius(proj_main + proj_comp - eye),
-    }
-    worst = max(residuals, key=residuals.get)
+    residuals = linalg.frobenius([
+        proj_main @ proj_main - proj_main,
+        proj_comp @ proj_comp - proj_comp,
+        proj_main @ proj_comp,
+        proj_comp @ proj_main,
+        proj_main + proj_comp - np.eye(m),
+    ])
+    worst = int(residuals.argmax())
     if residuals[worst] > tol:
         raise FrameError(
-            f"build_frame: identity '{worst}' has residual {residuals[worst]:.3e} > {tol:g} at t={t!r}"
+            f"build_frame: identity '{_IDENTITIES[worst]}' has residual {residuals[worst]:.3e} > {tol:g} at t={t!r}"
         )
     if linalg.rank(proj_main, pivot_tol) != n or linalg.rank(proj_comp, pivot_tol) != p:
         raise FrameError(f"build_frame: projector ranks differ from ({n}, {p}) at t={t!r}")

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _FUNCTIONS = ("sin", "cos", "exp")
+_UFUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 _BINARY_OPS = ("+", "-", "*", "/")
 
 
@@ -123,18 +124,6 @@ def evaluate(expr: ScalarExpr, t):
     checked for finiteness by the callers that require it.
     """
     match expr:
-        case Const(value=v):
-            return v
-        case TimeVar():
-            return t
-        case Unary(op="neg", arg=a):
-            return -evaluate(a, t)
-        case Unary(op="sin", arg=a):
-            return np.sin(evaluate(a, t))
-        case Unary(op="cos", arg=a):
-            return np.cos(evaluate(a, t))
-        case Unary(op="exp", arg=a):
-            return np.exp(evaluate(a, t))
         case Binary(op=op, left=l, right=r):
             x = evaluate(l, t)
             y = evaluate(r, t)
@@ -147,6 +136,13 @@ def evaluate(expr: ScalarExpr, t):
             if np.any(np.asarray(y) == 0.0):
                 raise EvaluationError("division by zero")
             return x / y
+        case Unary(op=op, arg=a):
+            x = evaluate(a, t)
+            return -x if op == "neg" else _UFUNCS[op](x)
+        case Const(value=v):
+            return v
+        case TimeVar():
+            return t
         case Power(base=b, exponent=k):
             x = evaluate(b, t)
             if k < 0 and np.any(np.asarray(x) == 0.0):
@@ -411,6 +407,8 @@ class MatrixFunction:
     """A rectangular grid of scalar expressions, evaluable at any t."""
 
     entries: tuple[tuple[ScalarExpr, ...], ...]
+    # Memo of derivative(); hashing the entries to look it up would walk every tree.
+    _derivative: Optional["MatrixFunction"] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.entries or not self.entries[0]:
@@ -501,7 +499,10 @@ class MatrixFunction:
 
     def derivative(self) -> "MatrixFunction":
         """Entrywise exact derivative; shape is preserved."""
-        return _matrix_derivative(self)
+        if self._derivative is None:
+            derived = MatrixFunction(tuple(tuple(differentiate(e) for e in row) for row in self.entries))
+            object.__setattr__(self, "_derivative", derived)
+        return self._derivative
 
     def to_strings(self) -> list[list[str]]:
         return [[to_string(e) for e in row] for row in self.entries]
@@ -553,7 +554,3 @@ class MatrixFunction:
             raise ShapeError("block rows differ in total width")
         return cls(tuple(rows))
 
-
-@lru_cache(maxsize=None)
-def _matrix_derivative(mf: MatrixFunction) -> MatrixFunction:
-    return MatrixFunction(tuple(tuple(differentiate(e) for e in row) for row in mf.entries))

@@ -33,6 +33,38 @@ def triple_loop_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def reference_invert(mat: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """Gauss-Jordan inverse of one square matrix, one Python-level row operation at a time.
+
+    The per-matrix elimination that ``linalg.invert`` must reproduce bit for
+    bit on every matrix of a stack: the first largest pivot candidate, the
+    pivot threshold ``tol`` times the largest entry magnitude, and the same
+    messages for a zero or singular matrix.
+    """
+    from invman.errors import SingularMatrixError
+
+    k = mat.shape[0]
+    scale = float(np.max(np.abs(mat)))
+    if scale == 0.0:
+        raise SingularMatrixError("invert: zero matrix")
+    limit = tol * scale
+    aug = np.hstack([np.array(mat, dtype=float), np.eye(k)])
+    for col in range(k):
+        p = col + int(np.argmax(np.abs(aug[col:, col])))
+        pivot = aug[p, col]
+        if abs(pivot) <= limit:
+            raise SingularMatrixError(
+                f"invert: singular to tolerance (pivot {abs(pivot):.3e} <= {limit:.3e} in column {col})"
+            )
+        if p != col:
+            aug[[col, p]] = aug[[p, col]]
+        aug[col] /= aug[col, col]
+        factors = aug[:, col].copy()
+        factors[col] = 0.0
+        aug -= np.outer(factors, aug[col])
+    return aug[:, k:]
+
+
 def reference_eval(text: str, t: float) -> float:
     """Independent expression evaluator: hand the text to Python itself.
 

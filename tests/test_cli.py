@@ -1,11 +1,12 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from invman.cli import load_config, main
+from invman.cli import MAX_SAMPLED_ENTRIES, load_config, main
 from invman.invariance import reduced_matrix
 
 from helpers import schema_paths
@@ -89,6 +90,23 @@ class TestCheck:
         assert main([command, "--config", config]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, option", [
+        ("check", {"grid": {"start": 0.0, "end": 2.0, "count": 10**15}}),
+        ("flow", {"step": 1e-300}),
+        ("flow", {"window": [-1e308, 1e308]}),
+    ])
+    def test_oversized_sampling_exits_2_before_allocating(self, tmp_path, capsys, command, option):
+        config = _write(tmp_path, dict(NILPOTENT_CONFIG, **option))
+        tracemalloc.start()
+        try:
+            assert main([command, "--config", config]) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(MAX_SAMPLED_ENTRIES) in err
 
     def test_missing_file_exits_2(self):
         assert main(["check", "--config", "/nonexistent/nowhere.json"]) == 2

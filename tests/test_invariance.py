@@ -1,10 +1,11 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from invman.errors import RankDeficiencyError
+from invman.errors import RankDeficiencyError, SingularMatrixError
 from invman.invariance import (
     SystemSpec,
     frame_samples,
@@ -167,7 +168,7 @@ class TestVerdicts:
     def test_rank_deficiency_names_the_time(self):
         # chart [t, 0] loses rank exactly at t = 0
         spec = _spec([["0", "0"], ["0", "0"]], [["t", "0"]], grid=np.linspace(-1, 1, 5))
-        with pytest.raises(RankDeficiencyError, match="t="):
+        with pytest.raises(RankDeficiencyError, match=re.escape(f"at t={spec.t_grid[2]!r}: ")):
             verdicts(spec)
 
     def test_report_serializes(self):
@@ -187,6 +188,48 @@ class TestVerdicts:
             "defect_embedding",
         }
         assert len(back["t"]) == spec.t_grid.size
+
+
+class TestFrameFailures:
+    """A failing frame names the earliest bad t of the grid, exactly."""
+
+    GRID = np.linspace(-1.0, 1.0, 5)  # t^2 - 0.25 vanishes at the interior points -0.5 and 0.5
+
+    def test_stacked_route_names_earliest_singular_t(self):
+        spec = _spec([["0", "0"], ["0", "0"]], [["1", "0"]], [["1", "t^2 - 0.25"]], grid=self.GRID)
+        with pytest.raises(SingularMatrixError) as info:
+            frame_samples(spec, self.GRID)
+        assert str(info.value).startswith(f"stacked frame is singular at t={self.GRID[1]!r}: invert: ")
+        assert info.value.index == 1
+
+    def test_moore_penrose_route_names_earliest_rank_loss(self):
+        spec = _spec([["0", "0"], ["0", "0"]], [["t^2 - 0.25", "0"]], grid=self.GRID)
+        with pytest.raises(RankDeficiencyError) as info:
+            frame_samples(spec, self.GRID)
+        assert str(info.value) == (
+            f"chart loses full row rank at t={self.GRID[1]!r}: "
+            "right_pseudoinverse: matrix does not have full row rank 1 at tolerance 1e-09"
+        )
+
+    # Rows [1, 0, 0] and [1, t, 0]: at t = 1e-6 the rank check passes but the
+    # Gram matrix is singular to tolerance; at t = 0 the rank check fails.
+    CLOSE = _spec([["0"] * 3] * 3, [["1", "0", "0"], ["1", "t", "0"]])
+
+    def test_moore_penrose_gram_failure_before_rank_loss_wins(self):
+        ts = [1.0, 1e-6, 0.0, 1e-6]
+        with pytest.raises(RankDeficiencyError) as info:
+            frame_samples(self.CLOSE, ts)
+        assert str(info.value).startswith(
+            f"chart loses full row rank at t={np.float64(1e-6)!r}: right_pseudoinverse: gram matrix is singular: "
+        )
+
+    def test_moore_penrose_rank_loss_before_gram_failure_wins(self):
+        ts = [1.0, 0.0, 1e-6]
+        with pytest.raises(RankDeficiencyError) as info:
+            frame_samples(self.CLOSE, ts)
+        assert str(info.value).startswith(
+            f"chart loses full row rank at t={np.float64(0.0)!r}: right_pseudoinverse: matrix does not have"
+        )
 
 
 class TestReducedMatrix:

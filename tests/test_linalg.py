@@ -14,7 +14,31 @@ from invman.linalg import (
     stacked_pseudoinverse,
 )
 
-from helpers import fd_matrix_derivative, random_well_conditioned_stack, triple_loop_matmul
+from helpers import (
+    fd_matrix_derivative,
+    random_well_conditioned_stack,
+    reference_invert,
+    triple_loop_matmul,
+)
+
+
+def _invertible(mats):
+    """The matrices that the per-matrix reference inverts, as one stack."""
+    kept = []
+    for mat in mats:
+        try:
+            reference_invert(mat)
+        except SingularMatrixError:
+            continue
+        kept.append(mat)
+    return np.array(kept)
+
+
+def _hadamard(k: int) -> np.ndarray:
+    h = np.ones((1, 1))
+    while h.shape[0] < k:
+        h = np.block([[h, h], [h, -h]])
+    return h
 
 
 class TestMatmul:
@@ -70,6 +94,72 @@ class TestInvert:
     def test_not_square(self):
         with pytest.raises(ShapeError):
             invert(np.ones((2, 3)))
+
+
+class TestInvertStack:
+    """A stack inverts bit for bit like the per-matrix reference, matrix by matrix."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 16])
+    def test_equals_reference_slice_by_slice(self, k):
+        rng = np.random.default_rng(k)
+        eye = np.eye(k)
+        perms = [eye[rng.permutation(k)] * rng.choice([-1.0, 1.0], size=(k, 1)) for _ in range(20)]
+        # Entries of equal magnitude tie for the pivot in every column.
+        signs = list(rng.choice([-1.0, 1.0], size=(200, k, k)))
+        ties = [rng.integers(-2, 3, size=(k, k)).astype(float) for _ in range(200)]
+        # Small leading entries force a row swap in most columns.
+        swaps = [rng.standard_normal((k, k)) * np.logspace(-6, 0, k)[:, None] for _ in range(100)]
+        stack = _invertible(
+            list(rng.standard_normal((300, k, k))) + perms + signs + ties + swaps
+            + ([_hadamard(k)] if k in (1, 2, 8, 16) else [])
+        )
+        assert len(stack) > 300
+        got = invert(stack)
+        assert got.shape == stack.shape
+        np.testing.assert_array_equal(got, np.stack([reference_invert(mat) for mat in stack]))
+        np.testing.assert_array_equal(invert(stack[-1]), reference_invert(stack[-1]))
+
+    def test_relative_threshold_is_per_matrix(self):
+        # diag(1, 1e-12) is singular to tolerance whatever its neighbours' scale
+        stack = np.array([np.eye(2) * 1e15, np.diag([1.0, 1e-12]), np.eye(2) * 1e-15])
+        with pytest.raises(SingularMatrixError) as info:
+            invert(stack)
+        assert info.value.index == 1
+        np.testing.assert_array_equal(invert(stack[[0, 2]]), [reference_invert(stack[0]), reference_invert(stack[2])])
+
+    def test_first_singular_matrix_is_reported(self):
+        rng = np.random.default_rng(5)
+        stack = rng.standard_normal((10, 4, 4)) + 4.0 * np.eye(4)
+        stack[3, 3] = stack[3, 0] + stack[3, 1]  # fails in the last column
+        stack[7] = 0.0                            # fails at once
+        with pytest.raises(SingularMatrixError) as reference:
+            reference_invert(stack[3])
+        with pytest.raises(SingularMatrixError) as info:
+            invert(stack)
+        assert info.value.index == 3
+        assert str(info.value) == str(reference.value)
+        with pytest.raises(SingularMatrixError, match="^invert: zero matrix$") as info:
+            invert(stack[4:])
+        assert info.value.index == 3
+
+    def test_empty_stack(self):
+        assert invert(np.empty((0, 3, 3))).shape == (0, 3, 3)
+
+    def test_not_square_stack(self):
+        with pytest.raises(ShapeError):
+            invert(np.ones((4, 2, 3)))
+
+
+class TestFrobenius:
+    def test_stack_norms_equal_matrix_norms(self):
+        rng = np.random.default_rng(8)
+        stack = rng.standard_normal((6, 5, 5))
+        norms = frobenius(stack)
+        assert norms.shape == (6,)
+        assert norms.tolist() == [frobenius(mat) for mat in stack]
+
+    def test_matrix_norm_is_a_float(self):
+        assert frobenius([[3.0, 0.0], [0.0, 4.0]]) == 5.0
 
 
 class TestRank:

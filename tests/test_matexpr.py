@@ -211,6 +211,14 @@ class TestMatrixFunction:
         assert df.shape == f.shape
         np.testing.assert_allclose(df.eval(0.5), [[1.0, math.cos(0.5), 0.0]], rtol=1e-15)
 
+    def test_derivative_is_memoized_outside_equality(self):
+        f = MatrixFunction.build([["t^2", "sin(t)"]])
+        g = MatrixFunction.build([["t^2", "sin(t)"]])
+        df = f.derivative()
+        assert f.derivative() is df
+        assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
+        assert g.derivative() == df
+
     def test_eval_grid_matches_pointwise(self):
         f = MatrixFunction.build([["t^2", "exp(t)"], ["cos(t)", "1"]])
         ts = np.linspace(-1, 1, 7)
