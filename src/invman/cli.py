@@ -39,7 +39,8 @@ from .errors import (
     ShapeError,
     SingularMatrixError,
 )
-from .flow import _checked_conjugacy, run_flow
+from .flow import DEFAULT_SEED, DEFAULT_STEP, DEFAULT_TRIALS, _checked_conjugacy, run_flow
+from .invariance import DEFAULT_GRID_COUNT, DEFAULT_GRID_SPAN, DEFAULT_VERDICT_TOL
 from .invariance import SystemSpec, _sampled_verdicts, verdicts
 # Unused here, but perfbench/test_perfbench.py checks that the tracer wraps this binding.
 from .invariance import reduced_matrix  # noqa: F401
@@ -141,7 +142,8 @@ def load_config(path: str) -> tuple[SystemSpec, RunOptions]:
     if config.get("comp_chart") is not None:
         comp = _matrix_from_config(config, "comp_chart", (m - n, m))
 
-    grid_cfg = config.get("grid", {"start": 0.0, "end": 5.0, "count": 201})
+    default_grid = {"start": DEFAULT_GRID_SPAN[0], "end": DEFAULT_GRID_SPAN[1], "count": DEFAULT_GRID_COUNT}
+    grid_cfg = config.get("grid", default_grid)
     if not (isinstance(grid_cfg, dict) and {"start", "end", "count"} <= grid_cfg.keys()):
         raise ConfigError("grid must provide numeric start/end/count")
     start = _finite(grid_cfg["start"], "grid start")
@@ -150,10 +152,10 @@ def load_config(path: str) -> tuple[SystemSpec, RunOptions]:
     if count < 2 or end <= start:
         raise ConfigError("grid needs count >= 2 and end > start")
 
-    tolerance = _finite(config.get("tolerance", 1e-8), "tolerance")
-    h = _finite(config.get("step", 1e-3), "step")
-    seed = _integer(config.get("seed", 42), "seed")
-    trials = _integer(config.get("trials", 5), "trials")
+    tolerance = _finite(config.get("tolerance", DEFAULT_VERDICT_TOL), "tolerance")
+    h = _finite(config.get("step", DEFAULT_STEP), "step")
+    seed = _integer(config.get("seed", DEFAULT_SEED), "seed")
+    trials = _integer(config.get("trials", DEFAULT_TRIALS), "trials")
     window_cfg = config.get("window", [start, end])
     if not (isinstance(window_cfg, list) and len(window_cfg) == 2):
         raise ConfigError("window must be a [t0, t1] pair")

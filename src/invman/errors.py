@@ -19,7 +19,18 @@ class ParseError(InvmanError):
         self.offset = offset
 
 
-class EvaluationError(InvmanError):
+class _IndexedError(InvmanError):
+    """A failure at one item of a stack or grid.
+
+    ``index`` is the position of the first failing item; 0 for a single one.
+    """
+
+    def __init__(self, message: str, index: int = 0):
+        super().__init__(message)
+        self.index = index
+
+
+class EvaluationError(_IndexedError):
     """Expression evaluation hit a pole or produced a non-finite value."""
 
 
@@ -27,26 +38,12 @@ class ShapeError(InvmanError):
     """Matrix dimensions do not conform."""
 
 
-class SingularMatrixError(InvmanError):
-    """A matrix that must be invertible is singular to tolerance.
-
-    ``index`` is the position of the first such matrix in a stack; 0 for a single matrix.
-    """
-
-    def __init__(self, message: str, index: int = 0):
-        super().__init__(message)
-        self.index = index
+class SingularMatrixError(_IndexedError):
+    """A matrix that must be invertible is singular to tolerance."""
 
 
-class RankDeficiencyError(InvmanError):
-    """A matrix that must have full row rank does not.
-
-    ``index`` is the position of the first such matrix in a stack; 0 for a single matrix.
-    """
-
-    def __init__(self, message: str, index: int = 0):
-        super().__init__(message)
-        self.index = index
+class RankDeficiencyError(_IndexedError):
+    """A matrix that must have full row rank does not."""
 
 
 class FrameError(InvmanError):

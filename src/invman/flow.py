@@ -20,8 +20,10 @@ from typing import Optional
 
 import numpy as np
 
+from . import linalg
 from .errors import IntegrationOverflowError, PreconditionError, ShapeError
 from .invariance import (
+    DEFAULT_GRID_SPAN,
     DEFAULT_VERDICT_TOL,
     FrameSamples,
     InvarianceReport,
@@ -47,6 +49,10 @@ __all__ = [
 
 SIDE_MAIN = "mn"            # launch on the n-dimensional subspace
 SIDE_COMPLEMENT = "complement"
+
+DEFAULT_STEP = 1e-3
+DEFAULT_TRIALS = 5          # trajectories per drift side
+DEFAULT_SEED = 42
 
 
 def _half_grid(t_span: tuple[float, float], h: float) -> tuple[float, float, np.ndarray]:
@@ -172,10 +178,10 @@ class DriftResult:
 def manifold_drift(
     spec: SystemSpec,
     side: str,
-    h: float = 1e-3,
-    trials: int = 5,
-    seed: int = 42,
-    t_span: tuple[float, float] = (0.0, 5.0),
+    h: float = DEFAULT_STEP,
+    trials: int = DEFAULT_TRIALS,
+    seed: int = DEFAULT_SEED,
+    t_span: tuple[float, float] = DEFAULT_GRID_SPAN,
 ) -> DriftResult:
     """Launch random trajectories on one side of the splitting and measure leakage.
 
@@ -225,7 +231,7 @@ class ConjugacyResult:
 
 def conjugacy_check(
     spec: SystemSpec,
-    h: float = 1e-3,
+    h: float = DEFAULT_STEP,
     t_span: tuple[float, float] = (0.0, 2.0),
     tol: float = DEFAULT_VERDICT_TOL,
 ) -> ConjugacyResult:
@@ -262,14 +268,10 @@ def _conjugacy(
     steps = _every_other(frames)
     (reduced,) = _rk4(frames.reduced(coeff), [np.eye(steps.chart.shape[1])], t0, h_eff)
     lhs = fund @ steps.embedding[0]       # (N+1, m, n)
-    rhs = steps.embedding @ reduced
-    embed_res = np.sqrt(np.sum((lhs - rhs) ** 2, axis=(1, 2)))
-    chart_side = steps.chart @ lhs
-    chart_res = np.sqrt(np.sum((reduced - chart_side) ** 2, axis=(1, 2)))
     return ConjugacyResult(
         ts=steps.ts,
-        embedding_residuals=embed_res,
-        chart_residuals=chart_res,
+        embedding_residuals=linalg.frobenius(lhs - steps.embedding @ reduced),
+        chart_residuals=linalg.frobenius(reduced - steps.chart @ lhs),
         fundamental=fund,
         reduced=reduced,
     )
@@ -323,10 +325,10 @@ class FlowResult:
 
 def run_flow(
     spec: SystemSpec,
-    h: float = 1e-3,
-    trials: int = 5,
-    seed: int = 42,
-    t_span: tuple[float, float] = (0.0, 5.0),
+    h: float = DEFAULT_STEP,
+    trials: int = DEFAULT_TRIALS,
+    seed: int = DEFAULT_SEED,
+    t_span: tuple[float, float] = DEFAULT_GRID_SPAN,
     tol: float = DEFAULT_VERDICT_TOL,
 ) -> FlowResult:
     """Drift on both sides plus, when the subspace is invariant, the conjugacy curve.

@@ -50,10 +50,14 @@ __all__ = [
 ]
 
 DEFAULT_VERDICT_TOL = 1e-8
+DEFAULT_GRID_SPAN = (0.0, 5.0)
+DEFAULT_GRID_COUNT = 201
+# The residual curves of an InvarianceReport, in report order.
+_CURVES = ("defect", "defect_main", "defect_complement", "defect_embedding")
 
 
 def DEFAULT_GRID() -> np.ndarray:
-    return np.linspace(0.0, 5.0, 201)
+    return np.linspace(*DEFAULT_GRID_SPAN, DEFAULT_GRID_COUNT)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,7 +126,7 @@ class FrameSamples:
         return (self.dchart + self.chart @ coeff) @ self.embedding
 
 
-def frame_samples(spec: SystemSpec, ts, pivot_tol: float = linalg.DEFAULT_TOL) -> FrameSamples:
+def frame_samples(spec: SystemSpec, ts) -> FrameSamples:
     """Sample the chart and its embedding (with exact derivatives) over ``ts``.
 
     The whole grid goes through one ``linalg.invert`` call: the stacked
@@ -138,19 +142,19 @@ def frame_samples(spec: SystemSpec, ts, pivot_tol: float = linalg.DEFAULT_TOL) -
 
     if spec.comp_chart is None:
         try:
-            embed_g, dembed_g = linalg._pseudoinverse_and_derivative(chart_g, dchart_g, pivot_tol)
+            embed_g, dembed_g = linalg._pseudoinverse_and_derivative(chart_g, dchart_g, linalg.DEFAULT_TOL)
         except RankDeficiencyError as exc:
             raise RankDeficiencyError(
-                f"chart loses full row rank at t={ts[exc.index]!r}: {exc}", exc.index
+                f"chart loses full row rank at t={float(ts[exc.index])!r}: {exc}", exc.index
             ) from exc
     else:
         comp_g = spec.comp_chart.eval_grid(ts)
         dcomp_g = spec.comp_chart.derivative().eval_grid(ts)
         try:
-            inv = linalg.invert(np.concatenate([chart_g, comp_g], axis=1), pivot_tol)
+            inv = linalg.invert(np.concatenate([chart_g, comp_g], axis=1))
         except SingularMatrixError as exc:
             raise SingularMatrixError(
-                f"stacked frame is singular at t={ts[exc.index]!r}: {exc}", exc.index
+                f"stacked frame is singular at t={float(ts[exc.index])!r}: {exc}", exc.index
             ) from exc
         dinv = -inv @ np.concatenate([dchart_g, dcomp_g], axis=1) @ inv
         embed_g = inv[:, :, :n]
@@ -214,18 +218,8 @@ class InvarianceReport:
         return {
             "tolerance": self.tolerance,
             "t": self.t_grid.tolist(),
-            "residuals": {
-                "defect": self.defect.tolist(),
-                "defect_main": self.defect_main.tolist(),
-                "defect_complement": self.defect_complement.tolist(),
-                "defect_embedding": self.defect_embedding.tolist(),
-            },
-            "max_residuals": {
-                "defect": self.max_defect,
-                "defect_main": self.max_defect_main,
-                "defect_complement": self.max_defect_complement,
-                "defect_embedding": self.max_defect_embedding,
-            },
+            "residuals": {name: getattr(self, name).tolist() for name in _CURVES},
+            "max_residuals": {name: getattr(self, f"max_{name}") for name in _CURVES},
             "verdicts": {
                 "joint_invariant": self.joint_invariant,
                 "main_invariant": self.main_invariant,

@@ -86,7 +86,6 @@ def build_frame(
     comp_chart: MatrixFunction,
     t: float,
     tol: float = IDENTITY_TOL,
-    pivot_tol: float = linalg.DEFAULT_TOL,
 ) -> ProjectorFrame:
     """Evaluate both charts at ``t`` and build the projector pair.
 
@@ -103,7 +102,7 @@ def build_frame(
         )
     c1 = chart.eval(t)
     c2 = comp_chart.eval(t)
-    pair = linalg.stacked_pseudoinverse(c1, c2, pivot_tol)
+    pair = linalg.stacked_pseudoinverse(c1, c2)
     proj_main = pair.top_pinv @ c1
     proj_comp = pair.bottom_pinv @ c2
 
@@ -117,10 +116,11 @@ def build_frame(
     worst = int(residuals.argmax())
     if residuals[worst] > tol:
         raise FrameError(
-            f"build_frame: identity '{_IDENTITIES[worst]}' has residual {residuals[worst]:.3e} > {tol:g} at t={t!r}"
+            f"build_frame: identity '{_IDENTITIES[worst]}' has residual {residuals[worst]:.3e} > {tol:g} "
+            f"at t={float(t)!r}"
         )
-    if linalg.rank(proj_main, pivot_tol) != n or linalg.rank(proj_comp, pivot_tol) != p:
-        raise FrameError(f"build_frame: projector ranks differ from ({n}, {p}) at t={t!r}")
+    if linalg.rank(proj_main) != n or linalg.rank(proj_comp) != p:
+        raise FrameError(f"build_frame: projector ranks differ from ({n}, {p}) at t={float(t)!r}")
 
     return ProjectorFrame(
         t=float(t),
@@ -186,27 +186,30 @@ class KernelIdentityReport:
         return self.max_residual <= self.tol
 
 
+def _sample_vectors(frame: ProjectorFrame, samples: int, seed: int, caller: str) -> np.ndarray:
+    """``samples`` standard-normal vectors of R^m, one per row, from a generator seeded with ``seed``."""
+    if samples < 1:
+        raise ValueError(f"{caller}: samples must be >= 1")
+    return np.random.default_rng(seed).standard_normal((samples, frame.m))
+
+
+def _max_row_norm(rows: np.ndarray) -> float:
+    return float(np.max(np.linalg.norm(rows, axis=1)))
+
+
 def check_kernel_identities(
     frame: ProjectorFrame, samples: int = 100, tol: float = 1e-9, seed: int = 0
 ) -> KernelIdentityReport:
     """Sample each subspace by projecting standard-normal vectors and test the identities."""
-    if samples < 1:
-        raise ValueError("check_kernel_identities: samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    cs = rng.standard_normal((samples, frame.m))
-
+    cs = _sample_vectors(frame, samples, seed, "check_kernel_identities")
     on_main = cs @ frame.projector.T          # rows are y = P_main c
     on_comp = cs @ frame.comp_projector.T     # rows are y = P_comp c
-
-    def max_norm(rows: np.ndarray) -> float:
-        return float(np.max(np.linalg.norm(rows, axis=1)))
-
     return KernelIdentityReport(
         samples=samples,
-        max_comp_chart_on_main=max_norm(on_main @ frame.comp_chart.T),
-        max_comp_projector_on_main=max_norm(on_main @ frame.comp_projector.T),
-        max_chart_on_comp=max_norm(on_comp @ frame.chart.T),
-        max_comp_range_defect=max_norm(on_comp - on_comp @ frame.comp_projector.T),
+        max_comp_chart_on_main=_max_row_norm(on_main @ frame.comp_chart.T),
+        max_comp_projector_on_main=_max_row_norm(on_main @ frame.comp_projector.T),
+        max_chart_on_comp=_max_row_norm(on_comp @ frame.chart.T),
+        max_comp_range_defect=_max_row_norm(on_comp - on_comp @ frame.comp_projector.T),
         tol=tol,
     )
 
@@ -230,21 +233,12 @@ def check_embedding(
     frame: ProjectorFrame, samples: int = 100, tol: float = 1e-9, seed: int = 0
 ) -> EmbeddingReport:
     """Injectivity, image containment, and surjectivity of the embedding map."""
-    if samples < 1:
-        raise ValueError("check_embedding: samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    injective = linalg.rank(frame.embedding) == frame.n
-    image_residual = linalg.frobenius(frame.projector @ frame.embedding - frame.embedding)
-
-    cs = rng.standard_normal((samples, frame.m))
-    on_main = cs @ frame.projector.T
+    on_main = _sample_vectors(frame, samples, seed, "check_embedding") @ frame.projector.T
     retracted = on_main @ frame.chart.T @ frame.embedding.T
-    max_defect = float(np.max(np.linalg.norm(on_main - retracted, axis=1)))
-
     return EmbeddingReport(
-        injective=injective,
-        image_residual=image_residual,
-        max_retraction_defect=max_defect,
+        injective=linalg.rank(frame.embedding) == frame.n,
+        image_residual=linalg.frobenius(frame.projector @ frame.embedding - frame.embedding),
+        max_retraction_defect=_max_row_norm(on_main - retracted),
         samples=samples,
         tol=tol,
     )

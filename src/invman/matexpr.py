@@ -120,8 +120,9 @@ def evaluate(expr: ScalarExpr, t):
     """Evaluate ``expr`` at a scalar t or elementwise over an ndarray of t.
 
     Division by zero and a zero base under a negative exponent raise
-    :class:`EvaluationError`; everything else is left to IEEE arithmetic and
-    checked for finiteness by the callers that require it.
+    :class:`EvaluationError`, whose ``index`` is the first such position in
+    ``t``; everything else is left to IEEE arithmetic and checked for
+    finiteness by the callers that require it.
     """
     match expr:
         case Binary(op=op, left=l, right=r):
@@ -133,8 +134,8 @@ def evaluate(expr: ScalarExpr, t):
                 return x - y
             if op == "*":
                 return x * y
-            if np.any(np.asarray(y) == 0.0):
-                raise EvaluationError("division by zero")
+            if (zero := np.asarray(y) == 0.0).any():
+                raise EvaluationError("division by zero", int(zero.argmax()))
             return x / y
         case Unary(op=op, arg=a):
             x = evaluate(a, t)
@@ -145,8 +146,8 @@ def evaluate(expr: ScalarExpr, t):
             return t
         case Power(base=b, exponent=k):
             x = evaluate(b, t)
-            if k < 0 and np.any(np.asarray(x) == 0.0):
-                raise EvaluationError("zero raised to a negative exponent")
+            if k < 0 and (zero := np.asarray(x) == 0.0).any():
+                raise EvaluationError("zero raised to a negative exponent", int(zero.argmax()))
             return x ** k
     raise TypeError(f"not an expression node: {expr!r}")
 
@@ -473,10 +474,10 @@ class MatrixFunction:
                     try:
                         out[i, j] = evaluate(e, t)
                     except EvaluationError as exc:
-                        raise EvaluationError(f"entry ({i},{j}) at t={t!r}: {exc}") from exc
+                        raise EvaluationError(f"entry ({i},{j}) at t={float(t)!r}: {exc}") from exc
         if not np.isfinite(out).all():
             i, j = map(int, np.argwhere(~np.isfinite(out))[0])
-            raise EvaluationError(f"entry ({i},{j}) is not finite at t={t!r}")
+            raise EvaluationError(f"entry ({i},{j}) is not finite at t={float(t)!r}")
         return out
 
     def eval_grid(self, ts) -> np.ndarray:
@@ -491,10 +492,11 @@ class MatrixFunction:
                     try:
                         out[:, i, j] = evaluate(e, ts)
                     except EvaluationError as exc:
-                        raise EvaluationError(f"entry ({i},{j}): {exc}") from exc
+                        k = exc.index
+                        raise EvaluationError(f"entry ({i},{j}) at t={float(ts[k])!r}: {exc}", k) from exc
         if not np.isfinite(out).all():
             k, i, j = map(int, np.argwhere(~np.isfinite(out))[0])
-            raise EvaluationError(f"entry ({i},{j}) is not finite at t={ts[k]!r}")
+            raise EvaluationError(f"entry ({i},{j}) is not finite at t={float(ts[k])!r}", k)
         return out
 
     def derivative(self) -> "MatrixFunction":

@@ -31,7 +31,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import FrameError, ScenarioError, ShapeError
-from .invariance import DEFAULT_GRID, SystemSpec
+from .flow import DEFAULT_SEED, DEFAULT_STEP, DEFAULT_TRIALS
+from .invariance import DEFAULT_GRID, DEFAULT_VERDICT_TOL, SystemSpec
+from .linalg import frobenius
 from .matexpr import Binary, Const, MatrixFunction, ScalarExpr, T, Unary
 
 __all__ = [
@@ -74,12 +76,20 @@ class ExpectedVerdicts(NamedTuple):
     complement_kernel: bool
 
 
+# The only record of which couplings each structure zeroes: d == 0 exactly
+# where the main verdict holds, c == 0 exactly where the complement one does.
 _STRUCTURE_VERDICTS = {
     Structure.BLOCK_DIAGONAL: ExpectedVerdicts(True, True, True),
     Structure.UPPER_TRIANGULAR: ExpectedVerdicts(False, True, False),
     Structure.LOWER_TRIANGULAR: ExpectedVerdicts(False, False, True),
     Structure.FULL: ExpectedVerdicts(False, False, False),
 }
+
+
+def _vanishing_couplings(structure: Structure) -> dict[str, bool]:
+    """Whether coupling c and coupling d vanish under ``structure``."""
+    verdict = _STRUCTURE_VERDICTS[structure]
+    return {"c": verdict.complement_kernel, "d": verdict.main}
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,11 +132,6 @@ class FramePair:
         return self.stack.row_block(self.n, self.m)
 
 
-def _max_grid_norm(mf: MatrixFunction, grid: np.ndarray) -> float:
-    vals = mf.eval_grid(grid)
-    return float(np.max(np.sqrt(np.sum(vals * vals, axis=(1, 2)))))
-
-
 @dataclass(frozen=True, eq=False)
 class ScenarioSpec:
     """A frame, block dynamics, and the structure declaring which couplings vanish."""
@@ -164,22 +169,16 @@ class ScenarioSpec:
                 f"frame inverse fails on the grid: max residual {resid:.3e} > {_FRAME_CONSISTENCY_TOL:g}"
             )
 
-        zero_blocks, nonzero_blocks = {
-            Structure.BLOCK_DIAGONAL: (("c", "d"), ()),
-            Structure.UPPER_TRIANGULAR: (("d",), ("c",)),
-            Structure.LOWER_TRIANGULAR: (("c",), ("d",)),
-            Structure.FULL: ((), ("c", "d")),
-        }[self.structure]
-        for name in zero_blocks:
-            norm = _max_grid_norm(getattr(self, name), grid)
-            if norm > 1e-12:
+        # zero checks run before presence checks, so a spec failing both reports a coupling that must vanish
+        vanishing = _vanishing_couplings(self.structure)
+        for name, zero in sorted(vanishing.items(), key=lambda item: not item[1]):
+            norm = float(np.max(frobenius(getattr(self, name).eval_grid(grid))))
+            if zero and norm > 1e-12:
                 raise ScenarioError(
                     f"structure {self.structure.value} requires coupling {name} == 0, "
                     f"but its max-grid norm is {norm:.3e}"
                 )
-        for name in nonzero_blocks:
-            norm = _max_grid_norm(getattr(self, name), grid)
-            if norm <= COUPLING_TOL:
+            if not zero and norm <= COUPLING_TOL:
                 raise ScenarioError(
                     f"structure {self.structure.value} requires coupling {name} to be "
                     f"nonzero, but its max-grid norm {norm:.3e} <= {COUPLING_TOL:g}; "
@@ -223,28 +222,22 @@ def to_system(s: ScenarioSpec) -> SystemSpec:
 # -- elementary frame factors -------------------------------------------------
 
 
-def _base_identity(m: int) -> list[list[ScalarExpr]]:
-    return [[Const(1.0) if i == j else Const(0.0) for j in range(m)] for i in range(m)]
+def _identity_with(m: int, overrides: dict) -> MatrixFunction:
+    """The m x m identity with the (row, col) entries of ``overrides`` put in."""
+    return MatrixFunction(tuple(
+        tuple(overrides.get((r, c), Const(1.0 if r == c else 0.0)) for c in range(m)) for r in range(m)
+    ))
 
 
 def rotation_factor(m: int, i: int, j: int, angle: ScalarExpr) -> tuple[MatrixFunction, MatrixFunction]:
     """Plane rotation in coordinates (i, j); the inverse rotates by -angle."""
     if i == j:
         raise ValueError("rotation needs two distinct coordinates")
-    fwd = _base_identity(m)
-    bwd = _base_identity(m)
     cos, sin = Unary("cos", angle), Unary("sin", angle)
-    fwd[i][i] = cos
-    fwd[i][j] = Unary("neg", sin)
-    fwd[j][i] = sin
-    fwd[j][j] = cos
-    bwd[i][i] = cos
-    bwd[i][j] = sin
-    bwd[j][i] = Unary("neg", sin)
-    bwd[j][j] = cos
+    neg_sin = Unary("neg", sin)
     return (
-        MatrixFunction(tuple(map(tuple, fwd))),
-        MatrixFunction(tuple(map(tuple, bwd))),
+        _identity_with(m, {(i, i): cos, (i, j): neg_sin, (j, i): sin, (j, j): cos}),
+        _identity_with(m, {(i, i): cos, (i, j): sin, (j, i): neg_sin, (j, j): cos}),
     )
 
 
@@ -252,26 +245,12 @@ def shear_factor(m: int, i: int, j: int, amount: ScalarExpr) -> tuple[MatrixFunc
     """Unit shear E + amount * e_i e_j^T; the inverse negates the amount."""
     if i == j:
         raise ValueError("shear needs two distinct coordinates")
-    fwd = _base_identity(m)
-    bwd = _base_identity(m)
-    fwd[i][j] = amount
-    bwd[i][j] = Unary("neg", amount)
-    return (
-        MatrixFunction(tuple(map(tuple, fwd))),
-        MatrixFunction(tuple(map(tuple, bwd))),
-    )
+    return _identity_with(m, {(i, j): amount}), _identity_with(m, {(i, j): Unary("neg", amount)})
 
 
 def scale_factor(m: int, i: int, factor: ScalarExpr) -> tuple[MatrixFunction, MatrixFunction]:
     """Diagonal scaling of coordinate i; the caller must keep the factor away from zero."""
-    fwd = _base_identity(m)
-    bwd = _base_identity(m)
-    fwd[i][i] = factor
-    bwd[i][i] = Binary("/", Const(1.0), factor)
-    return (
-        MatrixFunction(tuple(map(tuple, fwd))),
-        MatrixFunction(tuple(map(tuple, bwd))),
-    )
+    return _identity_with(m, {(i, i): factor}), _identity_with(m, {(i, i): Binary("/", Const(1.0), factor)})
 
 
 def _compose(factors: list[tuple[MatrixFunction, MatrixFunction]]) -> tuple[MatrixFunction, MatrixFunction]:
@@ -364,23 +343,19 @@ def random_scenario(
     frame = random_frame(m, n, rng)
     a = _random_block(rng, n, n, 0.6, wave=True)
     b = _random_block(rng, p, p, 0.6, wave=True)
-    if structure in (Structure.UPPER_TRIANGULAR, Structure.FULL):
-        c = _random_coupling(rng, n, p)
-    else:
-        c = MatrixFunction.zeros(n, p)
-    if structure in (Structure.LOWER_TRIANGULAR, Structure.FULL):
-        d = _random_coupling(rng, p, n)
-    else:
-        d = MatrixFunction.zeros(p, n)
+    vanishing = _vanishing_couplings(structure)
+    # c is drawn before d, each only when present, so a seed keeps its scenario
+    c = MatrixFunction.zeros(n, p) if vanishing["c"] else _random_coupling(rng, n, p)
+    d = MatrixFunction.zeros(p, n) if vanishing["d"] else _random_coupling(rng, p, n)
     return ScenarioSpec(frame=frame, a=a, b=b, c=c, d=d, structure=structure, t_grid=grid)
 
 
 def to_config(
     s: ScenarioSpec,
-    tolerance: float = 1e-8,
-    h: float = 1e-3,
-    seed: int = 42,
-    trials: int = 5,
+    tolerance: float = DEFAULT_VERDICT_TOL,
+    h: float = DEFAULT_STEP,
+    seed: int = DEFAULT_SEED,
+    trials: int = DEFAULT_TRIALS,
     metadata: Optional[dict] = None,
 ) -> dict:
     """Serialize a scenario to the JSON config format the CLI consumes.

@@ -117,9 +117,29 @@ class TestCheck:
         assert rc == 3
         assert "singular" in capsys.readouterr().err
 
-    def test_pole_on_grid_exits_3(self, tmp_path):
+    def test_pole_on_grid_exits_3(self, tmp_path, capsys):
         bad = dict(NILPOTENT_CONFIG, coeff=[["1/(t - 1)", "0"], ["0", "0"]])
         assert main(["check", "--config", _write(tmp_path, bad)]) == 3
+        assert "entry (0,0) at t=1.0: division by zero" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, message", [
+        ({"comp_chart": [["2", "0"]]}, "stacked frame is singular at t=0.0: "),
+        ({"chart": [["t - 1", "0"]], "comp_chart": None}, "chart loses full row rank at t=1.0: "),
+        ({"coeff": [["exp(1000*t)", "0"], ["0", "0"]]}, "entry (0,0) is not finite at t=0.8"),
+    ])
+    def test_numerical_failure_prints_its_time_as_a_float(self, tmp_path, capsys, option, message):
+        config = _write(tmp_path, dict(NILPOTENT_CONFIG, **option))
+        assert main(["check", "--config", config]) == 3
+        err = capsys.readouterr().err
+        assert message in err and "np.float64" not in err
+
+    def test_omitted_run_options_load_the_documented_defaults(self, tmp_path):
+        bare = {key: NILPOTENT_CONFIG[key] for key in ("m", "n", "coeff", "chart")}
+        spec, opts = load_config(_write(tmp_path, bare))
+        assert (opts.tolerance, opts.h, opts.seed, opts.trials) == (1e-8, 1e-3, 42, 5)
+        assert opts.grid == {"start": 0.0, "end": 5.0, "count": 201}
+        np.testing.assert_array_equal(spec.t_grid, np.linspace(0.0, 5.0, 201))
+        assert opts.window == (0.0, 5.0)
 
     def test_json_report_schema_golden(self, tmp_path):
         out = tmp_path / "report.json"

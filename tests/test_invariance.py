@@ -168,7 +168,7 @@ class TestVerdicts:
     def test_rank_deficiency_names_the_time(self):
         # chart [t, 0] loses rank exactly at t = 0
         spec = _spec([["0", "0"], ["0", "0"]], [["t", "0"]], grid=np.linspace(-1, 1, 5))
-        with pytest.raises(RankDeficiencyError, match=re.escape(f"at t={spec.t_grid[2]!r}: ")):
+        with pytest.raises(RankDeficiencyError, match=re.escape(f"at t={float(spec.t_grid[2])!r}: ")):
             verdicts(spec)
 
     def test_report_serializes(self):
@@ -199,7 +199,7 @@ class TestFrameFailures:
         spec = _spec([["0", "0"], ["0", "0"]], [["1", "0"]], [["1", "t^2 - 0.25"]], grid=self.GRID)
         with pytest.raises(SingularMatrixError) as info:
             frame_samples(spec, self.GRID)
-        assert str(info.value).startswith(f"stacked frame is singular at t={self.GRID[1]!r}: invert: ")
+        assert str(info.value).startswith(f"stacked frame is singular at t={float(self.GRID[1])!r}: invert: ")
         assert info.value.index == 1
 
     def test_moore_penrose_route_names_earliest_rank_loss(self):
@@ -207,7 +207,7 @@ class TestFrameFailures:
         with pytest.raises(RankDeficiencyError) as info:
             frame_samples(spec, self.GRID)
         assert str(info.value) == (
-            f"chart loses full row rank at t={self.GRID[1]!r}: "
+            f"chart loses full row rank at t={float(self.GRID[1])!r}: "
             "right_pseudoinverse: matrix does not have full row rank 1 at tolerance 1e-09"
         )
 
@@ -220,7 +220,7 @@ class TestFrameFailures:
         with pytest.raises(RankDeficiencyError) as info:
             frame_samples(self.CLOSE, ts)
         assert str(info.value).startswith(
-            f"chart loses full row rank at t={np.float64(1e-6)!r}: right_pseudoinverse: gram matrix is singular: "
+            "chart loses full row rank at t=1e-06: right_pseudoinverse: gram matrix is singular: "
         )
 
     def test_moore_penrose_rank_loss_before_gram_failure_wins(self):
@@ -228,7 +228,7 @@ class TestFrameFailures:
         with pytest.raises(RankDeficiencyError) as info:
             frame_samples(self.CLOSE, ts)
         assert str(info.value).startswith(
-            f"chart loses full row rank at t={np.float64(0.0)!r}: right_pseudoinverse: matrix does not have"
+            "chart loses full row rank at t=0.0: right_pseudoinverse: matrix does not have"
         )
 
 

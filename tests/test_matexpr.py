@@ -205,6 +205,17 @@ class TestMatrixFunction:
         with pytest.raises(EvaluationError, match=r"\(0,0\)"):
             f.eval(1e9)
 
+    @pytest.mark.parametrize("text, what", [
+        ("1/(t - 1)", "division by zero"),
+        ("(t - 1)^-2", "zero raised to a negative exponent"),
+    ])
+    def test_pole_on_grid_names_its_first_time(self, text, what):
+        f = MatrixFunction.build([["0", text]])
+        with pytest.raises(EvaluationError) as info:
+            f.eval_grid(np.array([0.0, 1.0, 1.0, 2.0]))
+        assert str(info.value) == f"entry (0,1) at t=1.0: {what}"
+        assert info.value.index == 1
+
     def test_derivative_shape_and_values(self):
         f = MatrixFunction.build([["t^2", "sin(t)", "3"]])
         df = f.derivative()

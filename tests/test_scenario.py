@@ -102,27 +102,27 @@ class TestExpectedVerdicts:
     def test_mapping(self, structure, expected):
         assert expected_verdicts(random_scenario(structure, m=3, n=2, seed=1)) == expected
 
-    def test_degenerate_coupling_rejected(self):
-        with pytest.raises(ScenarioError, match="nonzero"):
-            _scenario(
-                _identity_frame(2, 1),
-                [["-1"]],
-                [["1"]],
-                [["1e-9"]],  # numerically zero on the grid
-                MatrixFunction.zeros(1, 1),
-                Structure.UPPER_TRIANGULAR,
-            )
+    # Which couplings each structure zeroes, written out here rather than read
+    # from the generator, so a c/d mix-up in the generator shows.
+    VANISHING = {
+        Structure.BLOCK_DIAGONAL: {"c", "d"},
+        Structure.UPPER_TRIANGULAR: {"d"},
+        Structure.LOWER_TRIANGULAR: {"c"},
+        Structure.FULL: set(),
+    }
 
-    def test_nonzero_coupling_in_diagonal_structure_rejected(self):
-        with pytest.raises(ScenarioError, match="requires coupling"):
-            _scenario(
-                _identity_frame(2, 1),
-                [["-1"]],
-                [["1"]],
-                [["0.7"]],
-                MatrixFunction.zeros(1, 1),
-                Structure.BLOCK_DIAGONAL,
-            )
+    @pytest.mark.parametrize("coupling", ["c", "d"])
+    @pytest.mark.parametrize("structure", list(Structure))
+    def test_coupling_checks(self, structure, coupling):
+        zero = coupling in self.VANISHING[structure]
+        allowed = {name: [["0"]] if name in self.VANISHING[structure] else [["0.7"]] for name in "cd"}
+        _scenario(_identity_frame(2, 1), [["-1"]], [["1"]], allowed["c"], allowed["d"], structure)
+        # the coupling under test gets the value its structure forbids; 1e-9 is numerically zero
+        bad = dict(allowed, **{coupling: [["0.7"]] if zero else [["1e-9"]]})
+        with pytest.raises(ScenarioError) as info:
+            _scenario(_identity_frame(2, 1), [["-1"]], [["1"]], bad["c"], bad["d"], structure)
+        expected = f"coupling {coupling} == 0" if zero else f"coupling {coupling} to be nonzero"
+        assert f"structure {structure.value} requires {expected}" in str(info.value)
 
     def test_inconsistent_frame_pair_rejected(self):
         fwd, _ = rotation_factor(2, 0, 1, parse_expr("t"))
