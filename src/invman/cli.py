@@ -109,9 +109,11 @@ def _matrix_from_config(config: dict, key: str, shape: tuple[int, int]) -> Matri
     raw = _require(config, key)
     if not isinstance(raw, list) or not all(isinstance(r, list) for r in raw):
         raise ConfigError(f"config key {key!r} must be a 2-D array of expression strings")
+    for i, j in [(i, j) for i, row in enumerate(raw) for j, e in enumerate(row) if not isinstance(e, str)]:
+        _finite(raw[i][j], f"config key {key!r}: entry ({i},{j})")
     try:
         mf = MatrixFunction.build(raw)
-    except ParseError as exc:
+    except (ParseError, ShapeError) as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from exc
     if mf.shape != shape:
         raise ConfigError(f"config key {key!r} has shape {mf.shape}, expected {shape}")

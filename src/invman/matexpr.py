@@ -21,6 +21,7 @@ minus above ``*``/``/`` above ``+``/``-``; all levels left-associative)::
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -45,9 +46,8 @@ __all__ = [
     "MatrixFunction",
 ]
 
-_FUNCTIONS = ("sin", "cos", "exp")
 _UFUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
-_BINARY_OPS = ("+", "-", "*", "/")
+_BINARY_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 class ScalarExpr:
@@ -83,7 +83,7 @@ class Unary(ScalarExpr):
     arg: ScalarExpr
 
     def __post_init__(self):
-        if self.op not in ("neg",) + _FUNCTIONS:
+        if self.op != "neg" and self.op not in _UFUNCS:
             raise ValueError(f"unknown unary operator {self.op!r}")
 
 
@@ -124,32 +124,35 @@ def evaluate(expr: ScalarExpr, t):
     ``t``; everything else is left to IEEE arithmetic and checked for
     finiteness by the callers that require it.
     """
+    return _evaluate(expr, t, {})
+
+
+def _evaluate(expr: ScalarExpr, t, memo: dict):
+    # memo maps id(node) to its value within one call: a shared node is walked once.
+    if (value := memo.get(id(expr))) is not None:
+        return value
     match expr:
         case Binary(op=op, left=l, right=r):
-            x = evaluate(l, t)
-            y = evaluate(r, t)
-            if op == "+":
-                return x + y
-            if op == "-":
-                return x - y
-            if op == "*":
-                return x * y
-            if (zero := np.asarray(y) == 0.0).any():
+            x = _evaluate(l, t, memo)
+            y = _evaluate(r, t, memo)
+            if op == "/" and (zero := np.asarray(y) == 0.0).any():
                 raise EvaluationError("division by zero", int(zero.argmax()))
-            return x / y
+            value = _BINARY_OPS[op](x, y)
         case Unary(op=op, arg=a):
-            x = evaluate(a, t)
-            return -x if op == "neg" else _UFUNCS[op](x)
+            x = _evaluate(a, t, memo)
+            value = -x if op == "neg" else _UFUNCS[op](x)
         case Const(value=v):
             return v
         case TimeVar():
             return t
         case Power(base=b, exponent=k):
-            x = evaluate(b, t)
+            x = _evaluate(b, t, memo)
             if k < 0 and (zero := np.asarray(x) == 0.0).any():
                 raise EvaluationError("zero raised to a negative exponent", int(zero.argmax()))
-            return x ** k
-    raise TypeError(f"not an expression node: {expr!r}")
+            value = x ** k
+        case _:
+            raise TypeError(f"not an expression node: {expr!r}")
+    return memo.setdefault(id(expr), value)
 
 
 # -- differentiation ----------------------------------------------------------
@@ -262,12 +265,18 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    """Recursive-descent parser for the grammar in the module docstring."""
+# Deepest tree, and deepest nesting of '(' and '-', that the parser accepts: then parsing,
+# differentiate, to_string and evaluate (also of a 3x deeper derivative) stay far inside the recursion limit.
+MAX_DEPTH = 100
 
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
+
+class _Parser:
+    """Recursive-descent parser for the grammar in the module docstring; one
+    parser serves all entries of a build and builds equal subtrees as one node."""
+
+    def __init__(self):
+        self.nodes: dict[tuple, ScalarExpr] = {}
+        self.depths = {id(T): 1}
 
     def _peek(self) -> tuple[str, str, int]:
         return self.tokens[self.i]
@@ -283,7 +292,20 @@ class _Parser:
             raise ParseError(f"expected {op!r}", offset)
         self._next()
 
-    def parse(self) -> ScalarExpr:
+    def _shared(self, key: tuple, cls, *fields) -> ScalarExpr:
+        node = self.nodes.get(key)
+        if node is None:
+            depth = 1 + max(map(self.depths.__getitem__, key[2:]), default=0)
+            if depth > MAX_DEPTH:
+                raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", self._peek()[2])
+            node = self.nodes[key] = cls(*fields)
+            self.depths[id(node)] = depth
+        return node
+
+    def parse(self, text: str) -> ScalarExpr:
+        self.tokens = _tokenize(text)
+        self.i = 0
+        self.level = 0
         expr = self._sum()
         kind, text, offset = self._peek()
         if kind != "end":
@@ -296,7 +318,8 @@ class _Parser:
             kind, text, _ = self._peek()
             if kind == "op" and text in "+-":
                 self._next()
-                left = Binary(text, left, self._product())
+                right = self._product()
+                left = self._shared((Binary, text, id(left), id(right)), Binary, text, left, right)
             else:
                 return left
 
@@ -306,16 +329,25 @@ class _Parser:
             kind, text, _ = self._peek()
             if kind == "op" and text in "*/":
                 self._next()
-                left = Binary(text, left, self._unary())
+                right = self._unary()
+                left = self._shared((Binary, text, id(left), id(right)), Binary, text, left, right)
             else:
                 return left
 
     def _unary(self) -> ScalarExpr:
+        # Every recursion of the grammar passes through here.
+        self.level += 1
+        if self.level > MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", self._peek()[2])
         kind, text, _ = self._peek()
         if kind == "op" and text == "-":
             self._next()
-            return Unary("neg", self._unary())
-        return self._power()
+            arg = self._unary()
+            node = self._shared((Unary, "neg", id(arg)), Unary, "neg", arg)
+        else:
+            node = self._power()
+        self.level -= 1
+        return node
 
     def _power(self) -> ScalarExpr:
         base = self._atom()
@@ -323,7 +355,7 @@ class _Parser:
             kind, text, _ = self._peek()
             if kind == "op" and text == "^":
                 self._next()
-                base = Power(base, self._exponent())
+                base = self._shared((Power, k := self._exponent(), id(base)), Power, base, k)
             else:
                 return base
 
@@ -342,15 +374,18 @@ class _Parser:
     def _atom(self) -> ScalarExpr:
         kind, text, offset = self._next()
         if kind == "num":
-            return Const(float(text))
+            if math.isinf(value := float(text)):
+                raise ParseError(f"number {text!r} is out of range", offset)
+            # Keyed by its text: literals are unsigned, so 0.0 and -0.0 never share a node.
+            return self._shared((Const, text), Const, value)
         if kind == "name":
             if text == "t":
                 return T
-            if text in _FUNCTIONS:
+            if text in _UFUNCS:
                 self._expect_op("(")
                 arg = self._sum()
                 self._expect_op(")")
-                return Unary(text, arg)
+                return self._shared((Unary, text, id(arg)), Unary, text, arg)
             raise ParseError(f"unknown identifier {text!r}", offset)
         if kind == "op" and text == "(":
             expr = self._sum()
@@ -365,17 +400,17 @@ def parse_expr(text: str) -> ScalarExpr:
 
     Raises :class:`ParseError` with the byte offset of the first problem.
     """
-    return _Parser(text).parse()
+    return _Parser().parse(text)
 
 
 # -- matrices of expressions --------------------------------------------------
 
 
-def _coerce_entry(entry) -> ScalarExpr:
+def _coerce_entry(entry, parser: _Parser) -> ScalarExpr:
     if isinstance(entry, ScalarExpr):
         return entry
     if isinstance(entry, str):
-        return parse_expr(entry)
+        return parser.parse(entry)
     return Const(float(entry))
 
 
@@ -438,15 +473,16 @@ class MatrixFunction:
     def build(cls, rows: Sequence[Sequence[Union[ScalarExpr, str, float]]]) -> "MatrixFunction":
         """Build from a 2-D grid of expressions, strings, or numbers.
 
-        String entries are parsed; a :class:`ParseError` is re-raised with the
-        offending entry position prepended.
+        String entries are parsed, with equal subexpressions built as one node; a
+        :class:`ParseError` is re-raised with the offending entry position prepended.
         """
+        parser = _Parser()
         out = []
         for i, row in enumerate(rows):
             parsed_row = []
             for j, entry in enumerate(row):
                 try:
-                    parsed_row.append(_coerce_entry(entry))
+                    parsed_row.append(_coerce_entry(entry, parser))
                 except ParseError as exc:
                     raise ParseError(f"entry ({i},{j}): {exc.args[0]}", exc.offset) from exc
             out.append(tuple(parsed_row))
@@ -468,11 +504,12 @@ class MatrixFunction:
     def eval(self, t: float) -> np.ndarray:
         """Evaluate entrywise at scalar ``t``; all entries must come out finite."""
         out = np.empty(self.shape, dtype=float)
+        memo: dict = {}
         with np.errstate(all="ignore"):
             for i, row in enumerate(self.entries):
                 for j, e in enumerate(row):
                     try:
-                        out[i, j] = evaluate(e, t)
+                        out[i, j] = _evaluate(e, t, memo)
                     except EvaluationError as exc:
                         raise EvaluationError(f"entry ({i},{j}) at t={float(t)!r}: {exc}") from exc
         if not np.isfinite(out).all():
@@ -486,11 +523,12 @@ class MatrixFunction:
         if ts.ndim != 1:
             raise ShapeError("time grid must be one-dimensional")
         out = np.empty((ts.size, self.rows, self.cols), dtype=float)
+        memo: dict = {}
         with np.errstate(all="ignore"):
             for i, row in enumerate(self.entries):
                 for j, e in enumerate(row):
                     try:
-                        out[:, i, j] = evaluate(e, ts)
+                        out[:, i, j] = _evaluate(e, ts, memo)
                     except EvaluationError as exc:
                         k = exc.index
                         raise EvaluationError(f"entry ({i},{j}) at t={float(ts[k])!r}: {exc}", k) from exc

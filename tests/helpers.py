@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from invman.matexpr import Binary, Const, Power, ScalarExpr, T, Unary, evaluate
+from invman.matexpr import Binary, Const, Power, ScalarExpr, T, TimeVar, Unary, evaluate
 
 
 def fd_derivative(f, t: float, h: float = 1e-6) -> float:
@@ -63,6 +63,53 @@ def reference_invert(mat: np.ndarray, tol: float = 1e-9) -> np.ndarray:
         factors[col] = 0.0
         aug -= np.outer(factors, aug[col])
     return aug[:, k:]
+
+
+def reference_evaluate(expr: ScalarExpr, t):
+    """Memo-free recursive walk of an expression tree, at a scalar t or over an array.
+
+    A node reached twice is evaluated twice.  ``MatrixFunction.eval`` and
+    ``eval_grid``, which evaluate each distinct node once per call, must
+    reproduce it bit for bit, and raise the same errors at the same index.
+    """
+    from invman.errors import EvaluationError
+
+    match expr:
+        case Binary(op=op, left=l, right=r):
+            x = reference_evaluate(l, t)
+            y = reference_evaluate(r, t)
+            if op == "+":
+                return x + y
+            if op == "-":
+                return x - y
+            if op == "*":
+                return x * y
+            if (zero := np.asarray(y) == 0.0).any():
+                raise EvaluationError("division by zero", int(zero.argmax()))
+            return x / y
+        case Unary(op=op, arg=a):
+            x = reference_evaluate(a, t)
+            return -x if op == "neg" else {"sin": np.sin, "cos": np.cos, "exp": np.exp}[op](x)
+        case Const(value=v):
+            return v
+        case TimeVar():
+            return t
+        case Power(base=b, exponent=k):
+            x = reference_evaluate(b, t)
+            if k < 0 and (zero := np.asarray(x) == 0.0).any():
+                raise EvaluationError("zero raised to a negative exponent", int(zero.argmax()))
+            return x ** k
+    raise TypeError(f"not an expression node: {expr!r}")
+
+
+def reference_matrix(mf, t) -> np.ndarray:
+    """Entry by entry ``reference_evaluate`` of a MatrixFunction at scalar t or on a 1-D grid."""
+    out = np.empty(np.shape(t) + mf.shape)
+    with np.errstate(all="ignore"):
+        for i, row in enumerate(mf.entries):
+            for j, e in enumerate(row):
+                out[..., i, j] = reference_evaluate(e, t)
+    return out
 
 
 def reference_eval(text: str, t: float) -> float:

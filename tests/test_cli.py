@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invman.cli import MAX_SAMPLED_ENTRIES, load_config, main
 from invman.invariance import reduced_matrix
@@ -107,6 +113,33 @@ class TestCheck:
         assert peak < 2**20
         err = capsys.readouterr().err
         assert err.startswith("config error:") and str(MAX_SAMPLED_ENTRIES) in err
+
+    @pytest.mark.parametrize("entry, shown", [
+        (None, " must be a finite number, got None"),
+        ([1], " must be a finite number, got [1]"),
+        ({"a": 1}, " must be a finite number, got {'a': 1}"),
+        (True, " must be a finite number, got True"),
+        (math.inf, " must be a finite number, got inf"),
+        (10**400, " must be a finite number, got 1000"),
+        ("1e400", ": number '1e400' is out of range (offset 0)"),
+        ("(" * 300 + "t" + ")" * 300, ": expression nests deeper than 100 levels"),
+        ("+".join(["t"] * 3000), ": expression nests deeper than 100 levels"),
+    ])
+    def test_malformed_matrix_entry_exits_2_naming_it(self, tmp_path, capsys, entry, shown):
+        bad = dict(NILPOTENT_CONFIG, coeff=[["0", "1"], ["0", entry]])
+        assert main(["check", "--config", _write(tmp_path, bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config key 'coeff': entry (1,1){shown}")
+
+    def test_over_deep_chart_exits_2_before_differentiating(self, tmp_path, capsys):
+        bad = dict(NILPOTENT_CONFIG, chart=[["+".join(["t"] * 900), "0"]])
+        assert main(["check", "--config", _write(tmp_path, bad)]) == 2
+        assert "config key 'chart': entry (0,0): expression nests deeper" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("coeff", [[], [[], []], [["0", "1"], ["0"]]])
+    def test_empty_or_ragged_matrix_exits_2(self, tmp_path, capsys, coeff):
+        assert main(["check", "--config", _write(tmp_path, dict(NILPOTENT_CONFIG, coeff=coeff))]) == 2
+        assert capsys.readouterr().err.startswith("config error: config key 'coeff': matrix function")
 
     def test_missing_file_exits_2(self):
         assert main(["check", "--config", "/nonexistent/nowhere.json"]) == 2
@@ -281,3 +314,45 @@ class TestGenerate:
                 ])
                 assert rc == 0
                 assert json.loads(Path(handle.name).read_text()) == config
+
+
+_MUTANTS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.just(1e308),
+    st.text(max_size=12),
+    st.sampled_from([
+        "sin(", "t^t", "1/(t - 1)", "t^-1", "exp(exp(t*100))", "1e400",
+        "(" * 300 + "t" + ")" * 300, "-" * 3000 + "t", "+".join(["t"] * 3000),
+    ]),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_shipped_config_exits_with_a_code_not_a_traceback(data):
+    path = data.draw(st.sampled_from(sorted(CONFIGS.glob("*.json"))))
+    config = json.loads(path.read_text())
+    value = data.draw(_MUTANTS)
+    if data.draw(st.booleans()):
+        config[data.draw(st.sampled_from(sorted(config)))] = value
+    else:
+        rows = config[data.draw(st.sampled_from(["coeff", "chart", "comp_chart"]))]
+        row = rows[data.draw(st.integers(0, len(rows) - 1))]
+        row[data.draw(st.integers(0, len(row) - 1))] = value
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp) / "config.json"
+        target.write_text(json.dumps(config))
+        # Warnings are recorded, as the command prints them, not raised: an entry
+        # such as 1e308 overflows to inf, and numpy warns about it.
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True):
+            warnings.simplefilter("always")
+            rc = main(["check", "--config", str(target)])
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

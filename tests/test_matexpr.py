@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from invman.errors import EvaluationError, ParseError
 from invman.matexpr import (
+    MAX_DEPTH,
     Binary,
     Const,
     MatrixFunction,
@@ -19,7 +22,11 @@ from invman.matexpr import (
     to_string,
 )
 
-from helpers import fd_derivative, random_expr, reference_eval, try_eval
+from invman.scenario import Structure, random_scenario, to_config
+
+from helpers import fd_derivative, random_expr, reference_eval, reference_evaluate, reference_matrix, try_eval
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 class TestParse:
@@ -260,3 +267,136 @@ class TestMatrixFunction:
     def test_parse_error_names_entry(self):
         with pytest.raises(ParseError, match=r"entry \(1,0\)"):
             MatrixFunction.build([["1"], ["sin("]])
+
+
+class TestDepthLimit:
+    # Each shape is exactly MAX_DEPTH deep, by tree depth or by nesting.
+    AT_LIMIT = {
+        "division chain": "/".join(["(t+2)"] * (MAX_DEPTH - 1)),
+        "right-nested division": "(t+2)/(" * (MAX_DEPTH - 2) + "(t+2)" + ")" * (MAX_DEPTH - 2),
+        "nested cos": "cos(" * (MAX_DEPTH - 1) + "t" + ")" * (MAX_DEPTH - 1),
+        "minus signs": "-" * (MAX_DEPTH - 1) + "t",
+        "power chain": "(t+2)" + "^1" * (MAX_DEPTH - 2),
+        "sum": "+".join(["t"] * MAX_DEPTH),
+        "parentheses": "(" * (MAX_DEPTH - 1) + "t" + ")" * (MAX_DEPTH - 1),
+    }
+
+    @pytest.mark.parametrize("text", AT_LIMIT.values(), ids=AT_LIMIT.keys())
+    def test_at_the_limit_every_recursive_walk_succeeds(self, text):
+        e = parse_expr(text)
+        d = differentiate(e)
+        assert parse_expr(to_string(e)) == e
+        to_string(d)
+        evaluate(e, 0.5)
+        evaluate(d, np.linspace(0.0, 0.5, 3))
+
+    @pytest.mark.parametrize("text", [
+        "+".join(["t"] * (MAX_DEPTH + 1)),
+        "(" * MAX_DEPTH + "t" + ")" * MAX_DEPTH,
+        "-" * MAX_DEPTH + "t",
+        "sin(" * MAX_DEPTH + "t" + ")" * MAX_DEPTH,
+        "t" + "^1" * MAX_DEPTH,
+        "(" * 300 + "t" + ")" * 300,
+        "+".join(["t"] * 3000),
+    ])
+    def test_past_the_limit_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match=f"nests deeper than {MAX_DEPTH} levels"):
+            parse_expr(text)
+
+    def test_non_finite_literal_is_a_parse_error_at_its_offset(self):
+        with pytest.raises(ParseError, match="'1e400' is out of range") as err:
+            parse_expr("2*1e400")
+        assert err.value.offset == 2
+
+
+def _generated_config(m):
+    return to_config(random_scenario(Structure.FULL, m=m, n=m // 2, seed=11))
+
+
+def _planted_matrix(rng):
+    """A matrix whose entries share subtree objects, built without the parser."""
+    s = random_expr(rng, depth=3)
+    u = Binary("*", s, random_expr(rng, depth=2))
+    e = Binary("+", u, Unary("sin", s))
+    return MatrixFunction(((e, s, Binary("-", s, e)), (u, T, Power(u, 2))))
+
+
+def _matrices_with_shared_subtrees():
+    """The shipped and generated matrices, their derivatives, and planted sharing."""
+    configs = [json.loads(p.read_text()) for p in sorted(CONFIGS.glob("*.json"))]
+    configs += [_generated_config(m) for m in (3, 8, 16)]
+    built = [MatrixFunction.build(c[k]) for c in configs for k in ("coeff", "chart", "comp_chart")]
+    rng = np.random.default_rng(5)
+    planted = [_planted_matrix(rng) for _ in range(40)]
+    planted += [MatrixFunction.build(mf.to_strings()) for mf in planted]
+    return built + [mf.derivative() for mf in built] + planted
+
+
+def _same_outcome(evaluate_matrix, mf, t):
+    """The result or error of one call must match the reference walk bit for bit."""
+    try:
+        want = reference_matrix(mf, t)
+    except EvaluationError as exc:
+        with pytest.raises(EvaluationError) as info:
+            evaluate_matrix(t)
+        assert info.value.index == exc.index
+        return
+    if not np.isfinite(want).all():
+        with pytest.raises(EvaluationError, match="is not finite"):
+            evaluate_matrix(t)
+        return
+    np.testing.assert_array_equal(evaluate_matrix(t), want)
+
+
+class TestSharedSubexpressions:
+    def test_equal_subtrees_of_one_build_are_one_object(self):
+        f = MatrixFunction.build([["sin(t)*2 + (t+1)^2", "(t+1)^2 - sin(t)*2"], ["2", "exp(sin(t)*2)"]])
+        (a, b), (two, c) = f.entries
+        assert a.left is b.right and a.right is b.left
+        assert c.arg is a.left and a.left.right is two
+        g = MatrixFunction.build(f.to_strings())
+        assert g == f and hash(g) == hash(f) and g.entries[0][0] is not a
+        assert parse_expr("sin(t)*2") == a.left and hash(parse_expr("sin(t)*2")) == hash(a.left)
+
+    def test_signed_zeros_stay_apart(self):
+        f = MatrixFunction.build([["0.0", "-0.0", "0.0*t", "-0.0*t", 0.0, -0.0]])
+        np.testing.assert_array_equal(np.signbit(f.eval(1.0)), [[False, True] * 3])
+
+    def test_eval_and_eval_grid_match_the_memo_free_walk(self):
+        grids = [np.linspace(-1.0, 2.0, n) for n in (1, 51, 501)]
+        for mf in _matrices_with_shared_subtrees():
+            for t in (0.37, np.float64(1.25)):
+                _same_outcome(mf.eval, mf, t)
+            for ts in grids:
+                _same_outcome(mf.eval_grid, mf, ts)
+
+    def test_evaluate_matches_the_memo_free_walk_on_planted_sharing(self):
+        rng = np.random.default_rng(9)
+        ts = np.linspace(-2.0, 2.0, 51)
+        for _ in range(200):
+            e = _planted_matrix(rng).entries[0][2]
+            with np.errstate(all="ignore"):
+                try:
+                    want = reference_evaluate(e, ts)
+                except EvaluationError:
+                    continue
+                np.testing.assert_array_equal(evaluate(e, ts), want)
+
+    def test_a_pole_in_a_shared_subexpression_names_the_first_entry(self):
+        f = MatrixFunction.build([["t", "2 + 1/(t-1)"], ["1/(t-1)", "3"]])
+        assert f.entries[0][1].right is f.entries[1][0]
+        with pytest.raises(EvaluationError) as info:
+            f.eval_grid(np.array([0.0, 0.5, 1.0, 1.5]))
+        assert str(info.value) == "entry (0,1) at t=1.0: division by zero" and info.value.index == 2
+        with pytest.raises(EvaluationError, match=r"^entry \(0,1\) at t=1.0: division by zero$"):
+            f.eval(1.0)
+
+    @pytest.mark.parametrize("first, what", [
+        ("1/(t-2)", "division by zero"),
+        ("(t-2)^-1", "zero raised to a negative exponent"),
+    ])
+    def test_an_earlier_entry_failing_later_on_the_grid_wins(self, first, what):
+        f = MatrixFunction.build([[f"{first} + 1/(t-1)", "1/(t-1)"]])
+        with pytest.raises(EvaluationError) as info:
+            f.eval_grid(np.array([0.0, 1.0, 2.0]))
+        assert str(info.value) == f"entry (0,0) at t=2.0: {what}" and info.value.index == 2
