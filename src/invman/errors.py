@@ -16,6 +16,7 @@ class ParseError(InvmanError):
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (offset {offset})")
+        self.message = message
         self.offset = offset
 
 
@@ -31,7 +32,7 @@ class _IndexedError(InvmanError):
 
 
 class EvaluationError(_IndexedError):
-    """Expression evaluation hit a pole or produced a non-finite value."""
+    """Expression evaluation hit a pole, or it or a residual came out non-finite."""
 
 
 class ShapeError(InvmanError):

@@ -5,12 +5,12 @@ dY/dt = A(t) Y.  Fixed stepping keeps the error-order property tests clean
 (halving h divides the error by about 16).  Windows may run backward:
 t1 < t0 flips the step sign.
 
-A run samples once and marches once: ``run_flow`` samples A(t) and the
-frames on the RK4 half-step grid of its window, whose even-indexed points
-are the step grid bit for bit (0.5*h*2k == h*k exactly), and one march
-advances the launches on both sides together with the identity columns of
-the fundamental matrix.  ``manifold_drift`` and ``conjugacy_check`` compose
-the same helpers for one curve each.
+One RK4 step of the linear system is a matrix, y <- M_k y.  A run samples
+A(t) once on the half-step grid of its window, whose even-indexed points are
+the step grid bit for bit (0.5*h*2k == h*k exactly), and marches the
+fundamental matrix Y_{k+1} = M_k Y_k once.  Every trajectory is then Y_k c,
+so ``run_flow`` gives bit for bit the curves of ``manifold_drift`` and
+``conjugacy_check``, whose reduced flow X is the same march of R(t).
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ SIDE_COMPLEMENT = "complement"
 DEFAULT_STEP = 1e-3
 DEFAULT_TRIALS = 5          # trajectories per drift side
 DEFAULT_SEED = 42
+_CHUNK = 256                # RK4 steps whose step matrices are built together
 
 
 def _half_grid(t_span: tuple[float, float], h: float) -> tuple[float, float, np.ndarray]:
@@ -68,37 +69,37 @@ def _half_grid(t_span: tuple[float, float], h: float) -> tuple[float, float, np.
     return t0, h_eff, t0 + 0.5 * h_eff * np.arange(2 * n + 1)
 
 
-def _rk4(samples: np.ndarray, blocks: list, t0: float, h_eff: float) -> list[np.ndarray]:
-    """March y' = A(t) y with A given at half-step resolution; one trajectory per block.
+def _fundamental(samples: np.ndarray, h_eff: float) -> np.ndarray:
+    """Fundamental matrices Y_0 = E, ..., Y_n of y' = A(t) y, given A at t0, t0+h/2, ..., t0+nh.
 
-    ``samples`` holds A at t0, t0+h/2, t0+h, ... (2n+1 matrices for n steps).
-    The blocks of initial columns advance together, but A multiplies each
-    block on its own: a BLAS product rounds by the width of its operand, and
-    each block must come out bit for bit as if it had been marched alone.
+    One RK4 step is y <- M_k y, M_k = E + h/6 (K1 + 2K2 + 2K3 + K4), K1 = A0, K2 = Ah (E + h/2 K1),
+    K3 = Ah (E + h/2 K2), K4 = A1 (E + h K3), built _CHUNK steps at a time; non-finite values propagate.
     """
     n = (samples.shape[0] - 1) // 2
-    blocks = [np.asarray(b, dtype=float) for b in blocks]
-    ends = np.cumsum([b.shape[-1] for b in blocks])
-    parts = [slice(end - b.shape[-1], end) for b, end in zip(blocks, ends)]
+    eye = np.eye(samples.shape[-1])
+    fund = np.empty((n + 1,) + eye.shape)
+    fund[0] = eye
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n, _CHUNK):
+            chunk = samples[2 * lo : 2 * (lo + _CHUNK) + 1]
+            a0, ah, a1 = chunk[:-1:2], chunk[1::2], chunk[2::2]
+            k2 = ah @ (eye + 0.5 * h_eff * a0)
+            k3 = ah @ (eye + 0.5 * h_eff * k2)
+            k4 = a1 @ (eye + h_eff * k3)
+            for k, step in enumerate(eye + (h_eff / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4), lo):
+                np.matmul(step, fund[k], out=fund[k + 1])
+    return fund
 
-    def times(a: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.concatenate([a @ y[..., p] for p in parts], axis=-1)
 
-    y = np.concatenate(blocks, axis=-1)
-    out = np.empty((n + 1,) + y.shape)
-    out[0] = y
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow raises below
-        for i in range(n):
-            a0, ah, a1 = samples[2 * i], samples[2 * i + 1], samples[2 * i + 2]
-            k1 = times(a0, y)
-            k2 = times(ah, y + 0.5 * h_eff * k1)
-            k3 = times(ah, y + 0.5 * h_eff * k2)
-            k4 = times(a1, y + h_eff * k3)
-            y = y + (h_eff / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.isfinite(y).all():
-                raise IntegrationOverflowError(step=i + 1, t=t0 + (i + 1) * h_eff)
-            out[i + 1] = y
-    return [out[..., p] for p in parts]
+def _checked(t0: float, h_eff: float, fund: np.ndarray, *launches) -> list[np.ndarray]:
+    """[Y, Y c, ...] for Y = ``fund``, raising IntegrationOverflowError at the first non-finite step."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = [fund] + [fund @ c for c in launches]
+    finite = np.logical_and.reduce([np.isfinite(s).reshape(len(s), -1).all(axis=1) for s in states])
+    if not finite.all():
+        step = int(np.argmin(finite))
+        raise IntegrationOverflowError(step=step, t=t0 + step * h_eff)
+    return states
 
 
 def _every_other(fs: FrameSamples) -> FrameSamples:
@@ -145,8 +146,8 @@ def integrate_states(
     if y0.shape[0] != coeff.rows:
         raise ShapeError(f"initial state has {y0.shape[0]} rows, system is {coeff.rows}-dimensional")
     start, h_eff, half_ts = _half_grid((t0, t1), h)
-    (mats,) = _rk4(coeff.eval_grid(half_ts), [y0], start, h_eff)
-    return FundamentalSolution(ts=half_ts[::2], matrices=mats)
+    _, states = _checked(start, h_eff, _fundamental(coeff.eval_grid(half_ts), h_eff), y0)
+    return FundamentalSolution(ts=half_ts[::2], matrices=states)
 
 
 def integrate_fundamental(coeff: MatrixFunction, t0: float, t1: float, h: float) -> FundamentalSolution:
@@ -193,7 +194,8 @@ def manifold_drift(
     t0, h_eff, half_ts = _half_grid(t_span, h)
     ts = half_ts[::2]
     proj = frame_samples(spec, ts).projector
-    (traj,) = _rk4(spec.coeff.eval_grid(half_ts), [_launch(proj[0], side, trials, seed)], t0, h_eff)
+    launch = _launch(proj[0], side, trials, seed)
+    _, traj = _checked(t0, h_eff, _fundamental(spec.coeff.eval_grid(half_ts), h_eff), launch)
     return DriftResult(
         side=side,
         ts=ts,
@@ -257,7 +259,7 @@ def _checked_conjugacy(
         )
     t0, h_eff, half_ts = _half_grid(t_span, h)
     frames, coeff = frame_samples(spec, half_ts), spec.coeff.eval_grid(half_ts)
-    (fund,) = _rk4(coeff, [np.eye(spec.m)], t0, h_eff)
+    (fund,) = _checked(t0, h_eff, _fundamental(coeff, h_eff))
     return _conjugacy(frames, coeff, fund, t0, h_eff)
 
 
@@ -266,7 +268,7 @@ def _conjugacy(
 ) -> ConjugacyResult:
     """Conjugacy residuals of the fundamental matrix ``fund``, given frames and A on its half steps."""
     steps = _every_other(frames)
-    (reduced,) = _rk4(frames.reduced(coeff), [np.eye(steps.chart.shape[1])], t0, h_eff)
+    (reduced,) = _checked(t0, h_eff, _fundamental(frames.reduced(coeff), h_eff))
     lhs = fund @ steps.embedding[0]       # (N+1, m, n)
     return ConjugacyResult(
         ts=steps.ts,
@@ -333,19 +335,17 @@ def run_flow(
 ) -> FlowResult:
     """Drift on both sides plus, when the subspace is invariant, the conjugacy curve.
 
-    One march advances the trials of both sides and, when the subspace is
-    invariant, the identity columns of the fundamental matrix, so an overflow
-    names the first step at which any of them leaves the floating-point range.
+    The trials of both sides are launched from one fundamental-matrix march,
+    which also feeds the conjugacy check, so an overflow names the first
+    step at which the march or any trial leaves the floating-point range.
     """
     t0, h_eff, half_ts = _half_grid(t_span, h)
     frames, coeff = frame_samples(spec, half_ts), spec.coeff.eval_grid(half_ts)
     report = verdicts(spec, tol)
     proj = _every_other(frames).projector
-    columns = [_launch(proj[0], side, trials, seed) for side in (SIDE_MAIN, SIDE_COMPLEMENT)]
-    if report.main_invariant:
-        columns.append(np.eye(spec.m))
-    mn, comp, *fund = _rk4(coeff, columns, t0, h_eff)
-    conj = _conjugacy(frames, coeff, fund[0], t0, h_eff).embedding_residuals if fund else None
+    launches = [_launch(proj[0], side, trials, seed) for side in (SIDE_MAIN, SIDE_COMPLEMENT)]
+    fund, mn, comp = _checked(t0, h_eff, _fundamental(coeff, h_eff), *launches)
+    conj = _conjugacy(frames, coeff, fund, t0, h_eff).embedding_residuals if report.main_invariant else None
     return FlowResult(
         ts=half_ts[::2],
         drift_mn=_drift(proj, mn, SIDE_MAIN),

@@ -30,6 +30,7 @@ import numpy as np
 
 from . import linalg
 from .errors import (
+    EvaluationError,
     RankDeficiencyError,
     ShapeError,
     SingularMatrixError,
@@ -232,8 +233,10 @@ def verdicts(spec: SystemSpec, tol: float = DEFAULT_VERDICT_TOL) -> InvarianceRe
     """Evaluate the defect operator over the spec's grid and render verdicts.
 
     Each verdict compares the max-over-grid Frobenius norm of the relevant
-    residual against ``tol``.  The grid is a sampled stand-in for "for all t";
-    nothing is certified between grid points.
+    residual against ``tol``; a residual that is not finite raises
+    :class:`EvaluationError` naming the curve and its first such time.  The
+    grid is a sampled stand-in for "for all t"; nothing is certified between
+    grid points.
     """
     return _sampled_verdicts(spec, tol)[0]
 
@@ -255,6 +258,12 @@ def _sampled_verdicts(
     norm_main = linalg.frobenius(defect @ proj)
     norm_comp = linalg.frobenius(defect @ (eye - proj))
     norm_embed = linalg.frobenius(defect @ fs.embedding)
+    # A NaN compares False against tol and would read as FAIL: it is a numerical failure instead.
+    bad = ~np.isfinite([norm_defect, norm_main, norm_comp, norm_embed])
+    if bad.any():
+        k = int(bad.any(axis=0).argmax())
+        curve = _CURVES[int(bad[:, k].argmax())]
+        raise EvaluationError(f"residual {curve!r} is not finite at t={float(grid[k])!r}", k)
 
     joint = bool(np.max(norm_defect) <= tol)
     main = joint or bool(np.max(norm_main) <= tol)

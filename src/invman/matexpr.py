@@ -149,7 +149,10 @@ def _evaluate(expr: ScalarExpr, t, memo: dict):
             x = _evaluate(b, t, memo)
             if k < 0 and (zero := np.asarray(x) == 0.0).any():
                 raise EvaluationError("zero raised to a negative exponent", int(zero.argmax()))
-            value = x ** k
+            try:
+                value = x ** k
+            except OverflowError:  # a constant base is a Python float, whose ** raises instead of giving inf
+                value = -math.inf if x < 0 and k % 2 else math.inf
         case _:
             raise TypeError(f"not an expression node: {expr!r}")
     return memo.setdefault(id(expr), value)
@@ -216,7 +219,7 @@ def _render(expr: ScalarExpr) -> tuple[str, int]:
 
     match expr:
         case Const(value=v):
-            return repr(v), _ATOM if v >= 0 else _NEG
+            return repr(v), _ATOM if math.copysign(1.0, v) > 0 else _NEG  # -0.0 prints a sign too
         case TimeVar():
             return "t", _ATOM
         case Unary(op="neg", arg=a):
@@ -484,7 +487,7 @@ class MatrixFunction:
                 try:
                     parsed_row.append(_coerce_entry(entry, parser))
                 except ParseError as exc:
-                    raise ParseError(f"entry ({i},{j}): {exc.args[0]}", exc.offset) from exc
+                    raise ParseError(f"entry ({i},{j}): {exc.message}", exc.offset) from exc
             out.append(tuple(parsed_row))
         return cls(tuple(out))
 

@@ -65,6 +65,29 @@ class TestCheck:
         assert rc == 2
         assert "offset" in err
 
+    def test_entry_parse_error_prints_its_offset_once(self, tmp_path, capsys):
+        bad = dict(NILPOTENT_CONFIG, coeff=[["t+x", "1"], ["0", "0"]])
+        assert main(["check", "--config", _write(tmp_path, bad)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: config key 'coeff': entry (0,0): unknown identifier 'x' (offset 2)\n"
+        )
+
+    @pytest.mark.parametrize("scale, rc", [("1e-150", 0), ("1e-160", 3)])
+    def test_tiny_moore_penrose_chart_is_a_verdict_or_a_numerical_failure(self, tmp_path, capsys, scale, rc):
+        # At 1e-160 the Gram matrix C C^T underflows and its inverse overflows,
+        # so every residual is NaN: that is no FAIL verdict but a failure.
+        config = dict(json.loads((CONFIGS / "nilpotent_shear.json").read_text()), chart=[[scale, "0"]])
+        del config["comp_chart"]
+        with warnings.catch_warnings(record=True):  # numpy warns about the overflow, as the command prints it
+            warnings.simplefilter("always")
+            assert main(["check", "--config", _write(tmp_path, config)]) == rc
+        out, err = capsys.readouterr()
+        assert "nan" not in out and "Traceback" not in err
+        if rc == 0:
+            assert "subspace (mn) invariance PASS" in out
+        else:
+            assert err == "numerical failure: residual 'defect' is not finite at t=0.0\n"
+
     def test_missing_key_exits_2(self, tmp_path, capsys):
         rc = main(["check", "--config", _write(tmp_path, {"m": 2, "n": 1})])
         assert rc == 2
@@ -159,6 +182,7 @@ class TestCheck:
         ({"comp_chart": [["2", "0"]]}, "stacked frame is singular at t=0.0: "),
         ({"chart": [["t - 1", "0"]], "comp_chart": None}, "chart loses full row rank at t=1.0: "),
         ({"coeff": [["exp(1000*t)", "0"], ["0", "0"]]}, "entry (0,0) is not finite at t=0.8"),
+        ({"coeff": [["1e200^2", "0"], ["0", "0"]]}, "entry (0,0) is not finite at t=0.0"),
     ])
     def test_numerical_failure_prints_its_time_as_a_float(self, tmp_path, capsys, option, message):
         config = _write(tmp_path, dict(NILPOTENT_CONFIG, **option))
@@ -256,6 +280,13 @@ class TestFlow:
             outs.append((out.read_bytes(), (csv_dir / "residuals.csv").read_bytes()))
         assert outs[0] == outs[1]
 
+    def test_integration_overflow_exits_3(self, tmp_path, capsys):
+        config = dict(NILPOTENT_CONFIG, coeff=[["200", "0"], ["0", "0"]], window=[0.0, 5.0])
+        assert main(["flow", "--config", _write(tmp_path, config)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("numerical failure: integration overflow at step ")
+        assert "Traceback" not in err
+
     def test_schema_golden(self, tmp_path):
         out = tmp_path / "flow.json"
         main(["flow", "--config", str(CONFIGS / "block_diagonal.json"), "--json", str(out)])
@@ -324,7 +355,7 @@ _MUTANTS = st.one_of(
     st.just(1e308),
     st.text(max_size=12),
     st.sampled_from([
-        "sin(", "t^t", "1/(t - 1)", "t^-1", "exp(exp(t*100))", "1e400",
+        "sin(", "t^t", "1/(t - 1)", "t^-1", "exp(exp(t*100))", "1e400", "1e200^2",
         "(" * 300 + "t" + ")" * 300, "-" * 3000 + "t", "+".join(["t"] * 3000),
     ]),
     st.lists(st.integers(-3, 3), max_size=3),

@@ -7,15 +7,19 @@ from invman.errors import IntegrationOverflowError, PreconditionError
 from invman.flow import (
     SIDE_COMPLEMENT,
     SIDE_MAIN,
+    _fundamental,
+    _half_grid,
     conjugacy_check,
     integrate_fundamental,
     integrate_states,
     manifold_drift,
     run_flow,
 )
-from invman.invariance import SystemSpec
+from invman.invariance import SystemSpec, frame_samples
 from invman.matexpr import MatrixFunction
 from invman.scenario import Structure, random_scenario, to_system
+
+from helpers import reference_rk4
 
 
 def _spec(coeff, chart, comp=None, grid=None):
@@ -212,10 +216,10 @@ class TestRunFlow:
         (Structure.LOWER_TRIANGULAR, 8, 1),
     ])
     def test_one_march_equals_the_separate_checks(self, structure, m, trials):
-        # run_flow advances both launches and the fundamental matrix in one
-        # march; each curve must still be exactly the one its own check gives.
-        # A BLAS product rounds by the width of its operand, and these widths
-        # make a single product over all the columns round differently.
+        # run_flow marches the fundamental matrix Y once and takes both
+        # launches as Y c and the conjugacy check from the same Y; each curve
+        # must be exactly the one its own check gives, which marches the same
+        # Y from the same samples and launches the same c from it.
         spec = to_system(random_scenario(structure, m=m, n=m // 2, seed=3))
         kwargs = dict(h=1e-3, t_span=(0.0, 0.25))
         result = run_flow(spec, trials=trials, seed=7, **kwargs)
@@ -231,3 +235,74 @@ class TestRunFlow:
             assert result.conjugacy_residuals is None
             with pytest.raises(PreconditionError):
                 conjugacy_check(spec, **kwargs)
+
+
+# The step-matrix march and the stage-by-stage march differ only in rounding:
+# 1e-13 relative is about 450 ulps, over windows of 300 steps, which cross
+# the boundary between two chunks of step matrices.
+_REL = 1e-13
+
+
+def _rel_err(got, want):
+    """Largest per-sample error of ``got``, relative to the norm of ``want`` at that sample."""
+    return float(np.max(np.linalg.norm(got - want, axis=(-2, -1)) / np.linalg.norm(want, axis=(-2, -1))))
+
+
+def _reference_drift(proj, traj, side):
+    off = (np.eye(proj.shape[-1]) - proj) @ traj if side == SIDE_MAIN else proj @ traj
+    return np.max(np.linalg.norm(off, axis=1) / np.linalg.norm(traj, axis=1), axis=1)
+
+
+class TestStepMatrixMarch:
+    @pytest.mark.parametrize("m", [3, 8, 16])
+    @pytest.mark.parametrize("t_span", [(0.0, 0.3), (0.3, 0.0), (0.1, 0.1)])
+    def test_every_entry_point_matches_the_stage_by_stage_march(self, m, t_span):
+        spec = to_system(random_scenario(Structure.UPPER_TRIANGULAR, m=m, n=m // 2, seed=3))
+        h, trials, seed = 1e-3, 3, 7
+        _, h_eff, half_ts = _half_grid(t_span, h)
+        coeff = spec.coeff.eval_grid(half_ts)
+        frames = frame_samples(spec, half_ts[::2])
+        proj, emb = frames.projector, frames.embedding
+        fund = reference_rk4(coeff, np.eye(m), h_eff)
+        assert _rel_err(integrate_fundamental(spec.coeff, *t_span, h).matrices, fund) <= _REL
+
+        flow = run_flow(spec, h=h, trials=trials, seed=seed, t_span=t_span)
+        c = np.random.default_rng(seed).standard_normal((m, trials))
+        for side, launch, curve in (
+            (SIDE_MAIN, proj[0] @ c, flow.drift_mn),
+            (SIDE_COMPLEMENT, (np.eye(m) - proj[0]) @ c, flow.drift_complement),
+        ):
+            traj = reference_rk4(coeff, launch, h_eff)
+            assert _rel_err(integrate_states(spec.coeff, launch, *t_span, h).matrices, traj) <= _REL
+            # a drift is already relative to its trajectory's norm
+            want = _reference_drift(proj, traj, side)
+            drift = manifold_drift(spec, side, h=h, trials=trials, seed=seed, t_span=t_span)
+            assert np.max(np.abs(drift.residuals - want)) <= _REL
+            assert np.max(np.abs(curve - want)) <= _REL
+
+        conj = conjugacy_check(spec, h=h, t_span=t_span)
+        reduced = reference_rk4(frame_samples(spec, half_ts).reduced(coeff), np.eye(m // 2), h_eff)
+        assert _rel_err(conj.fundamental, fund) <= _REL
+        assert _rel_err(conj.reduced, reduced) <= _REL
+        want = np.linalg.norm(fund @ emb[0] - emb @ reduced, axis=(1, 2))
+        scale = (np.linalg.norm(fund, axis=(1, 2)) * np.linalg.norm(emb[0])
+                 + np.linalg.norm(emb, axis=(1, 2)) * np.linalg.norm(reduced, axis=(1, 2)))
+        for got in (conj.embedding_residuals, flow.conjugacy_residuals):
+            assert np.all(np.abs(got - want) <= _REL * scale)
+
+    def test_overflow_names_the_first_non_finite_step(self):
+        coeff = MatrixFunction.build([["200"]])
+        _, h_eff, half_ts = _half_grid((0.0, 5.0), 1e-3)
+        fund = _fundamental(coeff.eval_grid(half_ts), h_eff)
+        first = int(np.argmin(np.isfinite(fund).all(axis=(1, 2))))
+        with pytest.raises(IntegrationOverflowError) as err:
+            integrate_fundamental(coeff, 0.0, 5.0, 1e-3)
+        assert 0 < first < 5000
+        assert (err.value.step, err.value.t) == (first, first * h_eff)
+        # a launch Y_k c can leave the range before Y_k does
+        with np.errstate(over="ignore"):
+            launch_first = int(np.argmin(np.isfinite(fund * 1e10).all(axis=(1, 2))))
+        assert launch_first < first
+        with pytest.raises(IntegrationOverflowError) as err:
+            integrate_states(coeff, [[1e10]], 0.0, 5.0, 1e-3)
+        assert err.value.step == launch_first

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from invman.errors import EvaluationError, ParseError
@@ -178,6 +178,8 @@ def _extend(children):
 @settings(max_examples=300, deadline=None)
 @given(expr=st.recursive(_leaves, _extend, max_leaves=12), ts=st.lists(
     st.floats(min_value=-3.0, max_value=3.0, allow_nan=False), min_size=1, max_size=8))
+@example(expr=Power(Const(-0.0), 0), ts=[0.0])
+@example(expr=Unary("exp", Binary("*", T, Power(Unary("exp", T), 2))), ts=[3.0])
 def test_print_parse_round_trip(expr, ts):
     reparsed = parse_expr(to_string(expr))
     for t in ts:
@@ -381,6 +383,27 @@ class TestSharedSubexpressions:
                 except EvaluationError:
                     continue
                 np.testing.assert_array_equal(evaluate(e, ts), want)
+
+    @pytest.mark.parametrize("text, want", [
+        ("1e200^2", math.inf),
+        ("(-1e200)^2", math.inf),
+        ("(-1e200)^3", -math.inf),
+        ("-1e200^2", -math.inf),
+        ("1e-200^-2", math.inf),
+        ("(-1e-200)^-3", -math.inf),
+        ("1/1e200^2", 0.0),
+    ])
+    def test_constant_power_past_float_range_is_infinite(self, text, want):
+        # a constant base is a Python float, whose ** raises instead of overflowing
+        e = parse_expr(text)
+        assert evaluate(e, 0.5) == want
+        np.testing.assert_array_equal(evaluate(e, np.array([0.0, 1.0])), want)
+
+    @pytest.mark.parametrize("text", ["1.5^3", "(-2)^-3", "1e100^3", "0.1^7", "(-1e-100)^-3", "sin(1e200)^2"])
+    def test_constant_power_in_float_range_matches_the_memo_free_walk(self, text):
+        e = parse_expr(text)
+        for t in (0.5, np.array([0.0, 1.0])):
+            np.testing.assert_array_equal(evaluate(e, t), reference_evaluate(e, t))
 
     def test_a_pole_in_a_shared_subexpression_names_the_first_entry(self):
         f = MatrixFunction.build([["t", "2 + 1/(t-1)"], ["1/(t-1)", "3"]])
