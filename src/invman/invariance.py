@@ -132,9 +132,9 @@ def frame_samples(spec: SystemSpec, ts) -> FrameSamples:
 
     The whole grid goes through one ``linalg.invert`` call: the stacked
     frames [C; C_comp] on the stacked route, the Gram matrices C C^T on the
-    Moore-Penrose route (whose rank check runs point by point).  Rank loss
-    of the chart, or singularity of the stacked frame, is reported with the
-    earliest offending time point.
+    Moore-Penrose route, where a singular Gram matrix is the chart's rank
+    loss.  Rank loss of the chart, or singularity of the stacked frame, is
+    reported with the earliest offending time point.
     """
     ts = np.asarray(ts, dtype=float).reshape(-1)
     n = spec.n

@@ -72,21 +72,30 @@ class TestCheck:
             "config error: config key 'coeff': entry (0,0): unknown identifier 'x' (offset 2)\n"
         )
 
-    @pytest.mark.parametrize("scale, rc", [("1e-150", 0), ("1e-160", 3)])
-    def test_tiny_moore_penrose_chart_is_a_verdict_or_a_numerical_failure(self, tmp_path, capsys, scale, rc):
-        # At 1e-160 the Gram matrix C C^T underflows and its inverse overflows,
-        # so every residual is NaN: that is no FAIL verdict but a failure.
-        config = dict(json.loads((CONFIGS / "nilpotent_shear.json").read_text()), chart=[[scale, "0"]])
+    @pytest.mark.parametrize("scale", ["1e-150", "1e-160", "1e-200", "1e-300", "1e300"])
+    def test_moore_penrose_chart_scale_leaves_the_report_unchanged(self, tmp_path, capsys, scale):
+        # Unscaled, the Gram matrix C C^T of these charts underflows or overflows.
+        config = dict(json.loads((CONFIGS / "nilpotent_shear.json").read_text()), chart=[["1", "0"]])
         del config["comp_chart"]
-        with warnings.catch_warnings(record=True):  # numpy warns about the overflow, as the command prints it
-            warnings.simplefilter("always")
-            assert main(["check", "--config", _write(tmp_path, config)]) == rc
+        assert main(["check", "--config", _write(tmp_path, config)]) == 0
+        unit = capsys.readouterr().out
+        config["chart"] = [[scale, "0"]]
+        assert main(["check", "--config", _write(tmp_path, config)]) == 0
+        assert capsys.readouterr() == (unit, "")
+        assert "subspace (mn) invariance PASS" in unit
+
+    @pytest.mark.parametrize("entry", ["1e155*(1 + t)", "1e308"])
+    def test_huge_finite_defect_is_a_fail_verdict(self, tmp_path, capsys, entry):
+        # The squares of the defect overflow; its norm does not.
+        config = dict(NILPOTENT_CONFIG, coeff=[["0", entry], [entry, "0"]])
+        assert main(["check", "--config", _write(tmp_path, config)]) == 0
         out, err = capsys.readouterr()
-        assert "nan" not in out and "Traceback" not in err
-        if rc == 0:
-            assert "subspace (mn) invariance PASS" in out
-        else:
-            assert err == "numerical failure: residual 'defect' is not finite at t=0.0\n"
+        assert err == "" and "joint invariance        FAIL" in out and "inf" not in out
+
+    def test_defect_norm_past_the_float_range_is_a_numerical_failure(self, tmp_path, capsys):
+        config = dict(NILPOTENT_CONFIG, coeff=[["0", "1.7e308"], ["1.7e308", "0"]])
+        assert main(["check", "--config", _write(tmp_path, config)]) == 3
+        assert capsys.readouterr() == ("", "numerical failure: residual 'defect' is not finite at t=0.0\n")
 
     def test_missing_key_exits_2(self, tmp_path, capsys):
         rc = main(["check", "--config", _write(tmp_path, {"m": 2, "n": 1})])

@@ -1,10 +1,16 @@
+import functools
 import json
 import math
 import re
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from invman import linalg
 from invman.errors import RankDeficiencyError, SingularMatrixError
 from invman.invariance import (
     SystemSpec,
@@ -14,7 +20,7 @@ from invman.invariance import (
     reduced_matrix,
     verdicts,
 )
-from invman.linalg import frobenius
+from invman.linalg import frobenius, rank
 from invman.matexpr import MatrixFunction
 from invman.scenario import Structure, random_scenario, to_system
 
@@ -208,11 +214,13 @@ class TestFrameFailures:
             frame_samples(spec, self.GRID)
         assert str(info.value) == (
             f"chart loses full row rank at t={float(self.GRID[1])!r}: "
-            "right_pseudoinverse: matrix does not have full row rank 1 at tolerance 1e-09"
+            "right_pseudoinverse: gram matrix is singular: invert: zero matrix"
         )
+        assert info.value.index == 1
 
-    # Rows [1, 0, 0] and [1, t, 0]: at t = 1e-6 the rank check passes but the
-    # Gram matrix is singular to tolerance; at t = 0 the rank check fails.
+    # Rows [1, 0, 0] and [1, t, 0]: at t = 1e-6 the chart has full rank at
+    # tolerance 1e-9 but its Gram matrix is singular to tolerance; at t = 0 the
+    # chart loses rank.  Both are the same Gram failure, and the first wins.
     CLOSE = _spec([["0"] * 3] * 3, [["1", "0", "0"], ["1", "t", "0"]])
 
     def test_moore_penrose_gram_failure_before_rank_loss_wins(self):
@@ -223,12 +231,91 @@ class TestFrameFailures:
             "chart loses full row rank at t=1e-06: right_pseudoinverse: gram matrix is singular: "
         )
 
-    def test_moore_penrose_rank_loss_before_gram_failure_wins(self):
+    def test_moore_penrose_exact_rank_loss_is_a_gram_failure_too(self):
         ts = [1.0, 0.0, 1e-6]
         with pytest.raises(RankDeficiencyError) as info:
             frame_samples(self.CLOSE, ts)
         assert str(info.value).startswith(
-            "chart loses full row rank at t=0.0: right_pseudoinverse: matrix does not have"
+            "chart loses full row rank at t=0.0: right_pseudoinverse: gram matrix is singular: "
+        )
+
+    def test_every_chart_rank_rejects_is_rejected_at_its_own_point(self):
+        # Near-deficient charts: the last row is a combination of the others
+        # plus relative noise of 1e-16 to 1e-2.  Each sits at t = 1 of a grid
+        # whose other points carry a well-conditioned chart.
+        rng = np.random.default_rng(7)
+        deficient = 0
+        for _ in range(1500):
+            m = int(rng.integers(3, 9))
+            n = int(rng.integers(2, min(m - 1, 5) + 1))
+            chart = rng.standard_normal((n, m))
+            chart[-1] = rng.standard_normal(n - 1) @ chart[:-1] + 10.0 ** rng.uniform(-16, -2) * chart[-1]
+            if rank(chart) == n:
+                continue
+            deficient += 1
+            away = 10.0 * np.eye(n, m)
+            entries = [
+                [f"{c!r} + (t - 1)^2*{e!r}" for c, e in zip(row, away_row)]
+                for row, away_row in zip(chart.tolist(), away.tolist())
+            ]
+            spec = _spec([["0"] * m] * m, entries, grid=np.array([0.0, 1.0, 2.0]))
+            with pytest.raises(RankDeficiencyError) as info:
+                frame_samples(spec, spec.t_grid)
+            assert info.value.index == 1
+            assert str(info.value).startswith("chart loses full row rank at t=1.0: right_pseudoinverse: gram matrix")
+        assert deficient > 300
+
+    def test_moore_penrose_route_does_not_call_rank(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("linalg.rank called")
+
+        monkeypatch.setattr(linalg, "rank", forbidden)
+        spec = _spec([["0", "1"], ["0", "0"]], [["cos(t)", "sin(t)"]])
+        assert verdicts(spec).main_invariant is False
+        with pytest.raises(RankDeficiencyError):
+            frame_samples(self.CLOSE, [0.0])
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SHIPPED = {path.stem: json.loads(path.read_text()) for path in sorted(CONFIGS.glob("*.json"))}
+
+
+def _scaled_spec(config, route, k):
+    """The config's spec with its chart (and on the stacked route its comp_chart) times 2^k."""
+    def scaled(key):
+        return [[f"({entry})*{2.0 ** k!r}" for entry in row] for row in config[key]]
+
+    grid = config["grid"]
+    return _spec(
+        config["coeff"],
+        scaled("chart"),
+        scaled("comp_chart") if route == "stacked" else None,
+        grid=np.linspace(grid["start"], grid["end"], grid["count"]),
+    )
+
+
+@functools.cache
+def _unscaled_report(name, route):
+    return verdicts(_scaled_spec(SHIPPED[name], route, 0))
+
+
+class TestChartUnits:
+    """Multiplying the chart by a power of two changes no residual but |defect C+|."""
+
+    @pytest.mark.parametrize("route", ["stacked", "moore_penrose"])
+    @pytest.mark.parametrize("name", sorted(SHIPPED))
+    @settings(max_examples=8, deadline=None)
+    @given(k=st.integers(-500, 500))
+    @example(k=500)
+    @example(k=-500)
+    def test_power_of_two_chart_scale(self, name, route, k):
+        ref = _unscaled_report(name, route)
+        report = verdicts(_scaled_spec(SHIPPED[name], route, k))
+        for curve in ("defect", "defect_main", "defect_complement"):
+            assert getattr(report, curve).tobytes() == getattr(ref, curve).tobytes(), curve
+        assert report.defect_embedding.tobytes() == np.ldexp(ref.defect_embedding, -k).tobytes()
+        assert (report.joint_invariant, report.main_invariant, report.complement_kernel_condition) == (
+            ref.joint_invariant, ref.main_invariant, ref.complement_kernel_condition
         )
 
 

@@ -161,6 +161,26 @@ class TestFrobenius:
     def test_matrix_norm_is_a_float(self):
         assert frobenius([[3.0, 0.0], [0.0, 4.0]]) == 5.0
 
+    def test_in_range_norms_are_the_plain_sum_of_squares(self):
+        rng = np.random.default_rng(11)
+        stack = rng.standard_normal((200, 4, 7)) * 10.0 ** rng.uniform(-100, 100, (200, 1, 1))
+        assert frobenius(stack).tobytes() == np.sqrt(np.sum(stack * stack, axis=(-2, -1))).tobytes()
+        assert frobenius(stack[3].T) == float(np.sqrt(np.sum(stack[3] * stack[3])))
+
+    @pytest.mark.parametrize("k", [-1000, -600, 600, 900])
+    def test_power_of_two_scale_passes_through_exactly(self, k):
+        # The squares of these stacks underflow or overflow; the norms fit.
+        rng = np.random.default_rng(12)
+        stack = rng.standard_normal((50, 3, 3))
+        stack[7] = 0.0
+        assert frobenius(np.ldexp(stack, k)).tobytes() == np.ldexp(frobenius(stack), k).tobytes()
+        assert frobenius(np.ldexp(stack[0], k)) == np.ldexp(frobenius(stack[0]), k)
+
+    def test_norm_past_the_float_range_is_inf(self):
+        assert frobenius([[0.0, 1e308], [-1e308, 0.0]]) == math.sqrt(2.0) * 1e308
+        assert frobenius([[0.0, 1.7e308], [-1.7e308, 0.0]]) == math.inf
+        assert math.isnan(frobenius([[math.nan, 1e300]]))
+
 
 class TestRank:
     def test_zero(self):
@@ -289,6 +309,18 @@ class TestRightPseudoinverse:
             bottom = vt[n:]
             pair = stacked_pseudoinverse(top, bottom)
             np.testing.assert_allclose(pair.top_pinv, right_pseudoinverse(top), atol=1e-10)
+
+
+class TestRightPseudoinverseScale:
+    @pytest.mark.parametrize("k", [-1000, -540, -7, 3, 540, 1000])
+    def test_power_of_two_chart_scale_passes_through_exactly(self, k):
+        # From |k| = 540 on, the unscaled Gram matrices C C^T would underflow or overflow.
+        rng = np.random.default_rng(13)
+        mat, dmat = rng.standard_normal((2, 3, 5))
+        pinv, dpinv = right_pseudoinverse(mat), right_pseudoinverse_derivative(mat, dmat)
+        big, dbig = np.ldexp(mat, k), np.ldexp(dmat, k)
+        assert right_pseudoinverse(big).tobytes() == np.ldexp(pinv, -k).tobytes()
+        assert right_pseudoinverse_derivative(big, dbig).tobytes() == np.ldexp(dpinv, -k).tobytes()
 
 
 class TestRightPseudoinverseDerivative:
