@@ -23,13 +23,10 @@ from .errors import (
 )
 from .matexpr import MatrixFunction, ScalarExpr, differentiate, evaluate, parse_expr, to_string
 from .linalg import (
-    PseudoinversePair,
     invert,
-    matmul,
     rank,
     right_pseudoinverse,
     right_pseudoinverse_derivative,
-    stacked_pseudoinverse,
 )
 from .manifold import (
     ProjectorFrame,
@@ -67,7 +64,6 @@ from .scenario import (
     Structure,
     coefficient_function,
     expected_verdicts,
-    generate_q,
     random_frame,
     random_scenario,
     to_config,
@@ -96,11 +92,8 @@ __all__ = [
     "differentiate",
     "to_string",
     # linear algebra
-    "matmul",
     "invert",
     "rank",
-    "PseudoinversePair",
-    "stacked_pseudoinverse",
     "right_pseudoinverse",
     "right_pseudoinverse_derivative",
     # manifolds
@@ -135,7 +128,6 @@ __all__ = [
     "ScenarioSpec",
     "ExpectedVerdicts",
     "coefficient_function",
-    "generate_q",
     "expected_verdicts",
     "to_system",
     "random_frame",

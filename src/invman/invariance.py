@@ -133,7 +133,8 @@ def frame_samples(spec: SystemSpec, ts) -> FrameSamples:
     The whole grid goes through one ``linalg.invert`` call: the stacked
     frames [C; C_comp] on the stacked route, the Gram matrices C C^T on the
     Moore-Penrose route, where a singular Gram matrix is the chart's rank
-    loss.  Rank loss of the chart, or singularity of the stacked frame, is
+    loss.  Rank loss of the chart, singularity of the stacked frame, or a
+    Moore-Penrose right inverse or derivative past the float range is
     reported with the earliest offending time point.
     """
     ts = np.asarray(ts, dtype=float).reshape(-1)
@@ -148,6 +149,9 @@ def frame_samples(spec: SystemSpec, ts) -> FrameSamples:
             raise RankDeficiencyError(
                 f"chart loses full row rank at t={float(ts[exc.index])!r}: {exc}", exc.index
             ) from exc
+        if not (np.isfinite(embed_g).all() and np.isfinite(dembed_g).all()):
+            k = int((~(np.isfinite(embed_g) & np.isfinite(dembed_g)).all(axis=(1, 2))).argmax())
+            raise EvaluationError(f"right inverse of the chart is not finite at t={float(ts[k])!r}", k)
     else:
         comp_g = spec.comp_chart.eval_grid(ts)
         dcomp_g = spec.comp_chart.derivative().eval_grid(ts)

@@ -16,8 +16,6 @@ norms in this package are Frobenius norms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import RankDeficiencyError, ShapeError, SingularMatrixError
@@ -25,11 +23,8 @@ from .errors import RankDeficiencyError, ShapeError, SingularMatrixError
 __all__ = [
     "DEFAULT_TOL",
     "frobenius",
-    "matmul",
     "invert",
     "rank",
-    "PseudoinversePair",
-    "stacked_pseudoinverse",
     "right_pseudoinverse",
     "right_pseudoinverse_derivative",
 ]
@@ -70,15 +65,6 @@ def frobenius(a):
         scaled = np.ldexp(arr, -exps)
         with np.errstate(over="ignore", under="ignore"):
             return np.ldexp(np.sqrt(np.sum(scaled * scaled, axis=(-2, -1))), exps[..., 0, 0])
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    a = _as_matrix(a, "matmul")
-    b = _as_matrix(b, "matmul")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dimensions differ, {a.shape} vs {b.shape}")
-    return a @ b
 
 
 def invert(a, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -166,43 +152,6 @@ def rank(a, tol: float = DEFAULT_TOL) -> int:
     return found
 
 
-@dataclass(frozen=True, eq=False)
-class PseudoinversePair:
-    """Column blocks of the inverse of a vertically stacked square matrix.
-
-    ``top_pinv`` (m x n) and ``bottom_pinv`` (m x p) satisfy, to rounding:
-    top @ top_pinv = E_n, bottom @ bottom_pinv = E_p, and the cross products
-    top @ bottom_pinv and bottom @ top_pinv vanish.
-    """
-
-    top_pinv: np.ndarray
-    bottom_pinv: np.ndarray
-
-
-def stacked_pseudoinverse(top, bottom, tol: float = DEFAULT_TOL) -> PseudoinversePair:
-    """Invert the stack [top; bottom] and split the inverse into column blocks."""
-    top = _as_matrix(top, "stacked_pseudoinverse")
-    bottom = _as_matrix(bottom, "stacked_pseudoinverse")
-    if top.shape[1] != bottom.shape[1]:
-        raise ShapeError(
-            f"stacked_pseudoinverse: column counts differ, {top.shape} vs {bottom.shape}"
-        )
-    n, m = top.shape
-    p = bottom.shape[0]
-    if n + p != m:
-        raise ShapeError(
-            f"stacked_pseudoinverse: row counts {n}+{p} do not stack to a square {m}x{m} matrix"
-        )
-    try:
-        inv = invert(np.vstack([top, bottom]), tol)
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(
-            "stacked_pseudoinverse: the stacked matrix is singular to tolerance "
-            f"(its determinant vanishes; rows are linearly dependent): {exc}"
-        ) from exc
-    return PseudoinversePair(top_pinv=inv[:, :n], bottom_pinv=inv[:, n:])
-
-
 def _gram_inverse(mats: np.ndarray, tol: float) -> np.ndarray:
     """(A A^T)^-1 of each A of an (N, n, m) stack, in one ``invert`` call.
 
@@ -228,17 +177,20 @@ def _pseudoinverse_and_derivative(mats: np.ndarray, dmats: np.ndarray, tol: floa
     since (sA)^+ = A^+ / s.  In the normal range this is exact, so the
     results are bit for bit those of the unscaled formula, and the Gram
     matrix of a tiny or huge A no longer underflows or overflows.  A
-    singular Gram matrix's message shows the pivots of the scaled one.
+    singular Gram matrix's message shows the pivots of the scaled one.  A
+    result past the float range comes out inf or nan, without a warning:
+    the caller checks it.
     """
     exps = _exponents(mats)
     mats = np.ldexp(mats, -exps)
-    dmats = np.ldexp(dmats, -exps)
     gram_inv = _gram_inverse(mats, tol)
     mats_t = np.swapaxes(mats, -1, -2)
-    dmats_t = np.swapaxes(dmats, -1, -2)
     pinv = mats_t @ gram_inv
-    dgram = dmats @ mats_t + mats @ dmats_t
-    return np.ldexp(pinv, -exps), np.ldexp(dmats_t @ gram_inv - pinv @ dgram @ gram_inv, -exps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dmats = np.ldexp(dmats, -exps)
+        dmats_t = np.swapaxes(dmats, -1, -2)
+        dgram = dmats @ mats_t + mats @ dmats_t
+        return np.ldexp(pinv, -exps), np.ldexp(dmats_t @ gram_inv - pinv @ dgram @ gram_inv, -exps)
 
 
 def right_pseudoinverse(mat, tol: float = DEFAULT_TOL) -> np.ndarray:

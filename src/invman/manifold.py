@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from . import linalg
-from .errors import FrameError, ShapeError
+from .errors import FrameError, ShapeError, SingularMatrixError
 from .matexpr import MatrixFunction
 
 __all__ = [
@@ -58,7 +58,7 @@ class Subspace(Enum):
 
 @dataclass(frozen=True, eq=False)
 class ProjectorFrame:
-    """Both charts, their stacked pseudoinverses, and the two projectors at one t."""
+    """Both charts, the column blocks of their stacked inverse, and the two projectors at one t."""
 
     t: float
     chart: np.ndarray            # n x m
@@ -102,9 +102,13 @@ def build_frame(
         )
     c1 = chart.eval(t)
     c2 = comp_chart.eval(t)
-    pair = linalg.stacked_pseudoinverse(c1, c2)
-    proj_main = pair.top_pinv @ c1
-    proj_comp = pair.bottom_pinv @ c2
+    try:
+        inv = linalg.invert(np.vstack([c1, c2]))
+    except SingularMatrixError as exc:
+        raise SingularMatrixError(f"build_frame: stacked frame is singular at t={float(t)!r}: {exc}") from exc
+    embedding, comp_embedding = inv[:, :n], inv[:, n:]
+    proj_main = embedding @ c1
+    proj_comp = comp_embedding @ c2
 
     residuals = linalg.frobenius([
         proj_main @ proj_main - proj_main,
@@ -126,8 +130,8 @@ def build_frame(
         t=float(t),
         chart=c1,
         comp_chart=c2,
-        embedding=pair.top_pinv,
-        comp_embedding=pair.bottom_pinv,
+        embedding=embedding,
+        comp_embedding=comp_embedding,
         projector=proj_main,
         comp_projector=proj_comp,
     )

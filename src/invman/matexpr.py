@@ -506,38 +506,40 @@ class MatrixFunction:
 
     def eval(self, t: float) -> np.ndarray:
         """Evaluate entrywise at scalar ``t``; all entries must come out finite."""
-        out = np.empty(self.shape, dtype=float)
-        memo: dict = {}
-        with np.errstate(all="ignore"):
-            for i, row in enumerate(self.entries):
-                for j, e in enumerate(row):
-                    try:
-                        out[i, j] = _evaluate(e, t, memo)
-                    except EvaluationError as exc:
-                        raise EvaluationError(f"entry ({i},{j}) at t={float(t)!r}: {exc}") from exc
-        if not np.isfinite(out).all():
-            i, j = map(int, np.argwhere(~np.isfinite(out))[0])
-            raise EvaluationError(f"entry ({i},{j}) is not finite at t={float(t)!r}")
-        return out
+        return self._sample(t, ())
 
     def eval_grid(self, ts) -> np.ndarray:
         """Evaluate over a 1-D array of times; returns shape (len(ts), rows, cols)."""
         ts = np.asarray(ts, dtype=float)
         if ts.ndim != 1:
             raise ShapeError("time grid must be one-dimensional")
-        out = np.empty((ts.size, self.rows, self.cols), dtype=float)
+        return self._sample(ts, ts.shape)
+
+    def _sample(self, t, points: tuple) -> np.ndarray:
+        """Every entry at ``t``, a scalar (``points`` is ()) or a 1-D grid (``points`` is its shape).
+
+        A scalar t stays a Python scalar, which evaluates much faster than a
+        one-point grid.  A pole or a non-finite entry raises
+        :class:`EvaluationError` at the earliest failing time, then the first
+        entry in row order; its ``index`` is that time's grid position, 0 for
+        a scalar t.
+        """
+        out = np.empty(points + self.shape, dtype=float)
+        cells = out.transpose(1, 2, 0) if points else out  # cells[i, j] is entry (i, j) at every time
         memo: dict = {}
         with np.errstate(all="ignore"):
             for i, row in enumerate(self.entries):
                 for j, e in enumerate(row):
                     try:
-                        out[:, i, j] = _evaluate(e, ts, memo)
+                        cells[i, j] = _evaluate(e, t, memo)
                     except EvaluationError as exc:
                         k = exc.index
-                        raise EvaluationError(f"entry ({i},{j}) at t={float(ts[k])!r}: {exc}", k) from exc
+                        when = float(np.reshape(t, -1)[k])
+                        raise EvaluationError(f"entry ({i},{j}) at t={when!r}: {exc}", k) from exc
         if not np.isfinite(out).all():
-            k, i, j = map(int, np.argwhere(~np.isfinite(out))[0])
-            raise EvaluationError(f"entry ({i},{j}) is not finite at t={float(ts[k])!r}", k)
+            k, i, j = map(int, np.argwhere(~np.isfinite(out.reshape(-1, *self.shape)))[0])
+            when = float(np.reshape(t, -1)[k])
+            raise EvaluationError(f"entry ({i},{j}) is not finite at t={when!r}", k)
         return out
 
     def derivative(self) -> "MatrixFunction":

@@ -43,7 +43,6 @@ __all__ = [
     "ScenarioSpec",
     "ExpectedVerdicts",
     "coefficient_function",
-    "generate_q",
     "expected_verdicts",
     "to_system",
     "rotation_factor",
@@ -197,11 +196,6 @@ def coefficient_function(s: ScenarioSpec) -> MatrixFunction:
     """The symbolic system matrix A(t) of the generated system."""
     k = MatrixFunction.block([[s.a, s.c], [s.d, s.b]])
     return _coefficient_function(s.frame.stack, s.frame.inverse, k)
-
-
-def generate_q(s: ScenarioSpec, t: float) -> np.ndarray:
-    """System matrix of the generated scenario evaluated at ``t``."""
-    return coefficient_function(s).eval(t)
 
 
 def expected_verdicts(s: ScenarioSpec) -> ExpectedVerdicts:

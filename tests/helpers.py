@@ -18,21 +18,6 @@ def fd_matrix_derivative(f, t: float, h: float = 1e-6) -> np.ndarray:
     return (f(t + h) - f(t - h)) / (2.0 * h)
 
 
-def triple_loop_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Naive O(n^3) reference product."""
-    n, k = a.shape
-    k2, m = b.shape
-    assert k == k2
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            s = 0.0
-            for l in range(k):
-                s += a[i, l] * b[l, j]
-            out[i, j] = s
-    return out
-
-
 def reference_invert(mat: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Gauss-Jordan inverse of one square matrix, one Python-level row operation at a time.
 

@@ -92,10 +92,20 @@ class TestCheck:
         out, err = capsys.readouterr()
         assert err == "" and "joint invariance        FAIL" in out and "inf" not in out
 
-    def test_defect_norm_past_the_float_range_is_a_numerical_failure(self, tmp_path, capsys):
-        config = dict(NILPOTENT_CONFIG, coeff=[["0", "1.7e308"], ["1.7e308", "0"]])
-        assert main(["check", "--config", _write(tmp_path, config)]) == 3
-        assert capsys.readouterr() == ("", "numerical failure: residual 'defect' is not finite at t=0.0\n")
+    @pytest.mark.parametrize("changes, message", [
+        ({"coeff": [["0", "1.7e308"], ["1.7e308", "0"]]}, "residual 'defect' is not finite at t=0.0"),
+        # Moore-Penrose route: C+ of a subnormal chart, or dC+ of a chart near 1e-300 that moves, overflows.
+        ({"comp_chart": None, "chart": [["1e-300 + t", "0"]]}, "right inverse of the chart is not finite at t=0.0"),
+        ({"comp_chart": None, "chart": [["1e-320", "0"]]}, "right inverse of the chart is not finite at t=0.0"),
+        ({"comp_chart": None, "chart": [["1e-300 + 1e10*t", "0"]]}, "right inverse of the chart is not finite at t=0.0"),
+    ], ids=["defect", "moving_tiny_chart", "subnormal_chart", "fast_tiny_chart"])
+    @pytest.mark.parametrize("command", ["check", "reduce", "flow"])
+    def test_defect_norm_past_the_float_range_is_a_numerical_failure(
+        self, tmp_path, capsys, changes, message, command
+    ):
+        config = dict(NILPOTENT_CONFIG, **changes)
+        assert main([command, "--config", _write(tmp_path, config)]) == 3
+        assert capsys.readouterr() == ("", f"numerical failure: {message}\n")
 
     def test_missing_key_exits_2(self, tmp_path, capsys):
         rc = main(["check", "--config", _write(tmp_path, {"m": 2, "n": 1})])

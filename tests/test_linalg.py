@@ -7,18 +7,14 @@ from invman.errors import RankDeficiencyError, ShapeError, SingularMatrixError
 from invman.linalg import (
     frobenius,
     invert,
-    matmul,
     rank,
     right_pseudoinverse,
     right_pseudoinverse_derivative,
-    stacked_pseudoinverse,
 )
 
 from helpers import (
     fd_matrix_derivative,
-    random_well_conditioned_stack,
     reference_invert,
-    triple_loop_matmul,
 )
 
 
@@ -39,27 +35,6 @@ def _hadamard(k: int) -> np.ndarray:
     while h.shape[0] < k:
         h = np.block([[h, h], [h, -h]])
     return h
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(matmul(np.eye(2), a), a)
-
-    def test_column_swap(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-        np.testing.assert_array_equal(matmul(a, swap), [[2.0, 1.0], [4.0, 3.0]])
-
-    def test_against_triple_loop(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((4, 4))
-        b = rng.standard_normal((4, 4))
-        np.testing.assert_allclose(matmul(a, b), triple_loop_matmul(a, b), atol=1e-13)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(np.eye(2), np.eye(3))
 
 
 class TestInvert:
@@ -211,61 +186,6 @@ class TestRank:
             rank(np.eye(2), tol=0.0)
 
 
-class TestStackedPseudoinverse:
-    def test_identity_stack(self):
-        pair = stacked_pseudoinverse(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
-        np.testing.assert_array_equal(pair.top_pinv, [[1.0], [0.0]])
-        np.testing.assert_array_equal(pair.bottom_pinv, [[0.0], [1.0]])
-
-    def test_orthonormal_rows_give_transpose(self):
-        t = 0.5
-        top = np.array([[math.cos(t), math.sin(t)]])
-        bottom = np.array([[-math.sin(t), math.cos(t)]])
-        pair = stacked_pseudoinverse(top, bottom)
-        np.testing.assert_allclose(pair.top_pinv, top.T, atol=1e-13)
-        np.testing.assert_allclose(pair.bottom_pinv, bottom.T, atol=1e-13)
-        stacked = np.vstack([top, bottom])
-        inv = np.hstack([pair.top_pinv, pair.bottom_pinv])
-        assert frobenius(stacked @ inv - np.eye(2)) <= 1e-13
-
-    def test_shear_stack_hand_inverse(self):
-        # [[1,1],[0,1]] inverts to [[1,-1],[0,1]] by hand
-        top = np.array([[1.0, 1.0]])
-        bottom = np.array([[0.0, 1.0]])
-        pair = stacked_pseudoinverse(top, bottom)
-        np.testing.assert_allclose(pair.top_pinv, [[1.0], [0.0]], atol=1e-15)
-        np.testing.assert_allclose(pair.bottom_pinv, [[-1.0], [1.0]], atol=1e-15)
-        # all four block identities
-        np.testing.assert_allclose(top @ pair.top_pinv, [[1.0]], atol=1e-15)
-        np.testing.assert_allclose(bottom @ pair.bottom_pinv, [[1.0]], atol=1e-15)
-        np.testing.assert_allclose(top @ pair.bottom_pinv, [[0.0]], atol=1e-15)
-        np.testing.assert_allclose(bottom @ pair.top_pinv, [[0.0]], atol=1e-15)
-
-    def test_singular_stack_names_condition(self):
-        with pytest.raises(SingularMatrixError, match="determinant"):
-            stacked_pseudoinverse(np.array([[1.0, 0.0]]), np.array([[2.0, 0.0]]))
-
-    def test_shape_checks(self):
-        with pytest.raises(ShapeError):
-            stacked_pseudoinverse(np.ones((1, 3)), np.ones((1, 3)))
-        with pytest.raises(ShapeError):
-            stacked_pseudoinverse(np.ones((1, 2)), np.ones((1, 3)))
-
-    def test_pair_identity_residual_property(self):
-        # stacked inverse identity within 1e-11 * m on well-conditioned stacks
-        rng = np.random.default_rng(42)
-        for _ in range(50):
-            m = int(rng.integers(2, 9))
-            n = int(rng.integers(1, m))
-            top, bottom = random_well_conditioned_stack(rng, m, n)
-            stacked = np.vstack([top, bottom])
-            if np.linalg.cond(stacked) > 1e6:
-                continue
-            pair = stacked_pseudoinverse(top, bottom)
-            inv = np.hstack([pair.top_pinv, pair.bottom_pinv])
-            assert frobenius(stacked @ inv - np.eye(m)) <= 1e-11 * m
-
-
 class TestRightPseudoinverse:
     def test_unit_row(self):
         np.testing.assert_array_equal(right_pseudoinverse(np.array([[1.0, 0.0]])), [[1.0], [0.0]])
@@ -295,20 +215,6 @@ class TestRightPseudoinverse:
             pinv = right_pseudoinverse(mat)
             assert frobenius(mat @ pinv - np.eye(n)) <= 1e-11
             assert rank(pinv) == n
-
-    def test_matches_stacked_for_orthogonal_complement(self):
-        # when the bottom block spans the orthogonal complement of the top's
-        # rows, both pseudoinverse routes give the same right inverse
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            m = int(rng.integers(2, 7))
-            n = int(rng.integers(1, m))
-            top = rng.standard_normal((n, m))
-            # SVD-based orthogonal complement oracle
-            _, _, vt = np.linalg.svd(top)
-            bottom = vt[n:]
-            pair = stacked_pseudoinverse(top, bottom)
-            np.testing.assert_allclose(pair.top_pinv, right_pseudoinverse(top), atol=1e-10)
 
 
 class TestRightPseudoinverseScale:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from invman.errors import ShapeError, SingularMatrixError
+from invman.linalg import frobenius, right_pseudoinverse
 from invman.manifold import (
     Subspace,
     build_frame,
@@ -23,9 +24,17 @@ ROTATION = (
 SHEAR = MatrixFunction.build([["1", "1"]]), MatrixFunction.build([["0", "1"]])
 
 
+def _orthogonal_complement_stack(rng: np.random.Generator, m: int, n: int):
+    """A random chart and the SVD basis of the orthogonal complement of its rows."""
+    top = rng.standard_normal((n, m))
+    return top, np.linalg.svd(top)[2][n:]
+
+
 class TestBuildFrame:
     def test_identity_stack(self):
         fr = build_frame(*IDENTITY, t=0.0)
+        np.testing.assert_array_equal(fr.embedding, [[1.0], [0.0]])
+        np.testing.assert_array_equal(fr.comp_embedding, [[0.0], [1.0]])
         np.testing.assert_array_equal(fr.projector, np.diag([1.0, 0.0]))
         np.testing.assert_array_equal(fr.comp_projector, np.diag([0.0, 1.0]))
 
@@ -35,35 +44,54 @@ class TestBuildFrame:
         u = np.array([math.cos(t), math.sin(t)])
         np.testing.assert_allclose(fr.projector, np.outer(u, u), atol=1e-14)
         assert round(np.trace(fr.projector)) == 1
+        # Orthonormal rows: the embeddings are the transposed charts.
+        np.testing.assert_allclose(fr.embedding, fr.chart.T, atol=1e-13)
+        np.testing.assert_allclose(fr.comp_embedding, fr.comp_chart.T, atol=1e-13)
+        inv = np.hstack([fr.embedding, fr.comp_embedding])
+        assert frobenius(np.vstack([fr.chart, fr.comp_chart]) @ inv - np.eye(2)) <= 1e-13
 
     def test_shear_stack_hand_projectors(self):
         # stacked inverse of [[1,1],[0,1]] is [[1,-1],[0,1]] by hand
         fr = build_frame(*SHEAR, t=0.0)
+        np.testing.assert_allclose(fr.embedding, [[1.0], [0.0]], atol=1e-15)
+        np.testing.assert_allclose(fr.comp_embedding, [[-1.0], [1.0]], atol=1e-15)
         np.testing.assert_allclose(fr.projector, [[1.0, 1.0], [0.0, 0.0]], atol=1e-15)
         np.testing.assert_allclose(fr.comp_projector, [[0.0, -1.0], [0.0, 1.0]], atol=1e-15)
         np.testing.assert_allclose(fr.projector @ fr.projector, fr.projector, atol=1e-15)
         np.testing.assert_allclose(fr.projector @ fr.comp_projector, np.zeros((2, 2)), atol=1e-15)
         np.testing.assert_allclose(fr.projector + fr.comp_projector, np.eye(2), atol=1e-15)
 
-    def test_singular_stack(self):
+    @pytest.mark.parametrize("t", [0.0, -0.5])
+    def test_singular_stack(self, t):
         chart = MatrixFunction.build([["1", "0"]])
         comp = MatrixFunction.build([["2", "0"]])
-        with pytest.raises(SingularMatrixError):
-            build_frame(chart, comp, t=0.0)
+        with pytest.raises(SingularMatrixError) as info:
+            build_frame(chart, comp, t=t)
+        assert str(info.value).startswith(f"build_frame: stacked frame is singular at t={t!r}: invert: ")
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             build_frame(MatrixFunction.build([["1", "0", "0"]]), MatrixFunction.build([["0", "1", "0"]]), t=0.0)
 
-    def test_trace_equals_rank_property(self):
-        rng = np.random.default_rng(21)
-        for _ in range(30):
+    @pytest.mark.parametrize("seed, count, make_stack", [
+        (21, 30, random_well_conditioned_stack),
+        (42, 50, random_well_conditioned_stack),
+        (9, 20, _orthogonal_complement_stack),
+    ])
+    def test_trace_equals_rank_property(self, seed, count, make_stack):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
             m = int(rng.integers(2, 8))
             n = int(rng.integers(1, m))
-            top, bottom = random_well_conditioned_stack(rng, m, n)
+            top, bottom = make_stack(rng, m, n)
             fr = build_frame(MatrixFunction.constant(top), MatrixFunction.constant(bottom), t=0.0)
             assert abs(np.trace(fr.projector) - n) <= 1e-9
             assert abs(np.trace(fr.comp_projector) - (m - n)) <= 1e-9
+            inv = np.hstack([fr.embedding, fr.comp_embedding])
+            assert frobenius(np.vstack([top, bottom]) @ inv - np.eye(m)) <= 1e-11 * m
+            if make_stack is _orthogonal_complement_stack:
+                # Both routes to C+ agree when the complement is orthogonal.
+                np.testing.assert_allclose(fr.embedding, right_pseudoinverse(top), atol=1e-10)
 
     def test_complementarity_property(self):
         rng = np.random.default_rng(33)

@@ -191,6 +191,19 @@ def test_print_parse_round_trip(expr, ts):
         assert abs(a - b) <= 1e-15 * (1.0 + abs(a))
 
 
+def _assert_fails_alike(f: MatrixFunction, ts, message: str, index: int, ok_t: float):
+    """``f`` fails at ``ts`` with ``message`` and ``index``; at a scalar t, ``eval(t)``
+    fails exactly as ``eval_grid([t])`` does, and at ``ok_t`` the two agree bit for bit."""
+    with pytest.raises(EvaluationError) as info:
+        f.eval(ts) if np.ndim(ts) == 0 else f.eval_grid(ts)
+    assert (str(info.value), info.value.index) == (message, index)
+    if np.ndim(ts) == 0:
+        with pytest.raises(EvaluationError) as grid_info:
+            f.eval_grid([ts])
+        assert (str(grid_info.value), grid_info.value.index) == (message, index)
+        assert f.eval(ok_t).tobytes() == f.eval_grid([ok_t])[0].tobytes()
+
+
 class TestMatrixFunction:
     def test_constant_identity(self):
         f = MatrixFunction.identity(2)
@@ -209,21 +222,23 @@ class TestMatrixFunction:
         with pytest.raises(EvaluationError, match=r"\(0,1\)"):
             f.eval(0.0)
 
-    def test_non_finite_entry_carries_coordinates(self):
-        f = MatrixFunction.build([["exp(t)"]])
-        with pytest.raises(EvaluationError, match=r"\(0,0\)"):
-            f.eval(1e9)
+    @pytest.mark.parametrize("ts, message, index", [
+        (1e9, "entry (0,0) is not finite at t=1000000000.0", 0),
+        # exp(2t) overflows from t = 355 on, exp(t) from t = 710 on: the earliest time wins.
+        ([0.0, 400.0, 1e9], "entry (1,1) is not finite at t=400.0", 1),
+    ])
+    def test_non_finite_entry_carries_coordinates(self, ts, message, index):
+        f = MatrixFunction.build([["exp(t)", "0"], ["0", "exp(2*t)"]])
+        _assert_fails_alike(f, ts, message, index, ok_t=1.0)
 
+    @pytest.mark.parametrize("ts, index", [(1.0, 0), ([0.0, 1.0, 1.0, 2.0], 1)])
     @pytest.mark.parametrize("text, what", [
         ("1/(t - 1)", "division by zero"),
         ("(t - 1)^-2", "zero raised to a negative exponent"),
     ])
-    def test_pole_on_grid_names_its_first_time(self, text, what):
+    def test_pole_on_grid_names_its_first_time(self, text, what, ts, index):
         f = MatrixFunction.build([["0", text]])
-        with pytest.raises(EvaluationError) as info:
-            f.eval_grid(np.array([0.0, 1.0, 1.0, 2.0]))
-        assert str(info.value) == f"entry (0,1) at t=1.0: {what}"
-        assert info.value.index == 1
+        _assert_fails_alike(f, ts, f"entry (0,1) at t=1.0: {what}", index, ok_t=0.5)
 
     def test_derivative_shape_and_values(self):
         f = MatrixFunction.build([["t^2", "sin(t)", "3"]])

@@ -12,7 +12,6 @@ from invman.scenario import (
     Structure,
     coefficient_function,
     expected_verdicts,
-    generate_q,
     random_frame,
     random_scenario,
     rotation_factor,
@@ -52,7 +51,7 @@ class TestGenerateQ:
             MatrixFunction.zeros(1, 1),
             Structure.BLOCK_DIAGONAL,
         )
-        np.testing.assert_allclose(generate_q(s, 1.7), np.diag([-1.0, 3.0]), atol=1e-15)
+        np.testing.assert_allclose(coefficient_function(s).eval(1.7), np.diag([-1.0, 3.0]), atol=1e-15)
 
     def test_rotation_frame_hand_value(self):
         # frame S(t) = plane rotation by t, so S(0) = E and S'(0) = [[0,-1],[1,0]];
@@ -68,7 +67,7 @@ class TestGenerateQ:
             Structure.BLOCK_DIAGONAL,
         )
         np.testing.assert_allclose(
-            generate_q(s, 0.0), [[-1.0, -1.0], [1.0, -2.0]], atol=1e-14
+            coefficient_function(s).eval(0.0), [[-1.0, -1.0], [1.0, -2.0]], atol=1e-14
         )
 
     def test_identity_frame_upper_coupling(self):
@@ -80,7 +79,7 @@ class TestGenerateQ:
             MatrixFunction.zeros(1, 1),
             Structure.UPPER_TRIANGULAR,
         )
-        np.testing.assert_allclose(generate_q(s, 0.3), [[-0.5, 1.0], [0.0, -1.0]], atol=1e-15)
+        np.testing.assert_allclose(coefficient_function(s).eval(0.3), [[-0.5, 1.0], [0.0, -1.0]], atol=1e-15)
         report = verdicts(to_system(s))
         assert (report.joint_invariant, report.main_invariant, report.complement_kernel_condition) == (
             False,
@@ -240,4 +239,4 @@ class TestSerialization:
         coeff = coefficient_function(s)
         redone = MatrixFunction.build(coeff.to_strings())
         for t in (0.0, 1.3, 4.9):
-            np.testing.assert_allclose(redone.eval(t), generate_q(s, t), atol=1e-12)
+            np.testing.assert_allclose(redone.eval(t), coeff.eval(t), atol=1e-12)
