@@ -282,9 +282,17 @@ def cmd_flow(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    scenario = random_scenario(
-        Structure(args.kind), m=args.m, n=args.n, seed=args.seed
-    )
+    m, n = args.m, args.n
+    if not 0 < n < m:
+        raise ConfigError(f"generate needs 0 < n < m, got m={m}, n={n}")
+    if DEFAULT_GRID_COUNT * m * m > MAX_SAMPLED_ENTRIES:
+        raise ConfigError(
+            f"generate --m {m} would sample {DEFAULT_GRID_COUNT} points of {m}x{m} matrices, "
+            f"more than {MAX_SAMPLED_ENTRIES} entries"
+        )
+    if args.seed < 0:
+        raise ConfigError(f"generate needs a seed >= 0, got {args.seed}")
+    scenario = random_scenario(Structure(args.kind), m=m, n=n, seed=args.seed)
     config = to_config(scenario, metadata={"kind": args.kind, "generator_seed": args.seed})
     text = json.dumps(config, indent=2, sort_keys=True) + "\n"
     try:

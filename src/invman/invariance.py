@@ -134,8 +134,8 @@ def frame_samples(spec: SystemSpec, ts) -> FrameSamples:
     frames [C; C_comp] on the stacked route, the Gram matrices C C^T on the
     Moore-Penrose route, where a singular Gram matrix is the chart's rank
     loss.  Rank loss of the chart, singularity of the stacked frame, or a
-    Moore-Penrose right inverse or derivative past the float range is
-    reported with the earliest offending time point.
+    right inverse (Moore-Penrose or stacked) or its derivative past the
+    float range is reported with the earliest offending time point.
     """
     ts = np.asarray(ts, dtype=float).reshape(-1)
     n = spec.n
@@ -149,21 +149,24 @@ def frame_samples(spec: SystemSpec, ts) -> FrameSamples:
             raise RankDeficiencyError(
                 f"chart loses full row rank at t={float(ts[exc.index])!r}: {exc}", exc.index
             ) from exc
-        if not (np.isfinite(embed_g).all() and np.isfinite(dembed_g).all()):
-            k = int((~(np.isfinite(embed_g) & np.isfinite(dembed_g)).all(axis=(1, 2))).argmax())
-            raise EvaluationError(f"right inverse of the chart is not finite at t={float(ts[k])!r}", k)
+        what, inverse, derivative = "right inverse of the chart", embed_g, dembed_g
     else:
         comp_g = spec.comp_chart.eval_grid(ts)
         dcomp_g = spec.comp_chart.derivative().eval_grid(ts)
-        try:
-            inv = linalg.invert(np.concatenate([chart_g, comp_g], axis=1))
-        except SingularMatrixError as exc:
-            raise SingularMatrixError(
-                f"stacked frame is singular at t={float(ts[exc.index])!r}: {exc}", exc.index
-            ) from exc
-        dinv = -inv @ np.concatenate([dchart_g, dcomp_g], axis=1) @ inv
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                inv = linalg.invert(np.concatenate([chart_g, comp_g], axis=1))
+            except SingularMatrixError as exc:
+                raise SingularMatrixError(
+                    f"stacked frame is singular at t={float(ts[exc.index])!r}: {exc}", exc.index
+                ) from exc
+            dinv = -inv @ np.concatenate([dchart_g, dcomp_g], axis=1) @ inv
         embed_g = inv[:, :, :n]
         dembed_g = dinv[:, :, :n]
+        what, inverse, derivative = "inverse of the stacked frame", inv, dinv
+    if not (np.isfinite(inverse).all() and np.isfinite(derivative).all()):
+        k = int((~(np.isfinite(inverse) & np.isfinite(derivative)).all(axis=(1, 2))).argmax())
+        raise EvaluationError(f"{what} is not finite at t={float(ts[k])!r}", k)
     return FrameSamples(ts=ts, chart=chart_g, dchart=dchart_g, embedding=embed_g, dembedding=dembed_g)
 
 

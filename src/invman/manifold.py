@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from . import linalg
-from .errors import FrameError, ShapeError, SingularMatrixError
+from .errors import EvaluationError, FrameError, ShapeError, SingularMatrixError
 from .matexpr import MatrixFunction
 
 __all__ = [
@@ -89,9 +89,10 @@ def build_frame(
 ) -> ProjectorFrame:
     """Evaluate both charts at ``t`` and build the projector pair.
 
-    Construction fails loudly if any projector identity (idempotency, mutual
-    annihilation, complementarity) leaves a Frobenius residual above ``tol``,
-    or if the projector ranks are not n and p: that indicates a frame too
+    Construction fails loudly if the stacked inverse is not finite, if any
+    projector identity (idempotency, mutual annihilation, complementarity)
+    leaves a Frobenius residual above ``tol`` or not finite, or if the
+    projector ranks are not n and p: that indicates a frame too
     ill-conditioned to trust.
     """
     n, m = chart.shape
@@ -102,23 +103,25 @@ def build_frame(
         )
     c1 = chart.eval(t)
     c2 = comp_chart.eval(t)
-    try:
-        inv = linalg.invert(np.vstack([c1, c2]))
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(f"build_frame: stacked frame is singular at t={float(t)!r}: {exc}") from exc
-    embedding, comp_embedding = inv[:, :n], inv[:, n:]
-    proj_main = embedding @ c1
-    proj_comp = comp_embedding @ c2
-
-    residuals = linalg.frobenius([
-        proj_main @ proj_main - proj_main,
-        proj_comp @ proj_comp - proj_comp,
-        proj_main @ proj_comp,
-        proj_comp @ proj_main,
-        proj_main + proj_comp - np.eye(m),
-    ])
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            inv = linalg.invert(np.vstack([c1, c2]))
+        except SingularMatrixError as exc:
+            raise SingularMatrixError(f"build_frame: stacked frame is singular at t={float(t)!r}: {exc}") from exc
+        if not np.isfinite(inv).all():
+            raise EvaluationError(f"build_frame: inverse of the stacked frame is not finite at t={float(t)!r}")
+        embedding, comp_embedding = inv[:, :n], inv[:, n:]
+        proj_main = embedding @ c1
+        proj_comp = comp_embedding @ c2
+        residuals = linalg.frobenius([
+            proj_main @ proj_main - proj_main,
+            proj_comp @ proj_comp - proj_comp,
+            proj_main @ proj_comp,
+            proj_comp @ proj_main,
+            proj_main + proj_comp - np.eye(m),
+        ])
     worst = int(residuals.argmax())
-    if residuals[worst] > tol:
+    if not residuals[worst] <= tol:  # a NaN residual fails too
         raise FrameError(
             f"build_frame: identity '{_IDENTITIES[worst]}' has residual {residuals[worst]:.3e} > {tol:g} "
             f"at t={float(t)!r}"

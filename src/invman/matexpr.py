@@ -212,9 +212,13 @@ def differentiate(expr: ScalarExpr) -> ScalarExpr:
 _ADD, _MUL, _NEG, _POW, _ATOM = 1, 2, 3, 4, 5
 
 
-def _render(expr: ScalarExpr) -> tuple[str, int]:
+def _render(expr: ScalarExpr, memo: dict) -> tuple[str, int]:
+    # memo maps id(node) to its (text, level) within one call: a shared node is rendered once.
+    if (done := memo.get(id(expr))) is not None:
+        return done
+
     def wrap(e: ScalarExpr, floor: int) -> str:
-        text, level = _render(e)
+        text, level = _render(e, memo)
         return f"({text})" if level < floor else text
 
     match expr:
@@ -223,21 +227,23 @@ def _render(expr: ScalarExpr) -> tuple[str, int]:
         case TimeVar():
             return "t", _ATOM
         case Unary(op="neg", arg=a):
-            return "-" + wrap(a, _NEG), _NEG
+            done = "-" + wrap(a, _NEG), _NEG
         case Unary(op=fn, arg=a):
-            return f"{fn}({_render(a)[0]})", _ATOM
+            done = f"{fn}({_render(a, memo)[0]})", _ATOM
         case Binary(op=op, left=l, right=r) if op in "+-":
-            return f"{wrap(l, _ADD)} {op} {wrap(r, _MUL)}", _ADD
+            done = f"{wrap(l, _ADD)} {op} {wrap(r, _MUL)}", _ADD
         case Binary(op=op, left=l, right=r):
-            return f"{wrap(l, _MUL)}{op}{wrap(r, _NEG)}", _MUL
+            done = f"{wrap(l, _MUL)}{op}{wrap(r, _NEG)}", _MUL
         case Power(base=b, exponent=k):
-            return f"{wrap(b, _ATOM)}^{k}", _POW
-    raise TypeError(f"not an expression node: {expr!r}")
+            done = f"{wrap(b, _ATOM)}^{k}", _POW
+        case _:
+            raise TypeError(f"not an expression node: {expr!r}")
+    return memo.setdefault(id(expr), done)
 
 
 def to_string(expr: ScalarExpr) -> str:
     """Render ``expr`` as text that :func:`parse_expr` accepts."""
-    return _render(expr)[0]
+    return _render(expr, {})[0]
 
 
 # -- parsing ------------------------------------------------------------------
@@ -417,11 +423,19 @@ def _coerce_entry(entry, parser: _Parser) -> ScalarExpr:
     return Const(float(entry))
 
 
+def _is_zero(x: ScalarExpr) -> bool:
+    return isinstance(x, Const) and x.value == 0.0
+
+
+# The node every product entry's accumulator starts from.
+_ZERO = Const(0.0)
+
+
 def _fold_add(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
     # assembly hygiene only; keeps block products readable when serialized
-    if isinstance(a, Const) and a.value == 0.0:
+    if _is_zero(a):
         return b
-    if isinstance(b, Const) and b.value == 0.0:
+    if _is_zero(b):
         return a
     if isinstance(a, Const) and isinstance(b, Const):
         return Const(a.value + b.value)
@@ -429,9 +443,7 @@ def _fold_add(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
 
 
 def _fold_mul(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
-    for x in (a, b):
-        if isinstance(x, Const) and x.value == 0.0:
-            return Const(0.0)
+    # a product with a zero-constant factor is never formed: __matmul__ skips its term
     if isinstance(a, Const) and a.value == 1.0:
         return b
     if isinstance(b, Const) and b.value == 1.0:
@@ -550,7 +562,9 @@ class MatrixFunction:
         return self._derivative
 
     def to_strings(self) -> list[list[str]]:
-        return [[to_string(e) for e in row] for row in self.entries]
+        """Every entry as :func:`to_string` renders it; a subtree shared between entries is rendered once."""
+        memo: dict = {}
+        return [[_render(e, memo)[0] for e in row] for row in self.entries]
 
     def row_block(self, start: int, stop: int) -> "MatrixFunction":
         if not 0 <= start < stop <= self.rows:
@@ -568,16 +582,30 @@ class MatrixFunction:
         )
 
     def __matmul__(self, other: "MatrixFunction") -> "MatrixFunction":
+        """Symbolic product: entry (i, j) folds the terms ``a_ik * b_kj`` in k order.
+
+        Only the terms where neither factor is a zero constant are visited, so
+        the cost is O(non-zero terms), not O(m^3); the trees are those of
+        folding every term.
+        """
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.shape} by {other.shape}")
+        last = self.cols - 1
+        columns = [
+            [(k, row[j]) for k, row in enumerate(other.entries) if not _is_zero(row[j])]
+            for j in range(other.cols)
+        ]
         rows = []
-        for i in range(self.rows):
+        for left in self.entries:
+            live = [not _is_zero(a) for a in left]
             row = []
-            for j in range(other.cols):
-                acc: ScalarExpr = Const(0.0)
-                for k in range(self.cols):
-                    acc = _fold_add(acc, _fold_mul(self.entries[i][k], other.entries[k][j]))
-                row.append(acc)
+            for column in columns:
+                acc, seen = _ZERO, -1
+                for k, b in column:
+                    if live[k]:
+                        acc, seen = _fold_add(acc, _fold_mul(left[k], b)), k
+                # A zero term folded after a zero constant leaves +0.0: an underflowed -0.0 loses its sign.
+                row.append(_ZERO if seen < last and _is_zero(acc) else acc)
             rows.append(tuple(row))
         return MatrixFunction(tuple(rows))
 

@@ -218,8 +218,9 @@ def to_system(s: ScenarioSpec) -> SystemSpec:
 
 def _identity_with(m: int, overrides: dict) -> MatrixFunction:
     """The m x m identity with the (row, col) entries of ``overrides`` put in."""
+    fill = (Const(0.0), Const(1.0))  # off and on the diagonal, one node each
     return MatrixFunction(tuple(
-        tuple(overrides.get((r, c), Const(1.0 if r == c else 0.0)) for c in range(m)) for r in range(m)
+        tuple(overrides.get((r, c), fill[r == c]) for c in range(m)) for r in range(m)
     ))
 
 

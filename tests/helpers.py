@@ -97,6 +97,55 @@ def reference_matrix(mf, t) -> np.ndarray:
     return out
 
 
+def _reference_is_zero(x: ScalarExpr) -> bool:
+    return isinstance(x, Const) and x.value == 0.0
+
+
+def _reference_fold_add(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
+    if _reference_is_zero(a):
+        return b
+    if _reference_is_zero(b):
+        return a
+    if isinstance(a, Const) and isinstance(b, Const):
+        return Const(a.value + b.value)
+    return Binary("+", a, b)
+
+
+def _reference_fold_mul(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
+    if _reference_is_zero(a) or _reference_is_zero(b):
+        return Const(0.0)
+    if isinstance(a, Const) and a.value == 1.0:
+        return b
+    if isinstance(b, Const) and b.value == 1.0:
+        return a
+    if isinstance(a, Const) and isinstance(b, Const):
+        return Const(a.value * b.value)
+    return Binary("*", a, b)
+
+
+def reference_matmul(a, b):
+    """Dense symbolic product of two MatrixFunctions: all m^3 terms, folded left to right.
+
+    Each entry starts from Const(0.0) and folds every term a_ik * b_kj in k
+    order, zero terms included, with constant folding and the 0 and 1
+    identities.  ``MatrixFunction.__matmul__``, which visits only the terms
+    with two non-zero factors, must give equal trees that print alike (a
+    zero term after a zero-constant accumulator turns -0.0 into 0.0).
+    """
+    from invman.matexpr import MatrixFunction
+
+    rows = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc: ScalarExpr = Const(0.0)
+            for k in range(a.cols):
+                acc = _reference_fold_add(acc, _reference_fold_mul(a.entries[i][k], b.entries[k][j]))
+            row.append(acc)
+        rows.append(tuple(row))
+    return MatrixFunction(tuple(rows))
+
+
 def reference_rk4(samples: np.ndarray, y0, h: float) -> np.ndarray:
     """Classical RK4 of y' = A(t) y, stage by stage, one initial column at a time.
 

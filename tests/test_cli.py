@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from invman import cli
 from invman.cli import MAX_SAMPLED_ENTRIES, load_config, main
 from invman.invariance import reduced_matrix
 
@@ -98,7 +100,15 @@ class TestCheck:
         ({"comp_chart": None, "chart": [["1e-300 + t", "0"]]}, "right inverse of the chart is not finite at t=0.0"),
         ({"comp_chart": None, "chart": [["1e-320", "0"]]}, "right inverse of the chart is not finite at t=0.0"),
         ({"comp_chart": None, "chart": [["1e-300 + 1e10*t", "0"]]}, "right inverse of the chart is not finite at t=0.0"),
-    ], ids=["defect", "moving_tiny_chart", "subnormal_chart", "fast_tiny_chart"])
+        # Stacked route: the inverse of a subnormal stack, or the derivative of a tiny moving one, overflows.
+        ({"chart": [["1e-320", "0"]], "comp_chart": [["0", "1e-320"]]},
+         "inverse of the stacked frame is not finite at t=0.0"),
+        ({"chart": [["1e-300 + t", "0"]], "comp_chart": [["0", "1e-300 + t"]]},
+         "inverse of the stacked frame is not finite at t=0.0"),
+        ({"chart": [["1e-320 + (t - 1)^2", "0"]], "comp_chart": [["0", "1e-320 + (t - 1)^2"]]},
+         "inverse of the stacked frame is not finite at t=1.0"),
+    ], ids=["defect", "moving_tiny_chart", "subnormal_chart", "fast_tiny_chart",
+            "subnormal_stack", "moving_tiny_stack", "later_subnormal_stack"])
     @pytest.mark.parametrize("command", ["check", "reduce", "flow"])
     def test_defect_norm_past_the_float_range_is_a_numerical_failure(
         self, tmp_path, capsys, changes, message, command
@@ -314,6 +324,18 @@ class TestFlow:
         assert paths == golden
 
 
+class _Built(Exception):
+    pass
+
+
+def _must_not_build(kind, m, n, seed):
+    raise _Built(f"random_scenario called with m={m}, n={n}")
+
+
+# The digest and size of every `generate` output of the benchmark's pool (see perfbench/pin_digests.py).
+PINNED_DIGESTS = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "generate_digests.json").read_text())
+
+
 class TestGenerate:
     @pytest.mark.parametrize("kind, expected", [
         ("block_diagonal", {"joint": True, "mn": True, "complement": True}),
@@ -341,6 +363,42 @@ class TestGenerate:
         main(["generate", "--kind", "full", "--seed", "7", "--out", str(a)])
         main(["generate", "--kind", "full", "--seed", "7", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("options, message", [
+        (["--m", "3", "--n", "5"], "generate needs 0 < n < m, got m=3, n=5"),
+        (["--m", "0"], "generate needs 0 < n < m, got m=0, n=2"),
+        (["--m", "-3"], "generate needs 0 < n < m, got m=-3, n=2"),
+        (["--m", "578"], "generate --m 578 would sample 201 points of 578x578 matrices, "
+                         f"more than {MAX_SAMPLED_ENTRIES} entries"),
+        (["--m", str(10**9)], f"generate --m {10**9} would sample 201 points of {10**9}x{10**9} matrices, "
+                              f"more than {MAX_SAMPLED_ENTRIES} entries"),
+        (["--seed", "-1"], "generate needs a seed >= 0, got -1"),
+    ], ids=["n_past_m", "m_zero", "m_negative", "m_past_bound", "m_huge", "seed_negative"])
+    def test_bad_arguments_exit_2_before_building(self, tmp_path, capsys, monkeypatch, options, message):
+        monkeypatch.setattr(cli, "random_scenario", _must_not_build)
+        out = tmp_path / "gen.json"
+        assert main(["generate", "--kind", "full", "--out", str(out), *options]) == 2
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+        assert not out.exists()
+
+    def test_largest_m_within_the_sampling_bound_is_built(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "random_scenario", _must_not_build)
+        with pytest.raises(_Built, match="m=577"):
+            main(["generate", "--kind", "full", "--m", "577", "--out", str(tmp_path / "gen.json")])
+
+    @pytest.mark.parametrize("pool", sorted({key.rsplit("/", 1)[0] for key in PINNED_DIGESTS}))
+    def test_pool_is_byte_identical_to_the_pinned_digests(self, tmp_path, pool):
+        kind, m = pool.split("/")
+        out = tmp_path / "gen.json"
+        seeds = sorted(int(key.rsplit("/", 1)[1]) for key in PINNED_DIGESTS if key.startswith(pool + "/"))
+        assert len(seeds) == 30
+        for seed in seeds:
+            argv = ["generate", "--kind", kind, "--seed", str(seed), "--m", m, "--n", str(int(m) // 2),
+                    "--out", str(out)]
+            assert main(argv) == 0
+            data = out.read_bytes()
+            want = PINNED_DIGESTS[f"{pool}/{seed}"]
+            assert (hashlib.sha256(data).hexdigest(), len(data)) == (want["sha256"], want["bytes"]), seed
 
     def test_unwritable_path_exits_2(self, tmp_path):
         rc = main(["generate", "--kind", "full", "--seed", "1", "--out", str(tmp_path / "no" / "dir.json")])

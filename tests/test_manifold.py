@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from invman.errors import ShapeError, SingularMatrixError
+from invman import linalg
+from invman.errors import EvaluationError, FrameError, ShapeError, SingularMatrixError
 from invman.linalg import frobenius, right_pseudoinverse
 from invman.manifold import (
     Subspace,
@@ -68,6 +69,21 @@ class TestBuildFrame:
         with pytest.raises(SingularMatrixError) as info:
             build_frame(chart, comp, t=t)
         assert str(info.value).startswith(f"build_frame: stacked frame is singular at t={t!r}: invert: ")
+
+    @pytest.mark.parametrize("t", [0.0, 1.5])
+    def test_inverse_past_the_float_range_names_t(self, t):
+        # Warnings are errors in this suite, so the overflow must also stay silent.
+        chart = MatrixFunction.build([["1e-320", "0"]])
+        comp = MatrixFunction.build([["0", "1e-320"]])
+        with pytest.raises(EvaluationError) as info:
+            build_frame(chart, comp, t=t)
+        assert str(info.value) == f"build_frame: inverse of the stacked frame is not finite at t={t!r}"
+
+    def test_nan_identity_residual_is_a_frame_error(self, monkeypatch):
+        monkeypatch.setattr(linalg, "frobenius", lambda mats: np.array([0.0, math.nan, 0.0, 0.0, 0.0]))
+        with pytest.raises(FrameError) as info:
+            build_frame(MatrixFunction.build([["1", "0"]]), MatrixFunction.build([["0", "1"]]), t=0.25)
+        assert str(info.value) == "build_frame: identity 'idempotency (comp)' has residual nan > 1e-09 at t=0.25"
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):

@@ -22,9 +22,17 @@ from invman.matexpr import (
     to_string,
 )
 
-from invman.scenario import Structure, random_scenario, to_config
+from invman.scenario import Structure, coefficient_function, random_scenario, to_config
 
-from helpers import fd_derivative, random_expr, reference_eval, reference_evaluate, reference_matrix, try_eval
+from helpers import (
+    fd_derivative,
+    random_expr,
+    reference_eval,
+    reference_evaluate,
+    reference_matmul,
+    reference_matrix,
+    try_eval,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -438,3 +446,61 @@ class TestSharedSubexpressions:
         with pytest.raises(EvaluationError) as info:
             f.eval_grid(np.array([0.0, 1.0, 2.0]))
         assert str(info.value) == f"entry (0,0) at t=2.0: {what}" and info.value.index == 2
+
+
+# Product entries: mostly constants, zeros of both signs among them, so that
+# sparse factors, the 0 and 1 identities and constant folding all occur.
+_PRODUCT_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.0, 1.0, -1.0, 2.5, 1e-200, -1e-200, 1e200]).map(Const),
+    st.recursive(_leaves, _extend, max_leaves=3),
+)
+
+
+@st.composite
+def _factor_pair(draw):
+    rows, inner, cols = (draw(st.integers(1, 4)) for _ in range(3))
+
+    def matrix(r, c):
+        grid = draw(st.lists(st.lists(_PRODUCT_ENTRIES, min_size=c, max_size=c), min_size=r, max_size=r))
+        return MatrixFunction(tuple(map(tuple, grid)))
+
+    return matrix(rows, inner), matrix(inner, cols)
+
+
+_UNDERFLOW_PAIR = (MatrixFunction.build([[-1e-200, 0.0]]), MatrixFunction.build([[1e-200], ["2*t"]]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=_factor_pair())
+@example(pair=_UNDERFLOW_PAIR)
+@example(pair=(MatrixFunction.build([[-1e-200]]), MatrixFunction.build([[1e-200]])))
+@example(pair=(MatrixFunction.build([[0.0, -1e-200, 0.0]]), MatrixFunction.build([["t"], [1e-200], ["t"]])))
+def test_sparse_product_is_the_dense_fold_node_for_node(pair):
+    a, b = pair
+    try:
+        want = reference_matmul(a, b)
+    except ValueError:  # a constant product or sum past the float range
+        with pytest.raises(ValueError, match="constant must be finite"):
+            a @ b
+        return
+    got = a @ b
+    assert got == want
+    assert got.to_strings() == [[to_string(e) for e in row] for row in want.entries]
+
+
+class TestSparseProduct:
+    def test_a_zero_term_after_an_underflow_prints_as_the_dense_fold_does(self):
+        a, b = _UNDERFLOW_PAIR
+        assert (a @ b).to_strings() == [["0.0"]]
+        assert (MatrixFunction.build([[-1e-200]]) @ MatrixFunction.build([[1e-200]])).to_strings() == [["-0.0"]]
+
+    def test_to_strings_renders_every_entry_as_to_string(self):
+        generated = [
+            coefficient_function(random_scenario(kind, m=m, n=m // 2, seed=seed))
+            for kind in Structure for m in (3, 8, 16) for seed in (0, 11)
+        ]
+        # Equal trees that differ in the sign of a zero: the memo is by node, not by value.
+        signed = MatrixFunction(((Binary("*", Const(0.0), T), Binary("*", Const(-0.0), T)),))
+        assert signed.to_strings() == [["0.0*t", "-0.0*t"]]
+        for mf in _matrices_with_shared_subtrees() + generated:
+            assert mf.to_strings() == [[to_string(e) for e in row] for row in mf.entries]
