@@ -338,11 +338,15 @@ def run_flow(
     The trials of both sides are launched from one fundamental-matrix march,
     which also feeds the conjugacy check, so an overflow names the first
     step at which the march or any trial leaves the floating-point range.
+    The frames are sampled on the half steps only for the conjugacy check's
+    reduced march, that is when the subspace is invariant; the drift uses
+    the step grid, whose frames are those of the half steps bit for bit.
     """
-    t0, h_eff, half_ts = _half_grid(t_span, h)
-    frames, coeff = frame_samples(spec, half_ts), spec.coeff.eval_grid(half_ts)
     report = verdicts(spec, tol)
-    proj = _every_other(frames).projector
+    t0, h_eff, half_ts = _half_grid(t_span, h)
+    frames = frame_samples(spec, half_ts if report.main_invariant else half_ts[::2])
+    coeff = spec.coeff.eval_grid(half_ts)
+    proj = (_every_other(frames) if report.main_invariant else frames).projector
     launches = [_launch(proj[0], side, trials, seed) for side in (SIDE_MAIN, SIDE_COMPLEMENT)]
     fund, mn, comp = _checked(t0, h_eff, _fundamental(coeff, h_eff), *launches)
     conj = _conjugacy(frames, coeff, fund, t0, h_eff).embedding_residuals if report.main_invariant else None

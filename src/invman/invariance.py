@@ -143,31 +143,36 @@ def frame_samples(spec: SystemSpec, ts) -> FrameSamples:
     dchart_g = spec.chart.derivative().eval_grid(ts)
 
     if spec.comp_chart is None:
-        try:
-            embed_g, dembed_g = linalg._pseudoinverse_and_derivative(chart_g, dchart_g, linalg.DEFAULT_TOL)
-        except RankDeficiencyError as exc:
-            raise RankDeficiencyError(
-                f"chart loses full row rank at t={float(ts[exc.index])!r}: {exc}", exc.index
-            ) from exc
-        what, inverse, derivative = "right inverse of the chart", embed_g, dembed_g
+        what, failure = "right inverse of the chart", "chart loses full row rank"
+
+        def inverses(stop):
+            return linalg._pseudoinverse_and_derivative(chart_g[:stop], dchart_g[:stop], linalg.DEFAULT_TOL)
     else:
-        comp_g = spec.comp_chart.eval_grid(ts)
-        dcomp_g = spec.comp_chart.derivative().eval_grid(ts)
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                inv = linalg.invert(np.concatenate([chart_g, comp_g], axis=1))
-            except SingularMatrixError as exc:
-                raise SingularMatrixError(
-                    f"stacked frame is singular at t={float(ts[exc.index])!r}: {exc}", exc.index
-                ) from exc
-            dinv = -inv @ np.concatenate([dchart_g, dcomp_g], axis=1) @ inv
-        embed_g = inv[:, :, :n]
-        dembed_g = dinv[:, :, :n]
-        what, inverse, derivative = "inverse of the stacked frame", inv, dinv
-    if not (np.isfinite(inverse).all() and np.isfinite(derivative).all()):
-        k = int((~(np.isfinite(inverse) & np.isfinite(derivative)).all(axis=(1, 2))).argmax())
-        raise EvaluationError(f"{what} is not finite at t={float(ts[k])!r}", k)
+        what, failure = "inverse of the stacked frame", "stacked frame is singular"
+        frames = np.concatenate([chart_g, spec.comp_chart.eval_grid(ts)], axis=1)
+        dframes = np.concatenate([dchart_g, spec.comp_chart.derivative().eval_grid(ts)], axis=1)
+
+        def inverses(stop):
+            with np.errstate(over="ignore", invalid="ignore"):
+                inv = linalg.invert(frames[:stop])
+                return inv, -inv @ dframes[:stop] @ inv
+
+    try:
+        inverse, derivative = inverses(len(ts))
+    except (RankDeficiencyError, SingularMatrixError) as exc:
+        # Every point before the first failing one inverts: a non-finite result there comes first.
+        _check_finite(what, ts, *inverses(exc.index))
+        raise type(exc)(f"{failure} at t={float(ts[exc.index])!r}: {exc}", exc.index) from exc
+    _check_finite(what, ts, inverse, derivative)
+    embed_g, dembed_g = inverse[:, :, :n], derivative[:, :, :n]
     return FrameSamples(ts=ts, chart=chart_g, dchart=dchart_g, embedding=embed_g, dembedding=dembed_g)
+
+
+def _check_finite(what: str, ts: np.ndarray, inverse: np.ndarray, derivative: np.ndarray):
+    finite = (np.isfinite(inverse) & np.isfinite(derivative)).all(axis=(1, 2))
+    if not finite.all():
+        k = int(finite.argmin())
+        raise EvaluationError(f"{what} is not finite at t={float(ts[k])!r}", k)
 
 
 def projector_derivative(spec: SystemSpec, t: float) -> np.ndarray:

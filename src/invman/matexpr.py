@@ -248,30 +248,29 @@ def to_string(expr: ScalarExpr) -> str:
 
 # -- parsing ------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()])"
-)
+# One token: a number, a name or an operator, the first alternative that matches.
+_TOKEN = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?|[A-Za-z_][A-Za-z_0-9]*|[-+*/^()]"
+# The next token after any whitespace (\s is str.isspace).
+_TOKEN_RE = re.compile(rf"\s*({_TOKEN})")
+# The longest run of whitespace and tokens from the start, each token read as _TOKEN_RE reads it
+# (a lookahead does not backtrack): it ends where the first unexpected character stands.
+_TOKENS_RE = re.compile(rf"(?:\s*(?=({_TOKEN}))\1)*\s*")
+_PARENS_RE = re.compile(r"[()]")
 _INT_RE = re.compile(r"\d+\Z")
+_OPERATORS = frozenset("+-*/^()")
+_ADDITIVE = frozenset("+-")
+_MULTIPLICATIVE = frozenset("*/")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    n = len(text)
-    while pos < n:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        tokens.append((kind, m.group(), pos))
-        pos = m.end()
-    tokens.append(("end", "", n))
-    return tokens
+def _closers(text: str) -> dict[int, int]:
+    """The offset of the ')' that closes each closed '(' of ``text``, by the offset of the '('."""
+    closers, opened = {}, []
+    for m in _PARENS_RE.finditer(text):
+        if m[0] == "(":
+            opened.append(m.start())
+        elif opened:
+            closers[opened.pop()] = m.start()
+    return closers
 
 
 # Deepest tree, and deepest nesting of '(' and '-', that the parser accepts: then parsing,
@@ -281,127 +280,142 @@ MAX_DEPTH = 100
 
 class _Parser:
     """Recursive-descent parser for the grammar in the module docstring; one
-    parser serves all entries of a build and builds equal subtrees as one node."""
+    parser serves all entries of a build and builds equal subtrees as one node.
+
+    Tokens are read on demand: ``tok`` is the next unread token ("" at the
+    end) and ``at`` its offset.  Every entry and every parenthesised group
+    that parses is remembered by its text, with the nesting it adds; a group
+    whose text comes again is skipped to its ')' and gives the same node, as
+    long as its nesting still fits under ``MAX_DEPTH``.
+    """
 
     def __init__(self):
         self.nodes: dict[tuple, ScalarExpr] = {}
         self.depths = {id(T): 1}
+        self.groups: dict[str, tuple[ScalarExpr, int]] = {}
 
-    def _peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
-
-    def _next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def _expect_op(self, op: str):
-        kind, text, offset = self._peek()
-        if kind != "op" or text != op:
-            raise ParseError(f"expected {op!r}", offset)
-        self._next()
+    def _advance(self):
+        m = _TOKEN_RE.match(self.text, self.pos)
+        if m is None:  # only whitespace is left
+            self.tok, self.at = "", len(self.text)
+        else:
+            self.tok, self.at, self.pos = m[1], m.start(1), m.end()
 
     def _shared(self, key: tuple, cls, *fields) -> ScalarExpr:
         node = self.nodes.get(key)
         if node is None:
             depth = 1 + max(map(self.depths.__getitem__, key[2:]), default=0)
             if depth > MAX_DEPTH:
-                raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", self._peek()[2])
+                raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", self.at)
             node = self.nodes[key] = cls(*fields)
             self.depths[id(node)] = depth
         return node
 
     def parse(self, text: str) -> ScalarExpr:
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.level = 0
+        if (seen := self.groups.get(text)) is not None:
+            return seen[0]
+        end = _TOKENS_RE.match(text).end()
+        if end < len(text):
+            raise ParseError(f"unexpected character {text[end]!r}", end)
+        self.text, self.pos, self.level, self.peak, self.closers = text, 0, 0, 0, None
+        self._advance()
         expr = self._sum()
-        kind, text, offset = self._peek()
-        if kind != "end":
-            raise ParseError(f"unexpected {text!r}", offset)
+        if self.tok:
+            raise ParseError(f"unexpected {self.tok!r}", self.at)
+        self.groups[text] = expr, self.peak
         return expr
 
     def _sum(self) -> ScalarExpr:
         left = self._product()
-        while True:
-            kind, text, _ = self._peek()
-            if kind == "op" and text in "+-":
-                self._next()
-                right = self._product()
-                left = self._shared((Binary, text, id(left), id(right)), Binary, text, left, right)
-            else:
-                return left
+        while (op := self.tok) in _ADDITIVE:
+            self._advance()
+            right = self._product()
+            left = self._shared((Binary, op, id(left), id(right)), Binary, op, left, right)
+        return left
 
     def _product(self) -> ScalarExpr:
         left = self._unary()
-        while True:
-            kind, text, _ = self._peek()
-            if kind == "op" and text in "*/":
-                self._next()
-                right = self._unary()
-                left = self._shared((Binary, text, id(left), id(right)), Binary, text, left, right)
-            else:
-                return left
+        while (op := self.tok) in _MULTIPLICATIVE:
+            self._advance()
+            right = self._unary()
+            left = self._shared((Binary, op, id(left), id(right)), Binary, op, left, right)
+        return left
 
     def _unary(self) -> ScalarExpr:
-        # Every recursion of the grammar passes through here.
-        self.level += 1
-        if self.level > MAX_DEPTH:
-            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", self._peek()[2])
-        kind, text, _ = self._peek()
-        if kind == "op" and text == "-":
-            self._next()
+        # Every recursion of the grammar passes through here; peak is the deepest level so far.
+        level = self.level = self.level + 1
+        if level > self.peak:
+            if level > MAX_DEPTH:
+                raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", self.at)
+            self.peak = level
+        if self.tok == "-":
+            self._advance()
             arg = self._unary()
             node = self._shared((Unary, "neg", id(arg)), Unary, "neg", arg)
         else:
-            node = self._power()
+            node = self._atom()
+            while self.tok == "^":
+                self._advance()
+                node = self._shared((Power, k := self._exponent(), id(node)), Power, node, k)
         self.level -= 1
         return node
 
-    def _power(self) -> ScalarExpr:
-        base = self._atom()
-        while True:
-            kind, text, _ = self._peek()
-            if kind == "op" and text == "^":
-                self._next()
-                base = self._shared((Power, k := self._exponent(), id(base)), Power, base, k)
-            else:
-                return base
-
     def _exponent(self) -> int:
         sign = 1
-        kind, text, offset = self._peek()
-        if kind == "op" and text == "-":
-            self._next()
+        if self.tok == "-":
+            self._advance()
             sign = -1
-            kind, text, offset = self._peek()
-        if kind != "num" or not _INT_RE.match(text):
-            raise ParseError("exponent must be an integer literal", offset)
-        self._next()
+        text = self.tok
+        if not _INT_RE.match(text):
+            raise ParseError("exponent must be an integer literal", self.at)
+        self._advance()
         return sign * int(text)
 
     def _atom(self) -> ScalarExpr:
-        kind, text, offset = self._next()
-        if kind == "num":
+        text, offset = self.tok, self.at
+        if text == "(":
+            return self._group()
+        self._advance()
+        if text == "t":
+            return T
+        if text[:1].isdecimal() or text[:1] == ".":  # a number (\d is isdecimal)
             if math.isinf(value := float(text)):
                 raise ParseError(f"number {text!r} is out of range", offset)
             # Keyed by its text: literals are unsigned, so 0.0 and -0.0 never share a node.
             return self._shared((Const, text), Const, value)
-        if kind == "name":
-            if text == "t":
-                return T
-            if text in _UFUNCS:
-                self._expect_op("(")
-                arg = self._sum()
-                self._expect_op(")")
-                return self._shared((Unary, text, id(arg)), Unary, text, arg)
+        if text in _UFUNCS:
+            if self.tok != "(":
+                raise ParseError("expected '('", self.at)
+            arg = self._group()
+            return self._shared((Unary, text, id(arg)), Unary, text, arg)
+        if text and text not in _OPERATORS:
             raise ParseError(f"unknown identifier {text!r}", offset)
-        if kind == "op" and text == "(":
-            expr = self._sum()
-            self._expect_op(")")
-            return expr
         shown = text if text else "end of input"
         raise ParseError(f"expected a number, 't', a function, or '(', got {shown!r}", offset)
+
+    def _group(self) -> ScalarExpr:
+        """The expression in the parenthesised group that starts at the next token."""
+        if self.closers is None:
+            self.closers = _closers(self.text)
+        level, start = self.level, self.at
+        close = self.closers.get(start)
+        if close is not None:
+            key = self.text[start + 1 : close]
+            if (seen := self.groups.get(key)) is not None and level + seen[1] <= MAX_DEPTH:
+                self.peak = max(self.peak, level + seen[1])
+                self.pos = close + 1
+                self._advance()
+                return seen[0]
+        self._advance()
+        outer_peak, self.peak = self.peak, level
+        expr = self._sum()
+        if self.tok != ")":
+            raise ParseError("expected ')'", self.at)
+        self._advance()
+        if close is not None:
+            self.groups[key] = expr, self.peak - level
+        self.peak = max(outer_peak, self.peak)
+        return expr
 
 
 def parse_expr(text: str) -> ScalarExpr:
@@ -437,9 +451,9 @@ def _fold_add(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
         return b
     if _is_zero(b):
         return a
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value + b.value)
-    return Binary("+", a, b)
+    if isinstance(a, Const) and isinstance(b, Const) and math.isfinite(total := a.value + b.value):
+        return Const(total)
+    return Binary("+", a, b)  # a sum past the float range is left for evaluation to report
 
 
 def _fold_mul(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
@@ -448,8 +462,8 @@ def _fold_mul(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
         return b
     if isinstance(b, Const) and b.value == 1.0:
         return a
-    if isinstance(a, Const) and isinstance(b, Const):
-        return Const(a.value * b.value)
+    if isinstance(a, Const) and isinstance(b, Const) and math.isfinite(product := a.value * b.value):
+        return Const(product)
     return Binary("*", a, b)
 
 

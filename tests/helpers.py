@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 
-from invman.matexpr import Binary, Const, Power, ScalarExpr, T, TimeVar, Unary, evaluate
+from invman.errors import ParseError
+from invman.matexpr import MAX_DEPTH, Binary, Const, Power, ScalarExpr, T, TimeVar, Unary, evaluate
 
 
 def fd_derivative(f, t: float, h: float = 1e-6) -> float:
@@ -106,7 +108,7 @@ def _reference_fold_add(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
         return b
     if _reference_is_zero(b):
         return a
-    if isinstance(a, Const) and isinstance(b, Const):
+    if isinstance(a, Const) and isinstance(b, Const) and math.isfinite(a.value + b.value):
         return Const(a.value + b.value)
     return Binary("+", a, b)
 
@@ -118,7 +120,7 @@ def _reference_fold_mul(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
         return b
     if isinstance(b, Const) and b.value == 1.0:
         return a
-    if isinstance(a, Const) and isinstance(b, Const):
+    if isinstance(a, Const) and isinstance(b, Const) and math.isfinite(a.value * b.value):
         return Const(a.value * b.value)
     return Binary("*", a, b)
 
@@ -127,8 +129,8 @@ def reference_matmul(a, b):
     """Dense symbolic product of two MatrixFunctions: all m^3 terms, folded left to right.
 
     Each entry starts from Const(0.0) and folds every term a_ik * b_kj in k
-    order, zero terms included, with constant folding and the 0 and 1
-    identities.  ``MatrixFunction.__matmul__``, which visits only the terms
+    order, zero terms included, with the 0 and 1 identities and the folding
+    of two constants whose sum or product is finite.  ``MatrixFunction.__matmul__``, which visits only the terms
     with two non-zero factors, must give equal trees that print alike (a
     zero term after a zero-constant accumulator turns -0.0 into 0.0).
     """
@@ -144,6 +146,223 @@ def reference_matmul(a, b):
             row.append(acc)
         rows.append(tuple(row))
     return MatrixFunction(tuple(rows))
+
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>[-+*/^()])"
+)
+_REFERENCE_INT_RE = re.compile(r"\d+\Z")
+
+
+def _reference_tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    pos = 0
+    n = len(text)
+    while pos < n:
+        if text[pos].isspace():
+            pos += 1
+            continue
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        kind = m.lastgroup
+        tokens.append((kind, m.group(), pos))
+        pos = m.end()
+    tokens.append(("end", "", n))
+    return tokens
+
+
+class _ReferenceParser:
+    """The whole-entry tokenizer and token-list descent that every group parses afresh.
+
+    It builds equal subtrees as one node, like ``matexpr._Parser``, but keeps
+    no memo of group texts, so ``MatrixFunction.build`` must give its trees,
+    with the same sharing, or its ``ParseError`` at the same offset.
+    """
+
+    def __init__(self):
+        self.nodes: dict[tuple, ScalarExpr] = {}
+        self.depths = {id(T): 1}
+
+    def _peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.i]
+
+    def _next(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def _expect_op(self, op: str):
+        kind, text, offset = self._peek()
+        if kind != "op" or text != op:
+            raise ParseError(f"expected {op!r}", offset)
+        self._next()
+
+    def _shared(self, key: tuple, cls, *fields) -> ScalarExpr:
+        node = self.nodes.get(key)
+        if node is None:
+            depth = 1 + max(map(self.depths.__getitem__, key[2:]), default=0)
+            if depth > MAX_DEPTH:
+                raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", self._peek()[2])
+            node = self.nodes[key] = cls(*fields)
+            self.depths[id(node)] = depth
+        return node
+
+    def parse(self, text: str) -> ScalarExpr:
+        self.tokens = _reference_tokenize(text)
+        self.i = 0
+        self.level = 0
+        expr = self._sum()
+        kind, text, offset = self._peek()
+        if kind != "end":
+            raise ParseError(f"unexpected {text!r}", offset)
+        return expr
+
+    def _sum(self) -> ScalarExpr:
+        left = self._product()
+        while True:
+            kind, text, _ = self._peek()
+            if kind == "op" and text in "+-":
+                self._next()
+                right = self._product()
+                left = self._shared((Binary, text, id(left), id(right)), Binary, text, left, right)
+            else:
+                return left
+
+    def _product(self) -> ScalarExpr:
+        left = self._unary()
+        while True:
+            kind, text, _ = self._peek()
+            if kind == "op" and text in "*/":
+                self._next()
+                right = self._unary()
+                left = self._shared((Binary, text, id(left), id(right)), Binary, text, left, right)
+            else:
+                return left
+
+    def _unary(self) -> ScalarExpr:
+        self.level += 1
+        if self.level > MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", self._peek()[2])
+        kind, text, _ = self._peek()
+        if kind == "op" and text == "-":
+            self._next()
+            arg = self._unary()
+            node = self._shared((Unary, "neg", id(arg)), Unary, "neg", arg)
+        else:
+            node = self._power()
+        self.level -= 1
+        return node
+
+    def _power(self) -> ScalarExpr:
+        base = self._atom()
+        while True:
+            kind, text, _ = self._peek()
+            if kind == "op" and text == "^":
+                self._next()
+                base = self._shared((Power, k := self._exponent(), id(base)), Power, base, k)
+            else:
+                return base
+
+    def _exponent(self) -> int:
+        sign = 1
+        kind, text, offset = self._peek()
+        if kind == "op" and text == "-":
+            self._next()
+            sign = -1
+            kind, text, offset = self._peek()
+        if kind != "num" or not _REFERENCE_INT_RE.match(text):
+            raise ParseError("exponent must be an integer literal", offset)
+        self._next()
+        return sign * int(text)
+
+    def _atom(self) -> ScalarExpr:
+        kind, text, offset = self._next()
+        if kind == "num":
+            if math.isinf(value := float(text)):
+                raise ParseError(f"number {text!r} is out of range", offset)
+            return self._shared((Const, text), Const, value)
+        if kind == "name":
+            if text == "t":
+                return T
+            if text in ("sin", "cos", "exp"):
+                self._expect_op("(")
+                arg = self._sum()
+                self._expect_op(")")
+                return self._shared((Unary, text, id(arg)), Unary, text, arg)
+            raise ParseError(f"unknown identifier {text!r}", offset)
+        if kind == "op" and text == "(":
+            expr = self._sum()
+            self._expect_op(")")
+            return expr
+        shown = text if text else "end of input"
+        raise ParseError(f"expected a number, 't', a function, or '(', got {shown!r}", offset)
+
+
+def reference_parse_matrix(rows):
+    """``MatrixFunction.build`` as it was with a token list per entry and no group memo.
+
+    String entries go through one ``_ReferenceParser``; a ``ParseError`` is
+    re-raised with the entry position prepended, as ``build`` does.
+    """
+    from invman.matexpr import MatrixFunction
+
+    parser = _ReferenceParser()
+    out = []
+    for i, row in enumerate(rows):
+        parsed_row = []
+        for j, entry in enumerate(row):
+            try:
+                if isinstance(entry, ScalarExpr):
+                    parsed_row.append(entry)
+                elif isinstance(entry, str):
+                    parsed_row.append(parser.parse(entry))
+                else:
+                    parsed_row.append(Const(float(entry)))
+            except ParseError as exc:
+                raise ParseError(f"entry ({i},{j}): {exc.message}", exc.offset) from exc
+        out.append(tuple(parsed_row))
+    return MatrixFunction(tuple(out))
+
+
+def sharing_shape(mf) -> list:
+    """Every node of a MatrixFunction's trees, numbered by first visit in row order.
+
+    Two matrices have the same value and the same sharing pattern exactly
+    when their shapes are equal: a node reached again shows its number
+    instead of its fields.
+    """
+    numbers: dict[int, int] = {}
+    out = []
+
+    def walk(node):
+        if id(node) in numbers:
+            out.append(("seen", numbers[id(node)]))
+            return
+        numbers[id(node)] = len(numbers)
+        match node:
+            case Const(value=v):
+                out.append(("const", v, math.copysign(1.0, v)))
+            case TimeVar():
+                out.append(("t",))
+            case Unary(op=op, arg=a):
+                out.append(("unary", op))
+                walk(a)
+            case Binary(op=op, left=l, right=r):
+                out.append(("binary", op))
+                walk(l)
+                walk(r)
+            case Power(base=b, exponent=k):
+                out.append(("power", k))
+                walk(b)
+
+    for row in mf.entries:
+        out.append("row")
+        for e in row:
+            walk(e)
+    return out
 
 
 def reference_rk4(samples: np.ndarray, y0, h: float) -> np.ndarray:

@@ -117,6 +117,21 @@ class TestCheck:
         assert main([command, "--config", _write(tmp_path, config)]) == 3
         assert capsys.readouterr() == ("", f"numerical failure: {message}\n")
 
+    @pytest.mark.parametrize("changes, message", [
+        # Singular from t=0.1 on, while at t=0.0 the derivative of the inverse already overflows.
+        ({"chart": [["1e-300 + t", "0"]], "comp_chart": [["0", "1e-300"]]},
+         "inverse of the stacked frame is not finite at t=0.0"),
+        # The chart is zero at t=0.1, while at t=0.0 its dC+ overflows.
+        ({"chart": [["(0.1 - t)*(1e-299 + t)", "0"]], "comp_chart": None},
+         "right inverse of the chart is not finite at t=0.0"),
+        ({"chart": [["t - 0.1", "0"]], "comp_chart": [["0", "1e-300"]]},
+         "stacked frame is singular at t=0.0: invert: singular to tolerance (pivot 1.000e-300 <= 1.000e-10 in column 1)"),
+    ], ids=["stacked", "moore_penrose", "singular_first"])
+    def test_the_earliest_offending_time_wins(self, tmp_path, capsys, changes, message):
+        config = dict(NILPOTENT_CONFIG, grid={"start": 0.0, "end": 2.0, "count": 21}, **changes)
+        assert main(["check", "--config", _write(tmp_path, config)]) == 3
+        assert capsys.readouterr() == ("", f"numerical failure: {message}\n")
+
     def test_missing_key_exits_2(self, tmp_path, capsys):
         rc = main(["check", "--config", _write(tmp_path, {"m": 2, "n": 1})])
         assert rc == 2

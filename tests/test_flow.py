@@ -1,12 +1,16 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from invman.errors import IntegrationOverflowError, PreconditionError
+from invman.cli import load_config
+from invman.errors import IntegrationOverflowError, PreconditionError, SingularMatrixError
 from invman.flow import (
     SIDE_COMPLEMENT,
     SIDE_MAIN,
+    _every_other,
     _fundamental,
     _half_grid,
     conjugacy_check,
@@ -235,6 +239,35 @@ class TestRunFlow:
             assert result.conjugacy_residuals is None
             with pytest.raises(PreconditionError):
                 conjugacy_check(spec, **kwargs)
+
+
+def _step_grid_systems():
+    configs = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+    shipped = [load_config(str(path))[0] for path in configs]
+    generated = [to_system(random_scenario(s, m=m, n=m // 2, seed=5)) for s in Structure for m in (3, 8, 16)]
+    systems = shipped + generated
+    return systems + [dataclasses.replace(spec, comp_chart=None) for spec in systems]
+
+
+class TestStepGridFrames:
+    def test_step_grid_frames_are_every_other_half_step_frame(self):
+        # run_flow samples the step grid alone off an invariant subspace: its drift must not move.
+        for spec in _step_grid_systems():
+            _, _, half_ts = _half_grid((0.0, 0.25), 1e-3)
+            want = _every_other(frame_samples(spec, half_ts))
+            for ts in (half_ts[::2], np.ascontiguousarray(half_ts[::2])):
+                got = frame_samples(spec, ts)
+                for name in ("ts", "chart", "dchart", "embedding", "dembedding"):
+                    np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+    def test_a_singular_frame_at_an_odd_half_step_spares_a_non_invariant_flow(self):
+        # The frame [C; C_comp] is singular at t=0.05, a half step no drift sample sits on.
+        spec = _spec([["0", "1"], ["0", "0"]], [["0", "1"]], [["t - 0.05", "0"]], grid=np.linspace(0.0, 2.0, 21))
+        with pytest.raises(SingularMatrixError, match="at t=0.05"):
+            frame_samples(spec, [0.05])
+        result = run_flow(spec, h=0.1, trials=2, t_span=(0.0, 1.0))
+        assert not result.main_invariant and result.conjugacy_residuals is None
+        assert np.isfinite(result.drift_mn).all() and np.isfinite(result.drift_complement).all()
 
 
 # The step-matrix march and the stage-by-stage march differ only in rounding:

@@ -31,6 +31,8 @@ from helpers import (
     reference_evaluate,
     reference_matmul,
     reference_matrix,
+    reference_parse_matrix,
+    sharing_shape,
     try_eval,
 )
 
@@ -334,6 +336,111 @@ class TestDepthLimit:
         assert err.value.offset == 2
 
 
+def _same_build(rows):
+    """``MatrixFunction.build`` gives the reference parser's trees and sharing, or its ParseError."""
+    try:
+        want = reference_parse_matrix(rows)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as info:
+            MatrixFunction.build(rows)
+        assert (info.value.message, info.value.offset) == (exc.message, exc.offset)
+        return
+    assert sharing_shape(MatrixFunction.build(rows)) == sharing_shape(want)
+
+
+_SOUP = st.lists(st.sampled_from([
+    "t", "sin", "cos", "exp", "x", "_a", "t2", "1", "0", "2.5", ".5", "1.", "1e3", "1E-2", "1e", "1e400",
+    "0.0", "\u0663", "12\u0663", "(", ")", "(", ")", "+", "-", "-", "*", "/", "^", "^2", "^-1", "(t+1)",
+    "sin(t)", " ", "  ", "\xa0", "\x1c", "\t", "$", ",", "\u00b2",
+]), max_size=30).map("".join)
+
+_VALID_TEXT = st.recursive(
+    st.sampled_from(["t", "1", "2.5", "0.0", " t ", "\u0663", "1e-3"]),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "/", " + ", "\xa0*"]), inner).map("".join),
+        inner.map(lambda a: f"({a})"),
+        inner.map(lambda a: f"-{a}"),
+        st.tuples(st.sampled_from(["sin", "cos", "exp"]), inner).map(lambda x: f"{x[0]}({x[1]})"),
+        inner.map(lambda a: f"({a})^2"),
+    ),
+    max_leaves=6,
+)
+
+_SHIPPED_ENTRIES = sorted({
+    entry
+    for path in CONFIGS.glob("*.json")
+    for key in ("coeff", "chart", "comp_chart")
+    for row in json.loads(path.read_text())[key]
+    for entry in row
+    if isinstance(entry, str)
+})
+
+
+@st.composite
+def _mutated_shipped(draw):
+    text = draw(st.sampled_from(_SHIPPED_ENTRIES))
+    i = draw(st.integers(0, len(text)))
+    j = draw(st.integers(i, min(len(text), i + 8)))
+    k = draw(st.integers(0, len(text)))
+    patch = draw(st.one_of(_SOUP, st.just(text[k : k + 40])))
+    return text[:i] + patch + text[j:]
+
+
+@st.composite
+def _nested(draw, core):
+    """``core`` under 0-10 or 85-103 levels of '(', '-', '-(', '(-' or 'sin('."""
+    opener = draw(st.sampled_from(["(", "-", "-(", "sin(", "(-"]))
+    levels = draw(st.one_of(st.integers(0, 10), st.integers(85, 103)))
+    count = levels // len(opener) if opener in ("-(", "(-") else levels
+    return opener * count + core + ")" * (opener.count("(") * count)
+
+
+@st.composite
+def _entry_matrix(draw):
+    """1-2 rows of 1-3 entries, some of which repeat one group at different depths."""
+    group = "(" + draw(_VALID_TEXT) + ")"
+    entry = st.one_of(
+        _SOUP, _VALID_TEXT, _mutated_shipped(), _nested(group),
+        _nested(group).map(lambda e: f"{group}*{e}"), _VALID_TEXT.map(lambda e: f"{e}+{group}"),
+    )
+    cols = draw(st.integers(1, 3))
+    return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=1, max_size=2))
+
+
+class TestParserEquivalence:
+    """The group memo and on-demand tokens change nothing: same trees and sharing, same errors."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(rows=_entry_matrix())
+    def test_build_matches_the_reference_parser(self, rows):
+        _same_build(rows)
+
+    @pytest.mark.parametrize("key", ["coeff", "chart", "comp_chart"])
+    def test_shipped_and_generated_matrices_match(self, key):
+        configs = [json.loads(p.read_text()) for p in sorted(CONFIGS.glob("*.json"))]
+        for config in configs + [_generated_config(m) for m in (3, 8, 16)]:
+            _same_build(config[key])
+
+    def test_a_memo_hit_raises_the_nesting_peak_of_its_group(self):
+        # The second entry's outer group holds the first entry's group as a hit; the third
+        # meets that outer group 60 levels down, where its true nesting passes MAX_DEPTH.
+        inner = "(" * 40 + "t" + ")" * 40
+        outer = f"({inner}*2)"
+        rows = [[inner, outer, "(" * 60 + outer + ")" * 60]]
+        _same_build(rows)
+        with pytest.raises(ParseError, match=rf"entry \(0,2\): expression nests deeper than {MAX_DEPTH} levels"):
+            MatrixFunction.build(rows)
+
+    @pytest.mark.parametrize("levels", range(95, 104))
+    def test_a_repeated_group_near_the_limit(self, levels):
+        group = "(" * 5 + "t+1" + ")" * 5
+        _same_build([[group, "(" * levels + group + ")" * levels, "-" * levels + group]])
+
+    @pytest.mark.parametrize("text", ["1 +\xa02", "\x1c t", "\u0663*t^\u0663", "t\u3000+ 1", "2\u00b2", "t + \u0663.5e\u0663"])
+    def test_unicode_spaces_and_digits(self, text):
+        _same_build([[text]])
+
+
 def _generated_config(m):
     return to_config(random_scenario(Structure.FULL, m=m, n=m // 2, seed=11))
 
@@ -477,18 +584,23 @@ _UNDERFLOW_PAIR = (MatrixFunction.build([[-1e-200, 0.0]]), MatrixFunction.build(
 @example(pair=(MatrixFunction.build([[0.0, -1e-200, 0.0]]), MatrixFunction.build([["t"], [1e-200], ["t"]])))
 def test_sparse_product_is_the_dense_fold_node_for_node(pair):
     a, b = pair
-    try:
-        want = reference_matmul(a, b)
-    except ValueError:  # a constant product or sum past the float range
-        with pytest.raises(ValueError, match="constant must be finite"):
-            a @ b
-        return
-    got = a @ b
+    got, want = a @ b, reference_matmul(a, b)
     assert got == want
     assert got.to_strings() == [[to_string(e) for e in row] for row in want.entries]
 
 
 class TestSparseProduct:
+    @pytest.mark.parametrize("a, b, op", [
+        (1e200, 1e200, MatrixFunction.__matmul__),
+        (1e308, 1e308, MatrixFunction.__add__),
+        (-1e308, -1e308, MatrixFunction.__add__),
+    ])
+    def test_constants_folding_past_the_float_range_stay_a_node(self, a, b, op):
+        got = op(MatrixFunction.constant([[a]]), MatrixFunction.constant([[b]]))
+        assert got.entries[0][0] == Binary("*" if op is MatrixFunction.__matmul__ else "+", Const(a), Const(b))
+        with pytest.raises(EvaluationError, match=r"^entry \(0,0\) is not finite at t=0.5$"):
+            got.eval(0.5)
+
     def test_a_zero_term_after_an_underflow_prints_as_the_dense_fold_does(self):
         a, b = _UNDERFLOW_PAIR
         assert (a @ b).to_strings() == [["0.0"]]
