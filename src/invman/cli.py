@@ -133,9 +133,9 @@ def load_config(path: str) -> tuple[SystemSpec, RunOptions]:
     if not isinstance(config, dict):
         raise ConfigError(f"config {path!r} must be a JSON object")
 
-    m = _require(config, "m")
-    n = _require(config, "n")
-    if not (isinstance(m, int) and isinstance(n, int) and 0 < n < m):
+    m = _integer(_require(config, "m"), "m")
+    n = _integer(_require(config, "n"), "n")
+    if not 0 < n < m:
         raise ConfigError(f"dimensions must be integers with 0 < n < m, got m={m!r}, n={n!r}")
 
     coeff = _matrix_from_config(config, "coeff", (m, m))
@@ -171,6 +171,11 @@ def load_config(path: str) -> tuple[SystemSpec, RunOptions]:
                 f"{what} would sample {points:.4g} points of {m}x{m} matrices, "
                 f"more than {MAX_SAMPLED_ENTRIES} entries"
             )
+    if half_steps * m > MAX_SAMPLED_ENTRIES / trials:  # one state of R^m per trial and half step
+        raise ConfigError(
+            f"trials {trials} would march {half_steps:.4g} points of {trials} states in R^{m}, "
+            f"more than {MAX_SAMPLED_ENTRIES} entries"
+        )
 
     try:
         spec = SystemSpec(
@@ -294,12 +299,7 @@ def cmd_generate(args) -> int:
         raise ConfigError(f"generate needs a seed >= 0, got {args.seed}")
     scenario = random_scenario(Structure(args.kind), m=m, n=n, seed=args.seed)
     config = to_config(scenario, metadata={"kind": args.kind, "generator_seed": args.seed})
-    text = json.dumps(config, indent=2, sort_keys=True) + "\n"
-    try:
-        Path(args.out).write_text(text)
-    except OSError as exc:
-        print(f"generate: cannot write {args.out!r}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    Path(args.out).write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 
@@ -358,6 +358,9 @@ def main(argv=None) -> int:
         return args.handler(args)
     except (ConfigError, ParseError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # configs are read in load_config, so this is a --json, --csv or --out write
+        print(f"{args.command}: cannot write {exc.filename!r}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)

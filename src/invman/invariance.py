@@ -143,36 +143,42 @@ def frame_samples(spec: SystemSpec, ts) -> FrameSamples:
     dchart_g = spec.chart.derivative().eval_grid(ts)
 
     if spec.comp_chart is None:
-        what, failure = "right inverse of the chart", "chart loses full row rank"
-
-        def inverses(stop):
-            return linalg._pseudoinverse_and_derivative(chart_g[:stop], dchart_g[:stop], linalg.DEFAULT_TOL)
+        inverse, derivative = _earliest_failure(
+            "right inverse of the chart is not finite", "chart loses full row rank", ts,
+            lambda stop: linalg._pseudoinverse_and_derivative(chart_g[:stop], dchart_g[:stop], linalg.DEFAULT_TOL),
+        )
     else:
-        what, failure = "inverse of the stacked frame", "stacked frame is singular"
         frames = np.concatenate([chart_g, spec.comp_chart.eval_grid(ts)], axis=1)
         dframes = np.concatenate([dchart_g, spec.comp_chart.derivative().eval_grid(ts)], axis=1)
-
-        def inverses(stop):
-            with np.errstate(over="ignore", invalid="ignore"):
-                inv = linalg.invert(frames[:stop])
-                return inv, -inv @ dframes[:stop] @ inv
-
-    try:
-        inverse, derivative = inverses(len(ts))
-    except (RankDeficiencyError, SingularMatrixError) as exc:
-        # Every point before the first failing one inverts: a non-finite result there comes first.
-        _check_finite(what, ts, *inverses(exc.index))
-        raise type(exc)(f"{failure} at t={float(ts[exc.index])!r}: {exc}", exc.index) from exc
-    _check_finite(what, ts, inverse, derivative)
+        inverse, derivative = _stacked_inverse(frames, ts, dframes)
     embed_g, dembed_g = inverse[:, :, :n], derivative[:, :, :n]
     return FrameSamples(ts=ts, chart=chart_g, dchart=dchart_g, embedding=embed_g, dembedding=dembed_g)
 
 
-def _check_finite(what: str, ts: np.ndarray, inverse: np.ndarray, derivative: np.ndarray):
-    finite = (np.isfinite(inverse) & np.isfinite(derivative)).all(axis=(1, 2))
+def _stacked_inverse(frames: np.ndarray, ts, dframes: Optional[np.ndarray] = None) -> tuple:
+    """(F^-1,) for each stacked frame F = [C; C_comp], or (F^-1, -F^-1 dF F^-1) given ``dframes``."""
+    def inverses(stop):
+        with np.errstate(over="ignore", invalid="ignore"):
+            inv = linalg.invert(frames[:stop])
+            return (inv,) if dframes is None else (inv, -inv @ dframes[:stop] @ inv)
+
+    return _earliest_failure("inverse of the stacked frame is not finite", "stacked frame is singular", ts, inverses)
+
+
+def _earliest_failure(not_finite: str, failure: str, ts, inverses) -> tuple:
+    """``inverses(len(ts))``, a tuple of stacks that must be finite; an error names the earliest bad t."""
+    try:
+        results, error = inverses(len(ts)), None
+    except (RankDeficiencyError, SingularMatrixError) as exc:
+        # Every point before the first failing one inverts: a non-finite result there comes first.
+        results, error = inverses(exc.index), exc
+    finite = np.logical_and.reduce([np.isfinite(stack).all(axis=(1, 2)) for stack in results])
     if not finite.all():
         k = int(finite.argmin())
-        raise EvaluationError(f"{what} is not finite at t={float(ts[k])!r}", k)
+        raise EvaluationError(f"{not_finite} at t={float(ts[k])!r}", k)
+    if error is not None:
+        raise type(error)(f"{failure} at t={float(ts[error.index])!r}: {error}", error.index) from error
+    return results
 
 
 def projector_derivative(spec: SystemSpec, t: float) -> np.ndarray:

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import linalg
 from .errors import EvaluationError, FrameError, ShapeError, SingularMatrixError
+from .invariance import _stacked_inverse
 from .matexpr import MatrixFunction
 
 __all__ = [
@@ -103,14 +104,12 @@ def build_frame(
         )
     c1 = chart.eval(t)
     c2 = comp_chart.eval(t)
+    try:
+        inv = _stacked_inverse(np.vstack([c1, c2])[None], [t])[0][0]
+    except (SingularMatrixError, EvaluationError) as exc:
+        raise type(exc)(f"build_frame: {exc}", exc.index) from exc
+    embedding, comp_embedding = inv[:, :n], inv[:, n:]
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            inv = linalg.invert(np.vstack([c1, c2]))
-        except SingularMatrixError as exc:
-            raise SingularMatrixError(f"build_frame: stacked frame is singular at t={float(t)!r}: {exc}") from exc
-        if not np.isfinite(inv).all():
-            raise EvaluationError(f"build_frame: inverse of the stacked frame is not finite at t={float(t)!r}")
-        embedding, comp_embedding = inv[:, :n], inv[:, n:]
         proj_main = embedding @ c1
         proj_comp = comp_embedding @ c2
         residuals = linalg.frobenius([

@@ -157,6 +157,7 @@ class TestCheck:
         ("flow", {"step": math.inf}),
         ("flow", {"seed": 1.7}),
         ("flow", {"seed": -1}),
+        ("check", {"n": True}),
     ])
     def test_malformed_run_option_exits_2(self, tmp_path, capsys, command, option):
         config = _write(tmp_path, dict(NILPOTENT_CONFIG, **option))
@@ -168,6 +169,7 @@ class TestCheck:
         ("check", {"grid": {"start": 0.0, "end": 2.0, "count": 10**15}}),
         ("flow", {"step": 1e-300}),
         ("flow", {"window": [-1e308, 1e308]}),
+        ("flow", {"trials": 10**6}),
     ])
     def test_oversized_sampling_exits_2_before_allocating(self, tmp_path, capsys, command, option):
         config = _write(tmp_path, dict(NILPOTENT_CONFIG, **option))
@@ -437,6 +439,24 @@ class TestGenerate:
                 ])
                 assert rc == 0
                 assert json.loads(Path(handle.name).read_text()) == config
+
+
+@pytest.mark.parametrize("command, option, target", [
+    ("check", "--json", "missing/report.json"),
+    ("reduce", "--json", "missing/report.json"),
+    ("flow", "--json", "missing/report.json"),
+    ("flow", "--csv", "a_file"),
+    ("generate", "--out", "missing/gen.json"),
+])
+def test_unwritable_output_exits_2_naming_the_path(tmp_path, capsys, command, option, target):
+    (tmp_path / "a_file").write_text("")
+    path = str(tmp_path / target)
+    if command == "generate":
+        argv = ["generate", "--kind", "full", "--seed", "1"]
+    else:
+        argv = [command, "--config", _write(tmp_path, NILPOTENT_CONFIG)]
+    assert main([*argv, option, path]) == 2
+    assert capsys.readouterr().err.startswith(f"{command}: cannot write {path!r}: [Errno ")
 
 
 _MUTANTS = st.one_of(

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from invman import linalg
-from invman.errors import EvaluationError, FrameError, ShapeError, SingularMatrixError
+from invman.errors import EvaluationError, FrameError, InvmanError, ShapeError, SingularMatrixError
+from invman.invariance import SystemSpec, frame_samples
 from invman.linalg import frobenius, right_pseudoinverse
 from invman.manifold import (
     Subspace,
@@ -88,6 +89,41 @@ class TestBuildFrame:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             build_frame(MatrixFunction.build([["1", "0", "0"]]), MatrixFunction.build([["0", "1", "0"]]), t=0.0)
+
+    def test_never_differentiates_a_chart(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("build_frame evaluated a chart derivative")
+
+        monkeypatch.setattr(MatrixFunction, "derivative", refuse)
+        for pair in (IDENTITY, ROTATION, SHEAR):
+            build_frame(*pair, t=0.3)
+
+    @pytest.mark.parametrize("t", [0.0, 1.5])
+    @pytest.mark.parametrize("chart, comp", [
+        ([["1", "0"]], [["2", "0"]]),            # singular stack
+        ([["1e-320", "0"]], [["0", "1e-320"]]),  # inverse past the float range
+    ])
+    def test_failure_is_the_one_point_frame_samples_failure(self, chart, comp, t):
+        chart, comp = MatrixFunction.build(chart), MatrixFunction.build(comp)
+        spec = SystemSpec(coeff=MatrixFunction.constant(np.zeros((2, 2))), chart=chart, comp_chart=comp)
+        with pytest.raises(InvmanError) as on_grid:
+            frame_samples(spec, [t])
+        with pytest.raises(InvmanError) as at_point:
+            build_frame(chart, comp, t=t)
+        assert type(at_point.value) is type(on_grid.value)
+        assert str(at_point.value) == f"build_frame: {on_grid.value}"
+
+    @pytest.mark.parametrize("seed", [5, 61])
+    def test_embeddings_are_the_column_blocks_of_invert_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            m = int(rng.integers(2, 8))
+            n = int(rng.integers(1, m))
+            top, bottom = random_well_conditioned_stack(rng, m, n)
+            fr = build_frame(MatrixFunction.constant(top), MatrixFunction.constant(bottom), t=0.0)
+            inv = linalg.invert(np.vstack([top, bottom]))
+            assert fr.embedding.tobytes() == inv[:, :n].tobytes()
+            assert fr.comp_embedding.tobytes() == inv[:, n:].tobytes()
 
     @pytest.mark.parametrize("seed, count, make_stack", [
         (21, 30, random_well_conditioned_stack),
