@@ -123,8 +123,8 @@ def _matrix_from_config(config: dict, key: str, shape: tuple[int, int]) -> Matri
 def load_config(path: str) -> tuple[SystemSpec, RunOptions]:
     """Parse and validate a JSON config into a system spec plus run options."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     try:
         config = json.loads(text)

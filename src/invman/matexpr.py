@@ -124,38 +124,71 @@ def evaluate(expr: ScalarExpr, t):
     ``t``; everything else is left to IEEE arithmetic and checked for
     finiteness by the callers that require it.
     """
-    return _evaluate(expr, t, {})
+    return _run(*_compile([(expr, None)]), t)[0]
 
 
-def _evaluate(expr: ScalarExpr, t, memo: dict):
-    # memo maps id(node) to its value within one call: a shared node is walked once.
-    if (value := memo.get(id(expr))) is not None:
-        return value
-    match expr:
-        case Binary(op=op, left=l, right=r):
-            x = _evaluate(l, t, memo)
-            y = _evaluate(r, t, memo)
-            if op == "/" and (zero := np.asarray(y) == 0.0).any():
-                raise EvaluationError("division by zero", int(zero.argmax()))
-            value = _BINARY_OPS[op](x, y)
-        case Unary(op=op, arg=a):
-            x = _evaluate(a, t, memo)
-            value = -x if op == "neg" else _UFUNCS[op](x)
-        case Const(value=v):
-            return v
-        case TimeVar():
-            return t
-        case Power(base=b, exponent=k):
-            x = _evaluate(b, t, memo)
-            if k < 0 and (zero := np.asarray(x) == 0.0).any():
-                raise EvaluationError("zero raised to a negative exponent", int(zero.argmax()))
-            try:
-                value = x ** k
-            except OverflowError:  # a constant base is a Python float, whose ** raises instead of giving inf
-                value = -math.inf if x < 0 and k % 2 else math.inf
-        case _:
-            raise TypeError(f"not an expression node: {expr!r}")
-    return memo.setdefault(id(expr), value)
+def _compile(roots) -> tuple:
+    """The tape ``(slots, times, code, outs)`` of ``roots``, pairs of an expression and its ``where``.
+
+    One slot per distinct node, in the roots' first-visit postorder: ``slots`` holds each Const's value, t goes into
+    each of ``times``, and ``(op, a, b, slot, where)`` in ``zip(*code)`` puts ``op`` of the slots ``a`` and ``b``
+    (None if unary, the exponent for ``pow``) into ``slot``, after both; ``where`` is the first root's to reach it.
+    """
+    slots, times, code, seen = [], [], [], {}
+
+    def visit(node, where) -> int:  # the only walk that recurses
+        if (slot := seen.get(id(node))) is not None:
+            return slot
+        kind, op = type(node), None
+        if kind is Binary:
+            op, a, b = _BINARY_OPS[node.op], visit(node.left, where), visit(node.right, where)
+        elif kind is Unary:
+            op, a, b = _UFUNCS.get(node.op, operator.neg), visit(node.arg, where), None
+        elif kind is Power:
+            op, a, b = pow, visit(node.base, where), node.exponent
+        elif kind is TimeVar:
+            times.append(len(slots))
+        elif kind is not Const:
+            raise TypeError(f"not an expression node: {node!r}")
+        slot = seen[id(node)] = len(slots)
+        slots.append(node.value if kind is Const else None)
+        if op is not None:
+            code.extend((op, a, b, slot, where))
+        return slot
+
+    outs = [visit(expr, where) for expr, where in roots]
+    # Five columns of tuples, not a tuple per instruction: the garbage collector gets no object per node to track.
+    return tuple(slots), times, [tuple(code[k::5]) for k in range(5)], outs
+
+
+def _run(slots: tuple, times: list, code: list, outs: list, t) -> list:
+    """The value of every root of a tape at ``t``, a scalar or an ndarray used as given."""
+    regs = list(slots)
+    for slot in times:
+        regs[slot] = t
+    try:
+        for op, a, b, slot, where in zip(*code):
+            x = regs[a]
+            if b is None:
+                regs[slot] = op(x)
+            elif op is pow:
+                if b < 0 and (zero := np.asarray(x) == 0.0).any():
+                    raise EvaluationError("zero raised to a negative exponent", int(zero.argmax()))
+                try:
+                    regs[slot] = x ** b
+                except OverflowError:  # a constant base is a Python float, whose ** raises instead of giving inf
+                    regs[slot] = -math.inf if x < 0 and b % 2 else math.inf
+            else:
+                y = regs[b]
+                if op is operator.truediv and (zero := np.asarray(y) == 0.0).any():
+                    raise EvaluationError("division by zero", int(zero.argmax()))
+                regs[slot] = op(x, y)
+    except EvaluationError as exc:
+        if where is None:
+            raise
+        when = float(np.reshape(t, -1)[exc.index])
+        raise EvaluationError(f"entry ({where[0]},{where[1]}) at t={when!r}: {exc}", exc.index) from exc
+    return [regs[slot] for slot in outs]
 
 
 # -- differentiation ----------------------------------------------------------
@@ -273,8 +306,8 @@ def _closers(text: str) -> dict[int, int]:
     return closers
 
 
-# Deepest tree, and deepest nesting of '(' and '-', that the parser accepts: then parsing,
-# differentiate, to_string and evaluate (also of a 3x deeper derivative) stay far inside the recursion limit.
+# Deepest tree, and deepest nesting of '(' and '-', that the parser accepts: then parsing, differentiate,
+# to_string and _compile (also of a 3x deeper derivative) stay far inside the recursion limit; _run does not recurse.
 MAX_DEPTH = 100
 
 
@@ -474,6 +507,8 @@ class MatrixFunction:
     entries: tuple[tuple[ScalarExpr, ...], ...]
     # Memo of derivative(); hashing the entries to look it up would walk every tree.
     _derivative: Optional["MatrixFunction"] = field(default=None, init=False, repr=False, compare=False)
+    # Memo of the entries' tape (see _compile), built by the first eval or eval_grid.
+    _tape: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.entries or not self.entries[0]:
@@ -544,24 +579,19 @@ class MatrixFunction:
     def _sample(self, t, points: tuple) -> np.ndarray:
         """Every entry at ``t``, a scalar (``points`` is ()) or a 1-D grid (``points`` is its shape).
 
-        A scalar t stays a Python scalar, which evaluates much faster than a
-        one-point grid.  A pole or a non-finite entry raises
-        :class:`EvaluationError` at the earliest failing time, then the first
-        entry in row order; its ``index`` is that time's grid position, 0 for
-        a scalar t.
+        A scalar t stays a Python scalar, which evaluates much faster than a one-point grid.  A pole raises
+        :class:`EvaluationError` naming its earliest time and the first entry to reach it, a non-finite entry the
+        earliest time, then the first entry in row order; ``index`` is that time's grid position (0 for a scalar).
         """
-        out = np.empty(points + self.shape, dtype=float)
-        cells = out.transpose(1, 2, 0) if points else out  # cells[i, j] is entry (i, j) at every time
-        memo: dict = {}
+        if self._tape is None:
+            roots = [(e, (i, j)) for i, row in enumerate(self.entries) for j, e in enumerate(row)]
+            object.__setattr__(self, "_tape", _compile(roots))
         with np.errstate(all="ignore"):
-            for i, row in enumerate(self.entries):
-                for j, e in enumerate(row):
-                    try:
-                        cells[i, j] = _evaluate(e, t, memo)
-                    except EvaluationError as exc:
-                        k = exc.index
-                        when = float(np.reshape(t, -1)[k])
-                        raise EvaluationError(f"entry ({i},{j}) at t={when!r}: {exc}", k) from exc
+            values = _run(*self._tape, t)
+        out = np.empty(points + self.shape, dtype=float)
+        cells = out.reshape(points + (-1,))
+        for k, value in enumerate(values):
+            cells[..., k] = value
         if not np.isfinite(out).all():
             k, i, j = map(int, np.argwhere(~np.isfinite(out.reshape(-1, *self.shape)))[0])
             when = float(np.reshape(t, -1)[k])
@@ -588,12 +618,7 @@ class MatrixFunction:
     def __add__(self, other: "MatrixFunction") -> "MatrixFunction":
         if self.shape != other.shape:
             raise ShapeError(f"cannot add {self.shape} and {other.shape}")
-        return MatrixFunction(
-            tuple(
-                tuple(_fold_add(a, b) for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
+        return MatrixFunction(tuple(tuple(map(_fold_add, ra, rb)) for ra, rb in zip(self.entries, other.entries)))
 
     def __matmul__(self, other: "MatrixFunction") -> "MatrixFunction":
         """Symbolic product: entry (i, j) folds the terms ``a_ik * b_kj`` in k order.

@@ -142,6 +142,16 @@ class TestCheck:
         path.write_text("{not json")
         assert main(["check", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("command", ["check", "reduce", "flow"])
+    def test_config_that_is_not_utf8_exits_2_naming_it(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"m": 2, "n": 1, \xff}')
+        assert main([command, "--config", str(path)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"config error: cannot read config {str(path)!r}: "
+            "'utf-8' codec can't decode byte 0xff in position 17: invalid start byte\n"
+        ))
+
     def test_integer_literal_past_the_digit_limit_exits_2(self, tmp_path):
         path = tmp_path / "huge.json"
         path.write_text('{"m": 2, "n": 1, "seed": 1' + "0" * 4300 + "}")

@@ -1,5 +1,7 @@
+import contextlib
 import json
 import math
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from invman import matexpr
 from invman.errors import EvaluationError, ParseError
 from invman.matexpr import (
     MAX_DEPTH,
@@ -15,6 +18,7 @@ from invman.matexpr import (
     MatrixFunction,
     Power,
     T,
+    TimeVar,
     Unary,
     differentiate,
     evaluate,
@@ -464,15 +468,41 @@ def _matrices_with_shared_subtrees():
     return built + [mf.derivative() for mf in built] + planted
 
 
+def _planted_pole_matrix(rng):
+    """A matrix with shared subtrees, and poles of 1/(t - v) or (t - v)^-k planted in a shared subtree
+    and in an entry of its own: v = -2 is every point set's first time, v = 2 the last of the 51- and
+    501-point grids, and v = 0.3 is on none."""
+
+    def pole():
+        gap = Binary("-", T, Const(float(rng.choice([-2.0, 2.0, 0.3]))))
+        return Binary("/", Const(1.0), gap) if rng.random() < 0.5 else Power(gap, -int(rng.integers(1, 3)))
+
+    s = Binary("+", random_expr(rng, depth=2), pole())
+    u = Binary("*", s, random_expr(rng, depth=2))
+    e = Binary("+", u, Unary("sin", s))
+    return MatrixFunction(((e, Binary("-", pole(), s), Binary("-", s, e)), (u, T, Power(u, 2))))
+
+
+def _reference_failure(mf, t):
+    """The message and index of the first pole the memo-free walk meets, entry by entry in row order, or None."""
+    with np.errstate(all="ignore"):
+        for i, row in enumerate(mf.entries):
+            for j, e in enumerate(row):
+                try:
+                    reference_evaluate(e, t)
+                except EvaluationError as exc:
+                    return f"entry ({i},{j}) at t={float(np.reshape(t, -1)[exc.index])!r}: {exc}", exc.index
+    return None
+
+
 def _same_outcome(evaluate_matrix, mf, t):
-    """The result or error of one call must match the reference walk bit for bit."""
-    try:
-        want = reference_matrix(mf, t)
-    except EvaluationError as exc:
+    """The result or error of one call must match the reference walk bit for bit: values, or message and index."""
+    if (failure := _reference_failure(mf, t)) is not None:
         with pytest.raises(EvaluationError) as info:
             evaluate_matrix(t)
-        assert info.value.index == exc.index
+        assert (str(info.value), info.value.index) == failure
         return
+    want = reference_matrix(mf, t)
     if not np.isfinite(want).all():
         with pytest.raises(EvaluationError, match="is not finite"):
             evaluate_matrix(t)
@@ -503,16 +533,27 @@ class TestSharedSubexpressions:
                 _same_outcome(mf.eval_grid, mf, ts)
 
     def test_evaluate_matches_the_memo_free_walk_on_planted_sharing(self):
+        # Poles too: evaluate, eval and eval_grid raise the reference's message and index.
         rng = np.random.default_rng(9)
-        ts = np.linspace(-2.0, 2.0, 51)
+        points = [-2.0, np.array([-2.0])] + [np.linspace(-2.0, 2.0, n) for n in (51, 501)]
+        poles = set()
         for _ in range(200):
-            e = _planted_matrix(rng).entries[0][2]
-            with np.errstate(all="ignore"):
-                try:
-                    want = reference_evaluate(e, ts)
-                except EvaluationError:
-                    continue
-                np.testing.assert_array_equal(evaluate(e, ts), want)
+            mf = _planted_pole_matrix(rng)
+            for t in points:
+                for e in (e for row in mf.entries for e in row):
+                    with np.errstate(all="ignore"):
+                        try:
+                            want = reference_evaluate(e, t)
+                        except EvaluationError as exc:
+                            poles.add((str(exc), np.ndim(t)))
+                            with pytest.raises(EvaluationError) as info:
+                                evaluate(e, t)
+                            assert (str(info.value), info.value.index) == (str(exc), exc.index)
+                            continue
+                        np.testing.assert_array_equal(evaluate(e, t), want)
+                _same_outcome(mf.eval if np.ndim(t) == 0 else mf.eval_grid, mf, t)
+        assert poles == {(what, ndim) for what in ("division by zero", "zero raised to a negative exponent")
+                         for ndim in (0, 1)}
 
     @pytest.mark.parametrize("text, want", [
         ("1e200^2", math.inf),
@@ -553,6 +594,100 @@ class TestSharedSubexpressions:
         with pytest.raises(EvaluationError) as info:
             f.eval_grid(np.array([0.0, 1.0, 2.0]))
         assert str(info.value) == f"entry (0,0) at t=2.0: {what}" and info.value.index == 2
+
+
+def _first_visit_postorder(mf) -> list:
+    """Every distinct node of ``mf``, in the order a memoized walk of the entries in row order
+    finishes it, with the (i, j) of the entry that first reaches it."""
+    order, seen = [], set()
+
+    def walk(node, where):
+        if id(node) not in seen:
+            seen.add(id(node))
+            for child in _children(node):
+                walk(child, where)
+            order.append((node, where))
+
+    for i, row in enumerate(mf.entries):
+        for j, e in enumerate(row):
+            walk(e, (i, j))
+    return order
+
+
+def _children(node) -> tuple:
+    match node:
+        case Binary(left=l, right=r):
+            return l, r
+        case Unary(arg=a):
+            return (a,)
+        case Power(base=b):
+            return (b,)
+    return ()
+
+
+_OPS = {
+    Binary: lambda node: {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}[node.op],
+    Unary: lambda node: {"neg": operator.neg, "sin": np.sin, "cos": np.cos, "exp": np.exp}[node.op],
+    Power: lambda node: pow,
+}
+
+
+class TestTape:
+    """The tape is a cache of the entries, built on the first evaluation, and no part of the value."""
+
+    def test_it_is_built_once(self, monkeypatch):
+        f = MatrixFunction.build([["t^2 + sin(t)", "sin(t)"], ["1/(t + 3)", "2"]])
+        compiled, compile_tape = [], matexpr._compile
+        monkeypatch.setattr(matexpr, "_compile", lambda roots: compiled.append(roots) or compile_tape(roots))
+        assert f._tape is None
+        first = f.eval(0.5)
+        tape = f._tape
+        assert f.eval_grid([0.5, 1.0])[0].tobytes() == f.eval(0.5).tobytes() == first.tobytes()
+        assert f._tape is tape and len(compiled) == 1
+
+    def test_one_slot_per_distinct_node_in_first_visit_postorder(self):
+        for mf in _matrices_with_shared_subtrees():
+            with np.errstate(all="ignore"), contextlib.suppress(EvaluationError):
+                mf.eval(0.37)
+            slots, times, code, outs = mf._tape
+            order = _first_visit_postorder(mf)
+            slot_of = {id(node): k for k, (node, _) in enumerate(order)}
+            assert len(slots) == len(order) == len(slot_of)
+            assert outs == [slot_of[id(e)] for row in mf.entries for e in row]
+            assert times == [k for k, (node, _) in enumerate(order) if isinstance(node, TimeVar)]
+            instructions = zip(*code)
+            for k, (node, where) in enumerate(order):
+                if isinstance(node, Const):
+                    assert slots[k] is node.value
+                    continue
+                assert slots[k] is None
+                if isinstance(node, TimeVar):
+                    continue
+                inputs = [slot_of[id(child)] for child in _children(node)]
+                assert all(slot < k for slot in inputs)
+                if isinstance(node, Power):
+                    inputs.append(node.exponent)
+                elif isinstance(node, Unary):
+                    inputs.append(None)
+                assert next(instructions) == (_OPS[type(node)](node), *inputs, k, where)
+            assert next(instructions, None) is None
+
+    def test_it_is_memoized_outside_equality(self):
+        f = MatrixFunction.build([["t^2", "sin(t)"]])
+        g = MatrixFunction.build([["t^2", "sin(t)"]])
+        f.eval(0.5)
+        assert f._tape is not None and g._tape is None
+        assert f == g and hash(f) == hash(g) and repr(f) == repr(g)
+        assert "_tape" not in repr(f) and hash(f) == hash(MatrixFunction(f.entries))
+
+    def test_a_derived_function_compiles_its_own(self):
+        f = MatrixFunction.build([["t^2", "sin(t)"], ["1", "t/(t + 3)"]])
+        f.eval(0.5)
+        for derived in (f.derivative(), f.row_block(0, 1), f @ f, f + f):
+            assert derived._tape is None
+            assert derived.eval(0.5).tobytes() == reference_matrix(derived, 0.5).tobytes()
+            assert derived._tape is not None and derived._tape is not f._tape
+            assert len(derived._tape[0]) == len(_first_visit_postorder(derived))
 
 
 # Product entries: mostly constants, zeros of both signs among them, so that
