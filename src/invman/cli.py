@@ -346,8 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _configure_logging():
-    level = os.environ.get("INVMAN_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
+    level = getattr(logging, os.environ.get("INVMAN_LOG", "warning").upper(), None)
+    # Only a level's name gives an int: other attributes of logging (BASIC_FORMAT, ...) count as unknown names.
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
 
 
 def main(argv=None) -> int:

@@ -251,7 +251,8 @@ def verdicts(spec: SystemSpec, tol: float = DEFAULT_VERDICT_TOL) -> InvarianceRe
     """Evaluate the defect operator over the spec's grid and render verdicts.
 
     Each verdict compares the max-over-grid Frobenius norm of the relevant
-    residual against ``tol``; a residual that is not finite raises
+    residual against ``tol``, which must be positive and finite
+    (``ValueError``); a residual that is not finite raises
     :class:`EvaluationError` naming the curve and its first such time.  The
     grid is a sampled stand-in for "for all t"; nothing is certified between
     grid points.
@@ -263,8 +264,8 @@ def _sampled_verdicts(
     spec: SystemSpec, tol: float
 ) -> tuple[InvarianceReport, FrameSamples, np.ndarray]:
     """``verdicts`` plus the frames and A it sampled on the grid, for callers that reuse them."""
-    if tol <= 0:
-        raise ValueError("verdicts: tolerance must be positive")
+    if not 0 < tol < np.inf:  # a NaN tolerance would fail every verdict, an infinite one pass it
+        raise ValueError(f"verdicts: tolerance must be positive and finite, got {tol!r}")
     grid = spec.t_grid
     fs = frame_samples(spec, grid)
     coeff_g = spec.coeff.eval_grid(grid)

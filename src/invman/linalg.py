@@ -127,7 +127,7 @@ def rank(a, tol: float = DEFAULT_TOL) -> int:
 
     Row elimination with partial pivoting; works for any rectangular matrix.
     """
-    if tol <= 0:
+    if not tol > 0:  # also refuses NaN, under which every pivot, even a zero one, would count
         raise ValueError("rank: tolerance must be positive")
     mat = _as_matrix(a, "rank").copy()
     n_rows, n_cols = mat.shape

@@ -24,7 +24,6 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -194,49 +193,49 @@ def _run(slots: tuple, times: list, code: list, outs: list, t) -> list:
 # -- differentiation ----------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def differentiate(expr: ScalarExpr) -> ScalarExpr:
     """Exact derivative of ``expr`` with respect to t.
 
     Every node kind has a rule, so this is total.  The result is not
     simplified; it is only guaranteed to evaluate to the calculus derivative.
+    A node shared within ``expr`` is derived once, and its derivative is shared.
     """
+    return _derive(expr, {})
+
+
+def _derive(expr: ScalarExpr, memo: dict) -> ScalarExpr:
+    # memo maps id(node) to its derivative within one call or one matrix: a shared node is derived once.
+    if (done := memo.get(id(expr))) is not None:
+        return done
     match expr:
         case Const():
-            return Const(0.0)
+            done = Const(0.0)
         case TimeVar():
-            return Const(1.0)
+            done = Const(1.0)
         case Unary(op="neg", arg=a):
-            return Unary("neg", differentiate(a))
+            done = Unary("neg", _derive(a, memo))
         case Unary(op="sin", arg=a):
-            return Binary("*", Unary("cos", a), differentiate(a))
+            done = Binary("*", Unary("cos", a), _derive(a, memo))
         case Unary(op="cos", arg=a):
-            return Binary("*", Unary("neg", Unary("sin", a)), differentiate(a))
+            done = Binary("*", Unary("neg", Unary("sin", a)), _derive(a, memo))
         case Unary(op="exp", arg=a):
-            return Binary("*", expr, differentiate(a))
+            done = Binary("*", expr, _derive(a, memo))
         case Binary(op="+", left=l, right=r):
-            return Binary("+", differentiate(l), differentiate(r))
+            done = Binary("+", _derive(l, memo), _derive(r, memo))
         case Binary(op="-", left=l, right=r):
-            return Binary("-", differentiate(l), differentiate(r))
+            done = Binary("-", _derive(l, memo), _derive(r, memo))
         case Binary(op="*", left=l, right=r):
-            return Binary(
-                "+",
-                Binary("*", differentiate(l), r),
-                Binary("*", l, differentiate(r)),
-            )
+            done = Binary("+", Binary("*", _derive(l, memo), r), Binary("*", l, _derive(r, memo)))
         case Binary(op="/", left=l, right=r):
-            num = Binary(
-                "-",
-                Binary("*", differentiate(l), r),
-                Binary("*", l, differentiate(r)),
-            )
-            return Binary("/", num, Power(r, 2))
+            num = Binary("-", Binary("*", _derive(l, memo), r), Binary("*", l, _derive(r, memo)))
+            done = Binary("/", num, Power(r, 2))
+        case Power(exponent=0):
+            done = Const(0.0)
         case Power(base=b, exponent=k):
-            if k == 0:
-                return Const(0.0)
-            scaled = Binary("*", Const(float(k)), Power(b, k - 1))
-            return Binary("*", scaled, differentiate(b))
-    raise TypeError(f"not an expression node: {expr!r}")
+            done = Binary("*", Binary("*", Const(float(k)), Power(b, k - 1)), _derive(b, memo))
+        case _:
+            raise TypeError(f"not an expression node: {expr!r}")
+    return memo.setdefault(id(expr), done)
 
 
 # -- printing -----------------------------------------------------------------
@@ -599,9 +598,10 @@ class MatrixFunction:
         return out
 
     def derivative(self) -> "MatrixFunction":
-        """Entrywise exact derivative; shape is preserved."""
+        """Entrywise exact derivative; shape is preserved, and so is sharing: each distinct node is derived once."""
         if self._derivative is None:
-            derived = MatrixFunction(tuple(tuple(differentiate(e) for e in row) for row in self.entries))
+            memo: dict = {}
+            derived = MatrixFunction(tuple(tuple(_derive(e, memo) for e in row) for row in self.entries))
             object.__setattr__(self, "_derivative", derived)
         return self._derivative
 

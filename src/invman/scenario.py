@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -185,17 +184,12 @@ class ScenarioSpec:
                 )
 
 
-@lru_cache(maxsize=None)
-def _coefficient_function(stack: MatrixFunction, inverse: MatrixFunction, k: MatrixFunction) -> MatrixFunction:
-    # A = S' S^-1 + S K S^-1 with S = inverse-of-stack, S^-1 = stack
-    ds = inverse.derivative()
-    return (ds + inverse @ k) @ stack
-
-
 def coefficient_function(s: ScenarioSpec) -> MatrixFunction:
     """The symbolic system matrix A(t) of the generated system."""
+    # A = S' S^-1 + S K S^-1 with S = inverse-of-stack, S^-1 = stack
     k = MatrixFunction.block([[s.a, s.c], [s.d, s.b]])
-    return _coefficient_function(s.frame.stack, s.frame.inverse, k)
+    inverse = s.frame.inverse
+    return (inverse.derivative() + inverse @ k) @ s.frame.stack
 
 
 def expected_verdicts(s: ScenarioSpec) -> ExpectedVerdicts:

@@ -89,6 +89,43 @@ def reference_evaluate(expr: ScalarExpr, t):
     raise TypeError(f"not an expression node: {expr!r}")
 
 
+def reference_differentiate(expr: ScalarExpr) -> ScalarExpr:
+    """The calculus rules of ``differentiate``, one recursive call per node reached and no memo.
+
+    A node reached twice is derived twice.  ``differentiate`` and
+    ``MatrixFunction.derivative``, which derive each distinct node once, must
+    give equal trees that print alike.
+    """
+    d = reference_differentiate
+    match expr:
+        case Const():
+            return Const(0.0)
+        case TimeVar():
+            return Const(1.0)
+        case Unary(op="neg", arg=a):
+            return Unary("neg", d(a))
+        case Unary(op="sin", arg=a):
+            return Binary("*", Unary("cos", a), d(a))
+        case Unary(op="cos", arg=a):
+            return Binary("*", Unary("neg", Unary("sin", a)), d(a))
+        case Unary(op="exp", arg=a):
+            return Binary("*", expr, d(a))
+        case Binary(op="+", left=l, right=r):
+            return Binary("+", d(l), d(r))
+        case Binary(op="-", left=l, right=r):
+            return Binary("-", d(l), d(r))
+        case Binary(op="*", left=l, right=r):
+            return Binary("+", Binary("*", d(l), r), Binary("*", l, d(r)))
+        case Binary(op="/", left=l, right=r):
+            num = Binary("-", Binary("*", d(l), r), Binary("*", l, d(r)))
+            return Binary("/", num, Power(r, 2))
+        case Power(base=b, exponent=k):
+            if k == 0:
+                return Const(0.0)
+            return Binary("*", Binary("*", Const(float(k)), Power(b, k - 1)), d(b))
+    raise TypeError(f"not an expression node: {expr!r}")
+
+
 def reference_matrix(mf, t) -> np.ndarray:
     """Entry by entry ``reference_evaluate`` of a MatrixFunction at scalar t or on a 1-D grid."""
     out = np.empty(np.shape(t) + mf.shape)

@@ -3,6 +3,8 @@ import hashlib
 import io
 import json
 import math
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -449,6 +451,20 @@ class TestGenerate:
                 ])
                 assert rc == 0
                 assert json.loads(Path(handle.name).read_text()) == config
+
+
+def test_log_level_naming_no_level_falls_back_to_warning(monkeypatch):
+    # logging.BASIC_FORMAT is a string, not a level.  A fresh process, since basicConfig
+    # sets no level once the root logger has handlers, as it has under pytest.
+    monkeypatch.setenv("INVMAN_LOG", "BASIC_FORMAT")
+    monkeypatch.setenv("PYTHONPATH", str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "invman.cli", "check", "--config", str(CONFIGS / "full.json")],
+        capture_output=True,
+        text=True,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert "FAIL" in done.stdout
 
 
 @pytest.mark.parametrize("command, option, target", [

@@ -192,6 +192,14 @@ class TestConjugacy:
             conjugacy_check(spec, h=1e-2, t_span=(0.0, 1.0))
         assert err.value.residual > 0.1
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tolerance_is_refused(self, tol):
+        # An infinite tolerance would pass the precondition and run the check off a non-invariant subspace.
+        spec = _spec([["0", "0"], ["1", "0"]], [["1", "0"]], [["0", "1"]])
+        for check in (conjugacy_check, run_flow):
+            with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+                check(spec, h=1e-2, t_span=(0.0, 1.0), tol=tol)
+
 
 class TestRunFlow:
     def test_aggregates_and_serializes(self):

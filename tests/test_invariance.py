@@ -171,6 +171,13 @@ class TestVerdicts:
             embed_says = report.max_defect_embedding <= kappa * report.tolerance
             assert main_says == embed_says
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-8])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        # A NaN tolerance would fail all three verdicts of a full-structure system, an infinite one pass them.
+        spec = to_system(random_scenario(Structure.FULL, m=3, n=2, seed=31))
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            verdicts(spec, tol)
+
     def test_rank_deficiency_names_the_time(self):
         # chart [t, 0] loses rank exactly at t = 0
         spec = _spec([["0", "0"], ["0", "0"]], [["t", "0"]], grid=np.linspace(-1, 1, 5))

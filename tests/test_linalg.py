@@ -180,6 +180,8 @@ class TestRank:
         a = np.diag([1.0, 1e-6])
         assert rank(a, tol=1e-9) == 2
         assert rank(a, tol=1e-3) == 1
+        with pytest.raises(ValueError):  # under a NaN limit every pivot, even a zero one, would count
+            rank([[1.0, 0.0], [0.0, 0.0]], tol=math.nan)
 
     def test_requires_positive_tol(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
 import contextlib
+import gc
 import json
 import math
 import operator
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +33,7 @@ from invman.scenario import Structure, coefficient_function, random_scenario, to
 from helpers import (
     fd_derivative,
     random_expr,
+    reference_differentiate,
     reference_eval,
     reference_evaluate,
     reference_matmul,
@@ -751,3 +754,71 @@ class TestSparseProduct:
         assert signed.to_strings() == [["0.0*t", "-0.0*t"]]
         for mf in _matrices_with_shared_subtrees() + generated:
             assert mf.to_strings() == [[to_string(e) for e in row] for row in mf.entries]
+
+
+@settings(max_examples=300, deadline=None)
+@given(expr=st.recursive(_leaves, _extend, max_leaves=12))
+# Equal subtrees that differ in the sign of a zero: a derivative memoised by value would give the second the first's.
+@example(expr=Binary("+", Unary("exp", Binary("*", Const(-0.0), T)), Unary("exp", Binary("*", Const(0.0), T))))
+def test_differentiate_follows_the_calculus_rules_node_for_node(expr):
+    want = reference_differentiate(expr)
+    got = differentiate(expr)
+    assert got == want and to_string(got) == to_string(want)
+    # The parser builds equal subtrees as one node: the matrix derives each once, for both entries.
+    parsed = parse_expr(to_string(expr))
+    derived = MatrixFunction(((expr, parsed),)).derivative()
+    assert derived.to_strings() == [[to_string(want), to_string(reference_differentiate(parsed))]]
+
+
+class TestDerivativeMemo:
+    """Derivatives are memoised by node identity, per call or per matrix; no tree is hashed or kept past its use."""
+
+    def test_no_node_is_hashed(self, monkeypatch):
+        f = MatrixFunction.build([["sin(t)*t", "exp(t)/(t^2 + 1)"], ["t^-2", "sin(t)*t + 1"]])
+        expr = parse_expr("cos(t)^3 - exp(-t)")
+
+        def unhashable(node):
+            raise TypeError(f"hashed {type(node).__name__}")
+
+        for cls in (Const, TimeVar, Unary, Binary, Power):
+            monkeypatch.setattr(cls, "__hash__", unhashable)
+        with pytest.raises(TypeError, match="hashed"):
+            hash(expr)
+        assert differentiate(expr) == reference_differentiate(expr)
+        assert f.derivative().entries == tuple(tuple(map(reference_differentiate, row)) for row in f.entries)
+        config = to_config(random_scenario(Structure.FULL, m=4, n=2, seed=1))
+        assert config["m"] == 4 and len(config["coeff"]) == 4
+
+    def test_dropped_scenarios_leave_no_trees_behind(self):
+        def build_and_drop(seeds):
+            for seed in seeds:
+                to_config(random_scenario(Structure.FULL, m=8, n=4, seed=seed))
+            gc.collect()
+
+        build_and_drop([100])  # first-use allocations of numpy and the package are not the scenarios'
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            build_and_drop(range(20))
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 64 * 1024
+
+    def test_a_shared_node_has_one_derivative(self):
+        f = MatrixFunction.build([["sin(t)*t", "sin(t)*t + 1"]])
+        product, total = f.entries[0]
+        assert total.left is product
+        df = f.derivative()
+        assert df.entries[0][1].left is df.entries[0][0]
+        assert df.to_strings() == [[to_string(reference_differentiate(e)) for e in f.entries[0]]]
+
+    def test_a_deeply_shared_matrix_derives_in_size_linear_in_its_nodes(self):
+        r = MatrixFunction.build([["cos(t)", "-sin(t)"], ["sin(t)", "cos(t)"]])
+        for _ in range(9):  # the rotation by 512 t, whose entries share subtrees 2^9 ways
+            r = r @ r
+        dr = r.derivative()
+        assert len(_first_visit_postorder(dr)) <= 4 * len(_first_visit_postorder(r))
+        for t in (0.0, 0.3, 1.1):
+            c, s = math.cos(512 * t), math.sin(512 * t)
+            np.testing.assert_allclose(dr.eval(t), 512 * np.array([[-s, -c], [c, -s]]), rtol=0, atol=1e-9)
