@@ -3,9 +3,10 @@
 Inversion and rank are implemented by row elimination with partial pivoting
 rather than an orthogonal factorization: the matrices here are small (desk
 scale, m of order ten) and an auditable elimination beats an opaque one.
-``invert`` takes one matrix or a whole stack of them, and runs one
-elimination over the stack, column by column, with each matrix's own pivots
-and threshold, so a stack inverts bit for bit like a loop over its matrices.
+``invert`` takes one matrix or a whole stack of them and runs one elimination
+over the stack, column by column, stack axis last, with each matrix's own
+pivots and threshold, so a stack inverts bit for bit like a loop over its
+matrices; their pivots are checked once the elimination is done.
 ``rank`` takes one matrix at a time; the Moore-Penrose right inverse does not
 call it, because its batched Gram inverse is the stricter full-row-rank test.
 Scaling by a power of two is exact in the normal range, so the right inverse
@@ -71,17 +72,20 @@ def invert(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Inverse of a square matrix, or of each matrix of an (N, k, k) stack, by
     Gauss-Jordan elimination with partial pivoting.
 
-    One elimination runs over the whole stack, column by column.  Each matrix
-    takes the first largest pivot candidate in its current row order, and
-    each of its entries sees the same operations as if it were inverted on
-    its own.  A pivot whose magnitude falls at or below ``tol`` times the
-    largest entry magnitude of its matrix marks that matrix as singular to
-    tolerance.  The error names the first such matrix of the stack in its
-    ``index`` and carries the message of that matrix's first failing column.
+    One elimination runs over the whole stack, column by column, stack axis
+    last: each row operation runs over N contiguous values, on the columns
+    after the pivot's only (no later step reads an eliminated one).  Each
+    matrix takes the first largest pivot candidate in its current row order,
+    and each of its entries sees the same operations as if it were inverted on
+    its own.  A pivot at or below ``tol`` (0 < tol < inf) times its matrix's
+    largest entry magnitude marks the matrix as singular to tolerance; the
+    pivots are scanned after the elimination, and the error names the first
+    such matrix in its ``index`` with the message of its first failing column.
     """
+    if not 0 < tol < np.inf:  # a NaN limit would fail no pivot, an infinite one every pivot
+        raise ValueError(f"invert: tolerance must be positive and finite, got {tol!r}")
     mats = np.asarray(a, dtype=float)
-    single = mats.ndim == 2
-    if single:
+    if single := mats.ndim == 2:
         mats = mats[None]
     if mats.ndim != 3:
         raise ShapeError(f"invert: expected a matrix or a stack of matrices, got ndim={mats.ndim}")
@@ -89,36 +93,32 @@ def invert(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     if k != cols:
         raise ShapeError(f"invert: matrix is {mats.shape[1:]}, not square")
     scale = abs(mats).max(axis=(1, 2))
-    limit = tol * scale
-    aug = np.empty((count, k, 2 * k))
-    aug[:, :, :k] = mats
-    aug[:, :, k:] = np.eye(k)
-    rows = np.arange(count)
-    failures: dict[int, str] = {}
-    for col in range(k):
-        p = col + abs(aug[:, col:, col]).argmax(axis=1)
-        pivot_rows = aug[rows, p]
-        pivot = pivot_rows[:, col]
-        bad = abs(pivot) <= limit
-        if np.count_nonzero(bad):
-            for i in bad.nonzero()[0]:
-                failures.setdefault(int(i), "invert: zero matrix" if scale[i] == 0.0 else (
-                    f"invert: singular to tolerance (pivot {abs(pivot[i]):.3e} <= {limit[i]:.3e} in column {col})"
-                ))
-            # A failed matrix carries on as [E | E], so the others run undisturbed.
-            aug[bad] = np.eye(k, 2 * k) + np.eye(k, 2 * k, k)
-            p[bad] = col
-            pivot_rows = aug[rows, p]
-            pivot = pivot_rows[:, col]
-        aug[rows, p] = aug[:, col]
-        aug[:, col] = pivot_rows / pivot[:, None]
-        factors = aug[:, :, col].copy()
-        factors[:, col] = 0.0
-        aug -= factors[:, :, None] * aug[:, None, col]
-    if failures:
-        first = min(failures)
-        raise SingularMatrixError(failures[first], index=first)
-    inv = aug[:, :, k:]
+    # aug[j, r, n] is entry (r, j) of [A | E] for matrix n: a column of the stack is one contiguous block.
+    aug = np.empty((2 * k, k, count))
+    aug[:k] = mats.transpose(2, 1, 0)
+    aug[k:] = np.eye(k)[:, :, None]
+    pivots = np.empty((k, count))
+    stack = np.arange(count)
+    # A failed matrix divides by its zero or tiny pivot and carries on, alone.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for col in range(k):
+            live = aug[col:]
+            p = col + abs(live[0, col:]).argmax(axis=0)
+            pivot_rows = live[:, p, stack]
+            live[:, p, stack] = live[:, col]
+            pivots[col] = pivot = pivot_rows[0]
+            np.divide(pivot_rows[1:], pivot, out=live[1:, col])
+            # Column col is dead from here on: it holds each row's factor, 0 in the pivot row.
+            live[0, col] = 0.0
+            live[1:] -= live[0] * live[1:, col, None]
+    bad = abs(pivots) <= tol * scale
+    if np.count_nonzero(bad):
+        first = int(bad.any(axis=0).argmax())
+        col, limit = int(bad[:, first].argmax()), tol * scale[first]
+        raise SingularMatrixError("invert: zero matrix" if scale[first] == 0.0 else (
+            f"invert: singular to tolerance (pivot {abs(pivots[col, first]):.3e} <= {limit:.3e} in column {col})"
+        ), index=first)
+    inv = aug[k:].transpose(2, 1, 0).copy()
     return inv[0] if single else inv
 
 
@@ -127,8 +127,8 @@ def rank(a, tol: float = DEFAULT_TOL) -> int:
 
     Row elimination with partial pivoting; works for any rectangular matrix.
     """
-    if not tol > 0:  # also refuses NaN, under which every pivot, even a zero one, would count
-        raise ValueError("rank: tolerance must be positive")
+    if not 0 < tol < np.inf:  # a NaN limit would count every pivot, even a zero one; inf would count none
+        raise ValueError(f"rank: tolerance must be positive and finite, got {tol!r}")
     mat = _as_matrix(a, "rank").copy()
     n_rows, n_cols = mat.shape
     scale = float(abs(mat).max())

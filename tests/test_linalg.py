@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,49 @@ class TestInvertStack:
             invert(stack[4:])
         assert info.value.index == 3
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 16])
+    def test_failures_and_non_finite_entries_match_the_reference(self, k):
+        # NaN and +-inf entries, zero matrices and matrices singular to tolerance, planted at the
+        # ends and in between.  A NaN matrix inverts to NaNs, an inf one fails in column 0.  The
+        # stack before the first failure inverts bit for bit like the reference, with no warning.
+        rng = np.random.default_rng(30 + k)
+        kinds = ["nan", "inf", "-inf", "zero", "singular"]
+        failed_at = set()
+        for trial in range(60):
+            n = int(rng.integers(1, 40))
+            stack = rng.standard_normal((n, k, k))
+            if trial % 2:  # signed zeros: the bits of a zero's sign are compared too
+                stack = np.where(rng.random(stack.shape) < 0.3, np.copysign(0.0, stack), stack)
+            for pos in {0, n - 1, *rng.integers(0, n, size=int(rng.integers(0, 3)))}:
+                kind = kinds[(trial + pos) % len(kinds)]
+                r, c = rng.integers(0, k, size=2)
+                if kind == "zero":
+                    stack[pos] = 0.0
+                elif kind == "singular":
+                    stack[pos] = rng.standard_normal((k, k - 1)) @ rng.standard_normal((k - 1, k))
+                else:
+                    stack[pos, r, c] = float(kind)
+            first, expected = None, []
+            with np.errstate(all="ignore"):
+                for i, mat in enumerate(stack):
+                    try:
+                        expected.append(reference_invert(mat))
+                    except SingularMatrixError as exc:
+                        first, message = i, str(exc)
+                        break
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                if first is None:
+                    got = invert(stack)
+                else:
+                    failed_at.add(first)
+                    with pytest.raises(SingularMatrixError) as info:
+                        invert(stack)
+                    assert (info.value.index, str(info.value)) == (first, message)
+                    got = invert(stack[:first])
+            assert got.tobytes() == np.array(expected).reshape(got.shape).tobytes()
+        assert min(failed_at) == 0 and max(failed_at) > 0
+
     def test_empty_stack(self):
         assert invert(np.empty((0, 3, 3))).shape == (0, 3, 3)
 
@@ -186,6 +230,16 @@ class TestRank:
     def test_requires_positive_tol(self):
         with pytest.raises(ValueError):
             rank(np.eye(2), tol=0.0)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf, -math.inf])
+    def test_requires_positive_finite_tol(self, tol):
+        # An infinite limit counted no pivot (rank(eye(2)) was 0) and, like a NaN one, gave the zero
+        # matrix an all-NaN "inverse"; a zero or negative one accepted the 1e-300 pivot.
+        with pytest.raises(ValueError, match="^rank: tolerance must be positive and finite"):
+            rank(np.eye(2), tol=tol)
+        for mat in (np.zeros((2, 2)), np.diag([1.0, 1e-300]), np.eye(3)[None]):
+            with pytest.raises(ValueError, match="^invert: tolerance must be positive and finite"):
+                invert(mat, tol=tol)
 
 
 class TestRightPseudoinverse:

@@ -278,6 +278,19 @@ class TestMatrixFunction:
         for i, t in enumerate(ts):
             np.testing.assert_allclose(grid[i], f.eval(t), rtol=1e-15)
 
+    def test_one_point_grid_is_its_row_of_the_grid_bit_for_bit(self):
+        # An integer power of a Python float goes through the C library's pow and may differ in the
+        # last bit from numpy's power of an array (with glibc, eval(t) differs from 170 of these 997
+        # rows), so the one-point frames sample the charts as grids and keep the grid's bits.
+        f = MatrixFunction.build([
+            ["(1.3 + 0.7*t)^3", "(t - 0.25)^2 * sin(t)", "(2.1 - t)^3 + t^2"],
+            ["exp(t)^2 - (0.4*t + 1)^3", "(t^2 + 0.5)^-3", "cos(t)^3 * (t + 3)^2"],
+        ])
+        ts = np.linspace(-1.7, 2.9, 997)
+        grid = f.eval_grid(ts)
+        for i, t in enumerate(ts):
+            assert f.eval_grid([t])[0].tobytes() == grid[i].tobytes()
+
     def test_symbolic_matmul_matches_numeric(self):
         a = MatrixFunction.build([["t", "1"], ["0", "cos(t)"]])
         b = MatrixFunction.build([["2", "t"], ["sin(t)", "1"]])
