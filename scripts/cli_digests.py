@@ -13,14 +13,23 @@ Each generated config first gets a ``generate`` line, then each run prints
     <command> <config> exit=<code> <sha256>
 
 where the SHA-256 covers the run's stdout, stderr, exit code and every file
-it wrote.  The runs use relative paths inside a temporary directory, so two
-checkouts give the same lines exactly when their reports are byte-identical:
+it wrote.  A last line per config covers the library's one-point results at
+7 fixed times inside the config's grid span, off its nodes:
+
+    pointwise <config> <sha256>
+
+hashing the bytes of ``build_frame``'s embedding, complementary embedding
+and projector (configs with ``comp_chart`` only), of ``projector_derivative``,
+``invariance_defect`` and ``reduced_matrix``, and of ``chart.eval(t)`` and
+``coeff.eval(t)``, or the error of a call that fails, and any warning.  The
+runs use relative paths inside a temporary directory, so two checkouts give
+the same lines exactly when their reports are byte-identical:
 
     python scripts/cli_digests.py > a.txt       # in one checkout
     python scripts/cli_digests.py > b.txt       # in the other
     diff a.txt b.txt
 
-``invman`` is imported from the ``src/`` beside this script.  The 99 lines
+``invman`` is imported from the ``src/`` beside this script.  The 128 lines
 take about 15 s on a 2-vCPU box, most of it in the m = 16 ``flow`` runs.
 """
 
@@ -29,6 +38,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -39,10 +49,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from invman import cli  # noqa: E402
+from invman import cli, invariance, manifold  # noqa: E402
 from invman.scenario import Structure  # noqa: E402
 
 SIZES = (3, 8, 16)
+# Where the pointwise times sit in the grid span: 1/pi keeps them off every node of a uniform grid.
+FRACTIONS = tuple((k + 1 / math.pi) / 7 for k in range(7))
 
 
 def _run(argv: list[str], written: list[Path]) -> tuple[str, str]:
@@ -62,6 +74,42 @@ def _run(argv: list[str], written: list[Path]) -> tuple[str, str]:
         digest.update(path.read_bytes() if path.is_file() else b"<missing>")
         digest.update(b"\0")
     return code, digest.hexdigest()
+
+
+def _pointwise(config: str) -> str:
+    """The digest of the library's one-point results over the config's FRACTIONS of its grid span."""
+    digest = hashlib.sha256()
+    spec, options = cli.load_config(config)
+    start, end = options.grid["start"], options.grid["end"]
+    calls = [
+        ("chart", lambda t: [spec.chart.eval(t)]),
+        ("coeff", lambda t: [spec.coeff.eval(t)]),
+        ("projector_derivative", lambda t: [invariance.projector_derivative(spec, t)]),
+        ("invariance_defect", lambda t: [invariance.invariance_defect(spec, t)]),
+        ("reduced_matrix", lambda t: [invariance.reduced_matrix(spec, t)]),
+    ]
+    if spec.comp_chart is not None:
+
+        def frame(t):
+            f = manifold.build_frame(spec.chart, spec.comp_chart, t)
+            return [f.embedding, f.comp_embedding, f.projector]
+
+        calls.append(("build_frame", frame))
+    for fraction in FRACTIONS:
+        t = start + fraction * (end - start)
+        for name, call in calls:
+            digest.update(f"{name} t={t!r}\0".encode())
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    for array in call(t):
+                        digest.update(array.tobytes())
+                except Exception as exc:  # a failure is an outcome too
+                    digest.update(f"raised:{type(exc).__name__}: {exc}".encode())
+            for warning in caught:
+                digest.update(f"warning:{warning.category.__name__}: {warning.message}".encode())
+            digest.update(b"\0")
+    return digest.hexdigest()
 
 
 def _configs() -> list[str]:
@@ -103,6 +151,7 @@ def main() -> int:
                 for command, extra, written in runs:
                     code, digest = _run([command, "--config", config, *extra], written)
                     print(f"{command} {config} exit={code} {digest}", flush=True)
+                print(f"pointwise {config} {_pointwise(config)}", flush=True)
         finally:
             os.chdir(home)
     return 0

@@ -8,6 +8,8 @@ numerically integrated flows.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _Module
+
 from .errors import (
     ConfigError,
     EvaluationError,
@@ -70,67 +72,7 @@ from .scenario import (
     to_system,
 )
 
-__all__ = [
-    "__version__",
-    # errors
-    "InvmanError",
-    "ParseError",
-    "EvaluationError",
-    "ShapeError",
-    "SingularMatrixError",
-    "RankDeficiencyError",
-    "FrameError",
-    "ScenarioError",
-    "IntegrationOverflowError",
-    "PreconditionError",
-    "ConfigError",
-    # expressions
-    "ScalarExpr",
-    "MatrixFunction",
-    "parse_expr",
-    "evaluate",
-    "differentiate",
-    "to_string",
-    # linear algebra
-    "invert",
-    "rank",
-    "right_pseudoinverse",
-    "right_pseudoinverse_derivative",
-    # manifolds
-    "ProjectorFrame",
-    "Subspace",
-    "build_frame",
-    "membership",
-    "check_kernel_identities",
-    "check_embedding",
-    # invariance
-    "SystemSpec",
-    "InvarianceReport",
-    "projector_derivative",
-    "invariance_defect",
-    "reduced_matrix",
-    "verdicts",
-    # flows
-    "SIDE_MAIN",
-    "SIDE_COMPLEMENT",
-    "FundamentalSolution",
-    "integrate_fundamental",
-    "integrate_states",
-    "DriftResult",
-    "manifold_drift",
-    "ConjugacyResult",
-    "conjugacy_check",
-    "FlowResult",
-    "run_flow",
-    # scenarios
-    "Structure",
-    "FramePair",
-    "ScenarioSpec",
-    "ExpectedVerdicts",
-    "coefficient_function",
-    "expected_verdicts",
-    "to_system",
-    "random_frame",
-    "random_scenario",
-    "to_config",
+# Every public name imported above, each named once: where it is imported.
+__all__ = ["__version__"] + [
+    name for name, value in globals().items() if not (name.startswith("_") or isinstance(value, _Module))
 ]

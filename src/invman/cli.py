@@ -153,6 +153,8 @@ def load_config(path: str) -> tuple[SystemSpec, RunOptions]:
     count = _integer(grid_cfg["count"], "grid count")
     if count < 2 or end <= start:
         raise ConfigError("grid needs count >= 2 and end > start")
+    if end - start == np.inf:  # np.linspace would warn, then give no increasing grid
+        raise ConfigError(f"grid from {start!r} to {end!r} spans more than the float range")
 
     tolerance = _finite(config.get("tolerance", DEFAULT_VERDICT_TOL), "tolerance")
     h = _finite(config.get("step", DEFAULT_STEP), "step")
@@ -345,10 +347,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _StderrHandler(logging.Handler):
+    """Writes each record to the ``sys.stderr`` of the moment, so every ``main()`` logs to its own stream."""
+
+    def emit(self, record):
+        print(f"{record.levelname}:{record.name}:{record.getMessage()}", file=sys.stderr)  # logging.BASIC_FORMAT
+
+
 def _configure_logging():
+    """Set the ``invman`` logger's level from INVMAN_LOG; other loggers, the root included, are left alone."""
     level = getattr(logging, os.environ.get("INVMAN_LOG", "warning").upper(), None)
     # Only a level's name gives an int: other attributes of logging (BASIC_FORMAT, ...) count as unknown names.
-    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING)
+    log.setLevel(level if isinstance(level, int) else logging.WARNING)
+    if not log.handlers:  # installed once; a root handler of the host process would print each line again
+        log.addHandler(_StderrHandler())
+        log.propagate = False
 
 
 def main(argv=None) -> int:

@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .errors import IntegrationOverflowError, PreconditionError, ShapeError
+from .errors import EvaluationError, IntegrationOverflowError, PreconditionError, ShapeError
 from .invariance import (
     DEFAULT_GRID_SPAN,
     DEFAULT_VERDICT_TOL,
@@ -115,13 +115,18 @@ def _launch(proj0: np.ndarray, side: str, trials: int, seed: int) -> np.ndarray:
     return proj0 @ c if side == SIDE_MAIN else (np.eye(proj0.shape[0]) - proj0) @ c
 
 
-def _drift(proj: np.ndarray, traj: np.ndarray, side: str) -> np.ndarray:
-    """Worst relative off-side component over the trajectories, per sample."""
-    off = proj @ traj if side == SIDE_COMPLEMENT else (np.eye(proj.shape[-1]) - proj) @ traj
-    off_norm = np.linalg.norm(off, axis=1)      # (N+1, trials)
-    traj_norm = np.linalg.norm(traj, axis=1)
-    rel = np.where(traj_norm > 0.0, off_norm / np.maximum(traj_norm, np.finfo(float).tiny), 0.0)
-    return np.max(rel, axis=1)
+def _drift(ts: np.ndarray, proj: np.ndarray, traj: np.ndarray, side: str) -> np.ndarray:
+    """Worst relative off-side component over the trajectories, per sample of ``ts``; it must be finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        off = proj @ traj if side == SIDE_COMPLEMENT else (np.eye(proj.shape[-1]) - proj) @ traj
+        # Each trajectory's state as an (m, 1) matrix: its Frobenius norm is its scale-safe 2-norm.
+        off_norm, traj_norm = (linalg.frobenius(np.swapaxes(x, 1, 2)[..., None]) for x in (off, traj))
+        rel = np.where(traj_norm > 0.0, off_norm / np.maximum(traj_norm, np.finfo(float).tiny), 0.0)
+    drift = np.max(rel, axis=1)
+    if not (finite := np.isfinite(drift)).all():
+        k = int(finite.argmin())
+        raise EvaluationError(f"residual 'drift_{side}' is not finite at t={float(ts[k])!r}", k)
+    return drift
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,7 +204,7 @@ def manifold_drift(
     return DriftResult(
         side=side,
         ts=ts,
-        residuals=_drift(proj, traj, side),
+        residuals=_drift(ts, proj, traj, side),
         seed=seed,
         h=h,
         trials=trials,
@@ -350,10 +355,11 @@ def run_flow(
     launches = [_launch(proj[0], side, trials, seed) for side in (SIDE_MAIN, SIDE_COMPLEMENT)]
     fund, mn, comp = _checked(t0, h_eff, _fundamental(coeff, h_eff), *launches)
     conj = _conjugacy(frames, coeff, fund, t0, h_eff).embedding_residuals if report.main_invariant else None
+    ts = half_ts[::2]
     return FlowResult(
-        ts=half_ts[::2],
-        drift_mn=_drift(proj, mn, SIDE_MAIN),
-        drift_complement=_drift(proj, comp, SIDE_COMPLEMENT),
+        ts=ts,
+        drift_mn=_drift(ts, proj, mn, SIDE_MAIN),
+        drift_complement=_drift(ts, proj, comp, SIDE_COMPLEMENT),
         conjugacy_residuals=conj,
         main_invariant=report.main_invariant,
         seed=seed,

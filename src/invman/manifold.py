@@ -157,8 +157,8 @@ def membership(y, frame: ProjectorFrame, kind: Subspace, tol: float = 1e-8) -> M
     proj = frame.projector if kind in (Subspace.MAIN_RANGE, Subspace.MAIN_KERNEL) else frame.comp_projector
     image = proj @ y
     defect = y - image if kind in (Subspace.MAIN_RANGE, Subspace.COMP_RANGE) else image
-    norm_y = float(np.linalg.norm(y))
-    residual = float(np.linalg.norm(defect)) / norm_y if norm_y > 0.0 else 0.0
+    norm_y = linalg.frobenius(y[:, None])
+    residual = linalg.frobenius(defect[:, None]) / norm_y if norm_y > 0.0 else 0.0
     return MembershipResult(member=residual <= tol, residual=residual)
 
 
@@ -200,7 +200,7 @@ def _sample_vectors(frame: ProjectorFrame, samples: int, seed: int, caller: str)
 
 
 def _max_row_norm(rows: np.ndarray) -> float:
-    return float(np.max(np.linalg.norm(rows, axis=1)))
+    return float(np.max(linalg.frobenius(rows[:, None, :])))
 
 
 def check_kernel_identities(

@@ -120,10 +120,11 @@ def evaluate(expr: ScalarExpr, t):
 
     Division by zero and a zero base under a negative exponent raise
     :class:`EvaluationError`, whose ``index`` is the first such position in
-    ``t``; everything else is left to IEEE arithmetic and checked for
-    finiteness by the callers that require it.
+    ``t``; everything else is left to IEEE arithmetic, without warnings, and
+    checked for finiteness by the callers that require it.
     """
-    return _run(*_compile([(expr, None)]), t)[0]
+    with np.errstate(all="ignore"):
+        return _run(*_compile([(expr, None)]), t)[0]
 
 
 def _compile(roots) -> tuple:
@@ -131,7 +132,7 @@ def _compile(roots) -> tuple:
 
     One slot per distinct node, in the roots' first-visit postorder: ``slots`` holds each Const's value, t goes into
     each of ``times``, and ``(op, a, b, slot, where)`` in ``zip(*code)`` puts ``op`` of the slots ``a`` and ``b``
-    (None if unary, the exponent for ``pow``) into ``slot``, after both; ``where`` is the first root's to reach it.
+    (None if unary, the exponent for np.power) into ``slot``, after both; ``where`` is the first root's to reach it.
     """
     slots, times, code, seen = [], [], [], {}
 
@@ -144,7 +145,7 @@ def _compile(roots) -> tuple:
         elif kind is Unary:
             op, a, b = _UFUNCS.get(node.op, operator.neg), visit(node.arg, where), None
         elif kind is Power:
-            op, a, b = pow, visit(node.base, where), node.exponent
+            op, a, b = np.power, visit(node.base, where), node.exponent
         elif kind is TimeVar:
             times.append(len(slots))
         elif kind is not Const:
@@ -162,7 +163,7 @@ def _compile(roots) -> tuple:
 
 def _run(slots: tuple, times: list, code: list, outs: list, t) -> list:
     """The value of every root of a tape at ``t``, a scalar or an ndarray used as given."""
-    regs = list(slots)
+    regs, power, truediv = list(slots), np.power, operator.truediv  # locals: no attribute lookup per instruction
     for slot in times:
         regs[slot] = t
     try:
@@ -170,16 +171,13 @@ def _run(slots: tuple, times: list, code: list, outs: list, t) -> list:
             x = regs[a]
             if b is None:
                 regs[slot] = op(x)
-            elif op is pow:
+            elif op is power:
                 if b < 0 and (zero := np.asarray(x) == 0.0).any():
                     raise EvaluationError("zero raised to a negative exponent", int(zero.argmax()))
-                try:
-                    regs[slot] = x ** b
-                except OverflowError:  # a constant base is a Python float, whose ** raises instead of giving inf
-                    regs[slot] = -math.inf if x < 0 and b % 2 else math.inf
+                regs[slot] = op(x, b)
             else:
                 y = regs[b]
-                if op is operator.truediv and (zero := np.asarray(y) == 0.0).any():
+                if op is truediv and (zero := np.asarray(y) == 0.0).any():
                     raise EvaluationError("division by zero", int(zero.argmax()))
                 regs[slot] = op(x, y)
     except EvaluationError as exc:
@@ -397,9 +395,11 @@ class _Parser:
         if self.tok == "-":
             self._advance()
             sign = -1
-        text = self.tok
+        text, offset = self.tok, self.at
         if not _INT_RE.match(text):
-            raise ParseError("exponent must be an integer literal", self.at)
+            raise ParseError("exponent must be an integer literal", offset)
+        if math.isinf(float(text)):  # numpy's power and the derivative's factor need k as a float
+            raise ParseError(f"exponent {text!r} is out of range", offset)
         self._advance()
         return sign * int(text)
 
@@ -506,7 +506,7 @@ class MatrixFunction:
     entries: tuple[tuple[ScalarExpr, ...], ...]
     # Memo of derivative(); hashing the entries to look it up would walk every tree.
     _derivative: Optional["MatrixFunction"] = field(default=None, init=False, repr=False, compare=False)
-    # Memo of the entries' tape (see _compile), built by the first eval or eval_grid.
+    # Memo of the entries' tape (see _compile), built by the first eval_grid.
     _tape: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -565,36 +565,33 @@ class MatrixFunction:
         return cls.constant(np.zeros((rows, cols)))
 
     def eval(self, t: float) -> np.ndarray:
-        """Evaluate entrywise at scalar ``t``; all entries must come out finite."""
-        return self._sample(t, ())
+        """Evaluate entrywise at scalar ``t``: row 0 of ``eval_grid([t])``, bit for bit, errors included."""
+        return self.eval_grid([t])[0]
 
     def eval_grid(self, ts) -> np.ndarray:
-        """Evaluate over a 1-D array of times; returns shape (len(ts), rows, cols)."""
+        """Evaluate over a 1-D array of times; returns shape (len(ts), rows, cols).
+
+        Every tape op is IEEE arithmetic or a numpy ufunc, which give a float the bits they give it in an array:
+        so a one-point grid runs the tape at the float ts[0], and has the bits of that point of any grid.
+        A pole raises :class:`EvaluationError` naming its earliest time and the first entry to reach it, a
+        non-finite entry the earliest time, then the first entry in row order; ``index`` is that time's position.
+        """
         ts = np.asarray(ts, dtype=float)
         if ts.ndim != 1:
             raise ShapeError("time grid must be one-dimensional")
-        return self._sample(ts, ts.shape)
-
-    def _sample(self, t, points: tuple) -> np.ndarray:
-        """Every entry at ``t``, a scalar (``points`` is ()) or a 1-D grid (``points`` is its shape).
-
-        A scalar t stays a Python scalar, which evaluates much faster than a one-point grid.  A pole raises
-        :class:`EvaluationError` naming its earliest time and the first entry to reach it, a non-finite entry the
-        earliest time, then the first entry in row order; ``index`` is that time's grid position (0 for a scalar).
-        """
         if self._tape is None:
             roots = [(e, (i, j)) for i, row in enumerate(self.entries) for j, e in enumerate(row)]
             object.__setattr__(self, "_tape", _compile(roots))
+        t, points = (float(ts[0]), ()) if ts.size == 1 else (ts, ts.shape)
         with np.errstate(all="ignore"):
             values = _run(*self._tape, t)
-        out = np.empty(points + self.shape, dtype=float)
-        cells = out.reshape(points + (-1,))
+        out = np.empty(ts.shape + self.shape, dtype=float)
+        cells = out.reshape(points + (-1,))  # entry k of every point is cells[..., k]
         for k, value in enumerate(values):
             cells[..., k] = value
         if not np.isfinite(out).all():
-            k, i, j = map(int, np.argwhere(~np.isfinite(out.reshape(-1, *self.shape)))[0])
-            when = float(np.reshape(t, -1)[k])
-            raise EvaluationError(f"entry ({i},{j}) is not finite at t={when!r}", k)
+            k, i, j = map(int, np.argwhere(~np.isfinite(out))[0])
+            raise EvaluationError(f"entry ({i},{j}) is not finite at t={float(ts[k])!r}", k)
         return out
 
     def derivative(self) -> "MatrixFunction":

@@ -85,7 +85,8 @@ def reference_evaluate(expr: ScalarExpr, t):
             x = reference_evaluate(b, t)
             if k < 0 and (zero := np.asarray(x) == 0.0).any():
                 raise EvaluationError("zero raised to a negative exponent", int(zero.argmax()))
-            return x ** k
+            # np.power, not **: Python's ** of a float uses the C library's pow, which the tape does not.
+            return np.power(x, k)
     raise TypeError(f"not an expression node: {expr!r}")
 
 

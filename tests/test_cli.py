@@ -134,6 +134,13 @@ class TestCheck:
         assert main(["check", "--config", _write(tmp_path, config)]) == 3
         assert capsys.readouterr() == ("", f"numerical failure: {message}\n")
 
+    def test_grid_span_past_the_float_range_exits_2_before_sampling(self, tmp_path, capsys):
+        config = dict(NILPOTENT_CONFIG, grid={"start": -1e308, "end": 1e308, "count": 3}, window=[0.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["check", "--config", _write(tmp_path, config)]) == 2
+        assert capsys.readouterr().err == "config error: grid from -1e+308 to 1e+308 spans more than the float range\n"
+
     def test_missing_key_exits_2(self, tmp_path, capsys):
         rc = main(["check", "--config", _write(tmp_path, {"m": 2, "n": 1})])
         assert rc == 2
@@ -338,6 +345,23 @@ class TestFlow:
             outs.append((out.read_bytes(), (csv_dir / "residuals.csv").read_bytes()))
         assert outs[0] == outs[1]
 
+    def test_a_trajectory_past_the_square_range_gives_finite_json_and_csv(self, tmp_path, capsys):
+        config = dict(NILPOTENT_CONFIG, coeff=[["200", "0"], ["0", "200"]], chart=[["cos(t)", "sin(t)"]],
+                      comp_chart=[["-sin(t)", "cos(t)"]], window=[0.0, 2.0], step=1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["flow", "--config", _write(tmp_path, config), "--csv", str(tmp_path / "csv")]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+
+        def refuse(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        payload = json.loads(out, parse_constant=refuse)
+        assert 0.0 < payload["max"]["drift_mn"] < 1.0 and 0.0 < payload["max"]["drift_complement"] < 1.0
+        rows = (tmp_path / "csv" / "residuals.csv").read_text().splitlines()[1:]
+        assert all(math.isfinite(float(x)) for row in rows for x in row.split(",")[:3])
+
     def test_integration_overflow_exits_3(self, tmp_path, capsys):
         config = dict(NILPOTENT_CONFIG, coeff=[["200", "0"], ["0", "0"]], window=[0.0, 5.0])
         assert main(["flow", "--config", _write(tmp_path, config)]) == 3
@@ -453,9 +477,24 @@ class TestGenerate:
                 assert json.loads(Path(handle.name).read_text()) == config
 
 
+@pytest.mark.parametrize("level, logged", [("info", True), (None, False)])
+def test_each_main_logs_to_its_own_stderr_at_its_own_level(tmp_path, monkeypatch, level, logged):
+    if level is None:
+        monkeypatch.delenv("INVMAN_LOG", raising=False)
+    else:
+        monkeypatch.setenv("INVMAN_LOG", level)
+    config = _write(tmp_path, NILPOTENT_CONFIG)
+    errs = []
+    for name in ("o0", "o1"):
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            assert main(["flow", "--config", config, "--csv", str(tmp_path / name)]) == 0
+        errs.append(err.getvalue())
+    assert errs == [f"INFO:invman:wrote {tmp_path / name / 'residuals.csv'}\n" if logged else ""
+                    for name in ("o0", "o1")]
+
+
 def test_log_level_naming_no_level_falls_back_to_warning(monkeypatch):
-    # logging.BASIC_FORMAT is a string, not a level.  A fresh process, since basicConfig
-    # sets no level once the root logger has handlers, as it has under pytest.
+    # logging.BASIC_FORMAT is a string, not a level.  Run as its own process, as from a shell.
     monkeypatch.setenv("INVMAN_LOG", "BASIC_FORMAT")
     monkeypatch.setenv("PYTHONPATH", str(Path(cli.__file__).resolve().parents[1]))
     done = subprocess.run(

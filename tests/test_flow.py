@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from invman.cli import load_config
-from invman.errors import IntegrationOverflowError, PreconditionError, SingularMatrixError
+from invman.errors import EvaluationError, IntegrationOverflowError, PreconditionError, SingularMatrixError
 from invman.flow import (
     SIDE_COMPLEMENT,
     SIDE_MAIN,
+    _drift,
     _every_other,
     _fundamental,
     _half_grid,
@@ -247,6 +248,31 @@ class TestRunFlow:
             assert result.conjugacy_residuals is None
             with pytest.raises(PreconditionError):
                 conjugacy_check(spec, **kwargs)
+
+
+class TestDriftPastTheSquareRange:
+    # A = 200 E scales every trajectory by one scalar, about e^400 = 5e173 at t = 2, whose squares
+    # leave the float range: the relative drift is that of A = 0 all the same.
+    ROTATING = ([["cos(t)", "sin(t)"]], [["-sin(t)", "cos(t)"]])
+
+    def test_drift_equals_the_unscaled_flows(self):
+        big, still = (_spec(a, *self.ROTATING, grid=np.linspace(0.0, 2.0, 21))
+                      for a in ([["200", "0"], ["0", "200"]], [["0", "0"], ["0", "0"]]))
+        got, want = (run_flow(spec, h=1e-3, t_span=(0.0, 2.0)) for spec in (big, still))
+        assert not got.main_invariant
+        for name in ("drift_mn", "drift_complement"):
+            np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=1e-12, atol=0.0)
+        for side in (SIDE_MAIN, SIDE_COMPLEMENT):
+            np.testing.assert_allclose(manifold_drift(big, side, t_span=(0.0, 2.0)).residuals,
+                                       manifold_drift(still, side, t_span=(0.0, 2.0)).residuals, rtol=1e-12, atol=0.0)
+
+    def test_a_drift_that_is_not_finite_names_its_time(self):
+        ts = np.array([0.0, 0.5, 1.0])
+        proj = np.broadcast_to(np.array([[1e300, 0.0], [0.0, 0.0]]), (3, 2, 2))
+        traj = np.array([[[1.0], [0.0]], [[1e300], [0.0]], [[1.0], [0.0]]])
+        with pytest.raises(EvaluationError, match=r"^residual 'drift_complement' is not finite at t=0.5$") as info:
+            _drift(ts, proj, traj, SIDE_COMPLEMENT)
+        assert info.value.index == 1
 
 
 def _step_grid_systems():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from invman import linalg
+from invman import linalg, manifold
 from invman.errors import EvaluationError, FrameError, InvmanError, ShapeError, SingularMatrixError
 from invman.invariance import SystemSpec, frame_samples
 from invman.linalg import frobenius, right_pseudoinverse
@@ -181,6 +181,21 @@ class TestMembership:
         fr = build_frame(*IDENTITY, t=0.0)
         with pytest.raises(ShapeError):
             membership(np.zeros(3), fr, Subspace.MAIN_RANGE)
+
+    def test_a_vector_past_the_square_range_is_as_member_as_its_unit(self):
+        fr = build_frame(*ROTATION, t=0.5)
+        y = fr.embedding[:, 0]
+        for kind in Subspace:
+            unit = membership(y, fr, kind)
+            # A power of two scales every step exactly: the same residual, bit for bit.
+            assert membership(2.0**700 * y, fr, kind) == unit
+            big = membership(1e200 * y, fr, kind)
+            assert big.member == unit.member and big.residual == pytest.approx(unit.residual, rel=1e-12, abs=1e-15)
+        big = membership(1e200 * y, fr, Subspace.MAIN_RANGE)
+        assert big.member and big.residual < 1e-14
+
+    def test_row_norms_past_the_square_range_are_finite(self):
+        assert manifold._max_row_norm(np.array([[3.0, 4.0], [1.0, 0.0]]) * 2.0**700) == 5.0 * 2.0**700
 
 
 class TestKernelIdentities:

@@ -4,6 +4,7 @@ import json
 import math
 import operator
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -279,9 +280,8 @@ class TestMatrixFunction:
             np.testing.assert_allclose(grid[i], f.eval(t), rtol=1e-15)
 
     def test_one_point_grid_is_its_row_of_the_grid_bit_for_bit(self):
-        # An integer power of a Python float goes through the C library's pow and may differ in the
-        # last bit from numpy's power of an array (with glibc, eval(t) differs from 170 of these 997
-        # rows), so the one-point frames sample the charts as grids and keep the grid's bits.
+        # Python's ** of a float goes through the C library's pow and may differ in the last bit from
+        # numpy's power (with glibc, 170 of these 997 rows did): a scalar t runs np.power as a grid does.
         f = MatrixFunction.build([
             ["(1.3 + 0.7*t)^3", "(t - 0.25)^2 * sin(t)", "(2.1 - t)^3 + t^2"],
             ["exp(t)^2 - (0.4*t + 1)^3", "(t^2 + 0.5)^-3", "cos(t)^3 * (t + 3)^2"],
@@ -290,6 +290,7 @@ class TestMatrixFunction:
         grid = f.eval_grid(ts)
         for i, t in enumerate(ts):
             assert f.eval_grid([t])[0].tobytes() == grid[i].tobytes()
+            assert f.eval(t).tobytes() == grid[i].tobytes()
 
     def test_symbolic_matmul_matches_numeric(self):
         a = MatrixFunction.build([["t", "1"], ["0", "cos(t)"]])
@@ -354,6 +355,14 @@ class TestDepthLimit:
         with pytest.raises(ParseError, match="'1e400' is out of range") as err:
             parse_expr("2*1e400")
         assert err.value.offset == 2
+
+    def test_exponent_past_float_range_is_a_parse_error_at_its_offset(self):
+        # Neither numpy's power nor the derivative's factor k can take it; a longer one is no int either.
+        for digits in ("9" * 309, "1" + "0" * 5000):
+            with pytest.raises(ParseError, match="' is out of range") as err:
+                parse_expr(f"t + 2^-{digits}")
+            assert err.value.offset == 7
+        assert parse_expr("t^" + "0" * 400 + "3") == parse_expr("t^3")
 
 
 def _same_build(rows):
@@ -581,10 +590,16 @@ class TestSharedSubexpressions:
         ("1/1e200^2", 0.0),
     ])
     def test_constant_power_past_float_range_is_infinite(self, text, want):
-        # a constant base is a Python float, whose ** raises instead of overflowing
+        # a constant base is a Python float, whose ** would raise: np.power overflows to inf instead
         e = parse_expr(text)
         assert evaluate(e, 0.5) == want
         np.testing.assert_array_equal(evaluate(e, np.array([0.0, 1.0])), want)
+
+    @pytest.mark.parametrize("t", [1000.0, np.array([1000.0])])
+    def test_overflow_past_float_range_is_infinite_without_a_warning(self, t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert evaluate(parse_expr("exp(t)"), t) == math.inf
 
     @pytest.mark.parametrize("text", ["1.5^3", "(-2)^-3", "1e100^3", "0.1^7", "(-1e-100)^-3", "sin(1e200)^2"])
     def test_constant_power_in_float_range_matches_the_memo_free_walk(self, text):
@@ -644,7 +659,7 @@ def _children(node) -> tuple:
 _OPS = {
     Binary: lambda node: {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}[node.op],
     Unary: lambda node: {"neg": operator.neg, "sin": np.sin, "cos": np.cos, "exp": np.exp}[node.op],
-    Power: lambda node: pow,
+    Power: lambda node: np.power,
 }
 
 
