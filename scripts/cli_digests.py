@@ -6,7 +6,9 @@ default windows, over
 - the shipped configs in ``configs/``;
 - generated systems of every structure with m = 3, 8 and 16 (n = m // 2,
   generator seed 0), each as generated and again without ``comp_chart`` (the
-  Moore-Penrose route).
+  Moore-Penrose route);
+- last, the ``OVERFLOWS`` configs, whose conjugacy residuals or reduced
+  matrix leave the float range.
 
 Each generated config first gets a ``generate`` line, then each run prints
 
@@ -29,7 +31,7 @@ the same lines exactly when their reports are byte-identical:
     python scripts/cli_digests.py > b.txt       # in the other
     diff a.txt b.txt
 
-``invman`` is imported from the ``src/`` beside this script.  The 128 lines
+``invman`` is imported from the ``src/`` beside this script.  The 136 lines
 take about 15 s on a 2-vCPU box, most of it in the m = 16 ``flow`` runs.
 """
 
@@ -55,6 +57,14 @@ from invman.scenario import Structure  # noqa: E402
 SIZES = (3, 8, 16)
 # Where the pointwise times sit in the grid span: 1/pi keeps them off every node of a uniform grid.
 FRACTIONS = tuple((k + 1 / math.pi) / 7 for k in range(7))
+DIAGONAL = {"m": 2, "n": 1, "comp_chart": [["0", "1"]]}
+OVERFLOWS = {
+    # Y and X stay finite, but Y C+(t0) - C+(t) X does not from t = 3.48 on.
+    "conjugacy-overflow": dict(DIAGONAL, coeff=[["200", "0"], ["0", "200"]], chart=[["1e-6", "0"]],
+                               window=[0.0, 3.5], step=1e-3),
+    # R = (dC/dt + C A) C+ is 1e309 on the whole grid; the zero-length window never marches it.
+    "reduced-overflow": dict(DIAGONAL, coeff=[["1e308", "0"], ["0", "1"]], chart=[["10", "0"]], window=[0.0, 0.0]),
+}
 
 
 def _run(argv: list[str], written: list[Path]) -> tuple[str, str]:
@@ -132,6 +142,9 @@ def _configs() -> list[str]:
             plain = f"configs/{kind.value}-{m}-moore-penrose.json"
             Path(plain).write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
             names += [name, plain]
+    for stem, config in OVERFLOWS.items():
+        names.append(f"configs/{stem}.json")
+        Path(names[-1]).write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
     return names
 
 

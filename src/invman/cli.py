@@ -41,7 +41,7 @@ from .errors import (
 )
 from .flow import DEFAULT_SEED, DEFAULT_STEP, DEFAULT_TRIALS, _checked_conjugacy, run_flow
 from .invariance import DEFAULT_GRID_COUNT, DEFAULT_GRID_SPAN, DEFAULT_VERDICT_TOL
-from .invariance import SystemSpec, _sampled_verdicts, verdicts
+from .invariance import SystemSpec, _require_finite, _sampled_verdicts, verdicts
 # Unused here, but perfbench/test_perfbench.py checks that the tracer wraps this binding.
 from .invariance import reduced_matrix  # noqa: F401
 from .matexpr import MatrixFunction
@@ -241,12 +241,15 @@ def cmd_reduce(args) -> int:
     except PreconditionError as exc:
         print(f"reduce: {exc}", file=sys.stderr)
         return EXIT_VERDICT
+    with np.errstate(over="ignore", invalid="ignore"):
+        reduced = frames.reduced(coeff)
+    _require_finite(spec.t_grid, {"R": reduced}, "reduced matrix")
     payload = {
         "schema": "invman.reduce/1",
         "grid": opts.grid,
         "tolerance": opts.tolerance,
         "t": spec.t_grid.tolist(),
-        "reduced": frames.reduced(coeff).tolist(),
+        "reduced": reduced.tolist(),
         "conjugacy": {
             "window": [opts.window[0], opts.window[1]],
             "h": opts.h,

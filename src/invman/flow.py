@@ -5,12 +5,14 @@ dY/dt = A(t) Y.  Fixed stepping keeps the error-order property tests clean
 (halving h divides the error by about 16).  Windows may run backward:
 t1 < t0 flips the step sign.
 
-One RK4 step of the linear system is a matrix, y <- M_k y.  A run samples
-A(t) once on the half-step grid of its window, whose even-indexed points are
-the step grid bit for bit (0.5*h*2k == h*k exactly), and marches the
-fundamental matrix Y_{k+1} = M_k Y_k once.  Every trajectory is then Y_k c,
-so ``run_flow`` gives bit for bit the curves of ``manifold_drift`` and
-``conjugacy_check``, whose reduced flow X is the same march of R(t).
+One RK4 step of the linear system is a matrix, y <- M_k y.  ``run_flow``,
+``manifold_drift`` and ``conjugacy_check`` are views of one sampled march,
+``_march``: A(t) once on the half-step grid of the window, whose even points
+are the step grid bit for bit (0.5*h*2k == h*k exactly), the frames on the
+step grid (on the half steps only for the conjugacy check's reduced flow X,
+the same march of R(t)), one draw of the launch coefficients c and one march
+Y_{k+1} = M_k Y_k, every trajectory being Y_k c.  A drift or conjugacy
+residual that is not finite raises EvaluationError at its first time.
 """
 
 from __future__ import annotations
@@ -21,13 +23,13 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .errors import EvaluationError, IntegrationOverflowError, PreconditionError, ShapeError
+from .errors import IntegrationOverflowError, PreconditionError, ShapeError
 from .invariance import (
     DEFAULT_GRID_SPAN,
     DEFAULT_VERDICT_TOL,
-    FrameSamples,
     InvarianceReport,
     SystemSpec,
+    _require_finite,
     frame_samples,
     verdicts,
 )
@@ -102,17 +104,10 @@ def _checked(t0: float, h_eff: float, fund: np.ndarray, *launches) -> list[np.nd
     return states
 
 
-def _every_other(fs: FrameSamples) -> FrameSamples:
-    """Frames on the half-step grid, cut down to the step grid."""
-    return FrameSamples(fs.ts[::2], fs.chart[::2], fs.dchart[::2], fs.embedding[::2], fs.dembedding[::2])
-
-
-def _launch(proj0: np.ndarray, side: str, trials: int, seed: int) -> np.ndarray:
-    """``trials`` random initial states on one side of the splitting at P(t0) = ``proj0``."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    c = np.random.default_rng(seed).standard_normal((proj0.shape[0], trials))
-    return proj0 @ c if side == SIDE_MAIN else (np.eye(proj0.shape[0]) - proj0) @ c
+def _require_launches(trials: int, seed: int) -> None:
+    """Refuse launch arguments before anything is sampled."""
+    if trials < 1 or seed < 0:
+        raise ValueError(f"trials must be >= 1 and seed >= 0, got trials={trials!r}, seed={seed!r}")
 
 
 def _drift(ts: np.ndarray, proj: np.ndarray, traj: np.ndarray, side: str) -> np.ndarray:
@@ -123,10 +118,37 @@ def _drift(ts: np.ndarray, proj: np.ndarray, traj: np.ndarray, side: str) -> np.
         off_norm, traj_norm = (linalg.frobenius(np.swapaxes(x, 1, 2)[..., None]) for x in (off, traj))
         rel = np.where(traj_norm > 0.0, off_norm / np.maximum(traj_norm, np.finfo(float).tiny), 0.0)
     drift = np.max(rel, axis=1)
-    if not (finite := np.isfinite(drift)).all():
-        k = int(finite.argmin())
-        raise EvaluationError(f"residual 'drift_{side}' is not finite at t={float(ts[k])!r}", k)
+    _require_finite(ts, {f"drift_{side}": drift})
     return drift
+
+
+def _march(spec: SystemSpec, t_span: tuple[float, float], h: float, sides: tuple[str, ...] = (), trials: int = 0,
+           seed: int = 0, conjugacy: bool = False) -> tuple[np.ndarray, list, Optional[ConjugacyResult]]:
+    """Step times, a drift curve per side and, if asked, the conjugacy check, from one march of a window.
+
+    Each side launches ``trials`` states from the same c, drawn from ``default_rng(seed)``.
+    """
+    t0, h_eff, half_ts = _half_grid(t_span, h)
+    ts, every = half_ts[::2], 2 if conjugacy else 1
+    frames = frame_samples(spec, half_ts if conjugacy else ts)
+    coeff = spec.coeff.eval_grid(half_ts)
+    chart, embedding = frames.chart[::every], frames.embedding[::every]
+    proj = embedding @ chart
+    c = np.random.default_rng(seed).standard_normal((spec.m, trials))
+    launches = [proj[0] @ c if side == SIDE_MAIN else (np.eye(spec.m) - proj[0]) @ c for side in sides]
+    fund, *trajs = _checked(t0, h_eff, _fundamental(coeff, h_eff), *launches)
+    drifts = [_drift(ts, proj, traj, side) for side, traj in zip(sides, trajs)]
+    if not conjugacy:
+        return ts, drifts, None
+    with np.errstate(over="ignore", invalid="ignore"):
+        (reduced,) = _checked(t0, h_eff, _fundamental(frames.reduced(coeff), h_eff))
+        lhs = fund @ embedding[0]       # (N+1, m, n)
+        residuals = {
+            "conjugacy_embedding": linalg.frobenius(lhs - embedding @ reduced),
+            "conjugacy_chart": linalg.frobenius(reduced - chart @ lhs),
+        }
+    _require_finite(ts, residuals)
+    return ts, drifts, ConjugacyResult(ts, *residuals.values(), fundamental=fund, reduced=reduced)
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,19 +218,9 @@ def manifold_drift(
     """
     if side not in (SIDE_MAIN, SIDE_COMPLEMENT):
         raise ValueError(f"side must be {SIDE_MAIN!r} or {SIDE_COMPLEMENT!r}, got {side!r}")
-    t0, h_eff, half_ts = _half_grid(t_span, h)
-    ts = half_ts[::2]
-    proj = frame_samples(spec, ts).projector
-    launch = _launch(proj[0], side, trials, seed)
-    _, traj = _checked(t0, h_eff, _fundamental(spec.coeff.eval_grid(half_ts), h_eff), launch)
-    return DriftResult(
-        side=side,
-        ts=ts,
-        residuals=_drift(ts, proj, traj, side),
-        seed=seed,
-        h=h,
-        trials=trials,
-    )
+    _require_launches(trials, seed)
+    ts, (drift,), _ = _march(spec, t_span, h, (side,), trials, seed)
+    return DriftResult(side=side, ts=ts, residuals=drift, seed=seed, h=h, trials=trials)
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,26 +274,7 @@ def _checked_conjugacy(
             "comparing flows off an invariant subspace is meaningless",
             residual=report.max_defect_main,
         )
-    t0, h_eff, half_ts = _half_grid(t_span, h)
-    frames, coeff = frame_samples(spec, half_ts), spec.coeff.eval_grid(half_ts)
-    (fund,) = _checked(t0, h_eff, _fundamental(coeff, h_eff))
-    return _conjugacy(frames, coeff, fund, t0, h_eff)
-
-
-def _conjugacy(
-    frames: FrameSamples, coeff: np.ndarray, fund: np.ndarray, t0: float, h_eff: float
-) -> ConjugacyResult:
-    """Conjugacy residuals of the fundamental matrix ``fund``, given frames and A on its half steps."""
-    steps = _every_other(frames)
-    (reduced,) = _checked(t0, h_eff, _fundamental(frames.reduced(coeff), h_eff))
-    lhs = fund @ steps.embedding[0]       # (N+1, m, n)
-    return ConjugacyResult(
-        ts=steps.ts,
-        embedding_residuals=linalg.frobenius(lhs - steps.embedding @ reduced),
-        chart_residuals=linalg.frobenius(reduced - steps.chart @ lhs),
-        fundamental=fund,
-        reduced=reduced,
-    )
+    return _march(spec, t_span, h, conjugacy=True)[2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,27 +333,18 @@ def run_flow(
 ) -> FlowResult:
     """Drift on both sides plus, when the subspace is invariant, the conjugacy curve.
 
-    The trials of both sides are launched from one fundamental-matrix march,
-    which also feeds the conjugacy check, so an overflow names the first
-    step at which the march or any trial leaves the floating-point range.
-    The frames are sampled on the half steps only for the conjugacy check's
-    reduced march, that is when the subspace is invariant; the drift uses
-    the step grid, whose frames are those of the half steps bit for bit.
+    All come from one march, so an overflow names the first step at which Y
+    or any trial leaves the float range.
     """
+    _require_launches(trials, seed)
     report = verdicts(spec, tol)
-    t0, h_eff, half_ts = _half_grid(t_span, h)
-    frames = frame_samples(spec, half_ts if report.main_invariant else half_ts[::2])
-    coeff = spec.coeff.eval_grid(half_ts)
-    proj = (_every_other(frames) if report.main_invariant else frames).projector
-    launches = [_launch(proj[0], side, trials, seed) for side in (SIDE_MAIN, SIDE_COMPLEMENT)]
-    fund, mn, comp = _checked(t0, h_eff, _fundamental(coeff, h_eff), *launches)
-    conj = _conjugacy(frames, coeff, fund, t0, h_eff).embedding_residuals if report.main_invariant else None
-    ts = half_ts[::2]
+    sides = (SIDE_MAIN, SIDE_COMPLEMENT)
+    ts, (mn, comp), conj = _march(spec, t_span, h, sides, trials, seed, conjugacy=report.main_invariant)
     return FlowResult(
         ts=ts,
-        drift_mn=_drift(ts, proj, mn, SIDE_MAIN),
-        drift_complement=_drift(ts, proj, comp, SIDE_COMPLEMENT),
-        conjugacy_residuals=conj,
+        drift_mn=mn,
+        drift_complement=comp,
+        conjugacy_residuals=None if conj is None else conj.embedding_residuals,
         main_invariant=report.main_invariant,
         seed=seed,
         h=h,

@@ -181,6 +181,15 @@ def _earliest_failure(not_finite: str, failure: str, ts, inverses) -> tuple:
     return results
 
 
+def _require_finite(ts, curves: dict, what: str = "residual") -> None:
+    """EvaluationError "<what> '<name>' is not finite at t=<t>" at the earliest such t, the first such curve."""
+    bad = np.array([~np.isfinite(curve).reshape(len(ts), -1).all(axis=1) for curve in curves.values()])
+    if bad.any():
+        k = int(bad.any(axis=0).argmax())
+        name = list(curves)[int(bad[:, k].argmax())]
+        raise EvaluationError(f"{what} {name!r} is not finite at t={float(ts[k])!r}", k)
+
+
 def projector_derivative(spec: SystemSpec, t: float) -> np.ndarray:
     """Exact dP/dt at ``t`` via symbolic chart derivatives and the closed-form
     derivative of the pseudoinverse (Moore-Penrose or stacked-inverse route)."""
@@ -278,11 +287,7 @@ def _sampled_verdicts(
     norm_comp = linalg.frobenius(defect @ (eye - proj))
     norm_embed = linalg.frobenius(defect @ fs.embedding)
     # A NaN compares False against tol and would read as FAIL: it is a numerical failure instead.
-    bad = ~np.isfinite([norm_defect, norm_main, norm_comp, norm_embed])
-    if bad.any():
-        k = int(bad.any(axis=0).argmax())
-        curve = _CURVES[int(bad[:, k].argmax())]
-        raise EvaluationError(f"residual {curve!r} is not finite at t={float(grid[k])!r}", k)
+    _require_finite(grid, dict(zip(_CURVES, (norm_defect, norm_main, norm_comp, norm_embed))))
 
     joint = bool(np.max(norm_defect) <= tol)
     main = joint or bool(np.max(norm_main) <= tol)

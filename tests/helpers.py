@@ -313,6 +313,8 @@ class _ReferenceParser:
             kind, text, offset = self._peek()
         if kind != "num" or not _REFERENCE_INT_RE.match(text):
             raise ParseError("exponent must be an integer literal", offset)
+        if math.isinf(float(text)):
+            raise ParseError(f"exponent {text!r} is out of range", offset)
         self._next()
         return sign * int(text)
 

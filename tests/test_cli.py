@@ -41,6 +41,18 @@ NILPOTENT_CONFIG = {
 }
 
 
+# Y and X stay finite, but Y C+(t0) - C+(t) X leaves the float range from t = 3.48 on.
+CONJUGACY_OVERFLOW = dict(NILPOTENT_CONFIG, coeff=[["200", "0"], ["0", "200"]], chart=[["1e-6", "0"]],
+                          window=[0.0, 3.5], step=1e-3)
+
+
+def _quiet_main(argv):
+    """``main(argv)`` with every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return main(argv)
+
+
 class TestCheck:
     def test_block_diagonal_all_assertions_pass(self, capsys):
         config = str(CONFIGS / "block_diagonal.json")
@@ -305,6 +317,19 @@ class TestReduce:
         expected = [reduced_matrix(spec, t).tolist() for t in spec.t_grid]
         assert json.loads(out.read_text())["reduced"] == expected
 
+    def test_conjugacy_past_the_float_range_exits_3_naming_its_time(self, tmp_path, capsys):
+        assert _quiet_main(["reduce", "--config", _write(tmp_path, CONJUGACY_OVERFLOW)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "numerical failure: residual 'conjugacy_embedding' is not finite at t=3.48\n"
+
+    def test_reduced_matrix_past_the_float_range_exits_3_naming_its_time(self, tmp_path, capsys):
+        # R = (dC/dt + C A) C+ = 1e309 on the whole grid; the zero-length window never marches it.
+        config = dict(NILPOTENT_CONFIG, coeff=[["1e308", "0"], ["0", "1"]], chart=[["10", "0"]], window=[0.0, 0.0])
+        assert _quiet_main(["reduce", "--config", _write(tmp_path, config)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == "numerical failure: reduced matrix 'R' is not finite at t=0.0\n"
+
     def test_schema_golden(self, tmp_path):
         out = tmp_path / "reduce.json"
         main(["reduce", "--config", str(CONFIGS / "block_diagonal.json"), "--json", str(out)])
@@ -368,6 +393,14 @@ class TestFlow:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("numerical failure: integration overflow at step ")
         assert "Traceback" not in err
+
+    def test_conjugacy_past_the_float_range_exits_3_naming_its_time(self, tmp_path, capsys):
+        argv = ["flow", "--config", _write(tmp_path, CONJUGACY_OVERFLOW), "--csv", str(tmp_path / "csv")]
+        assert _quiet_main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "numerical failure: residual 'conjugacy_embedding' is not finite at t=3.48\n"
+        assert not (tmp_path / "csv").exists()
 
     def test_schema_golden(self, tmp_path):
         out = tmp_path / "flow.json"

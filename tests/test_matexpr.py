@@ -469,6 +469,11 @@ class TestParserEquivalence:
     def test_unicode_spaces_and_digits(self, text):
         _same_build([[text]])
 
+    @pytest.mark.parametrize("text", ["t^" + "9" * 309, "t^-" + "9" * 309, "2*t^" + "9" * 308],
+                             ids=["t^9x309", "t^-9x309", "2*t^9x308"])
+    def test_exponent_near_the_float_range(self, text):
+        _same_build([[text]])
+
 
 def _generated_config(m):
     return to_config(random_scenario(Structure.FULL, m=m, n=m // 2, seed=11))
