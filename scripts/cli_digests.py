@@ -7,16 +7,17 @@ default windows, over
 - generated systems of every structure with m = 3, 8 and 16 (n = m // 2,
   generator seed 0), each as generated and again without ``comp_chart`` (the
   Moore-Penrose route);
-- last, the ``OVERFLOWS`` configs, whose conjugacy residuals or reduced
-  matrix leave the float range.
+- last, the ``OVERFLOWS`` configs, whose conjugacy residuals, reduced
+  matrix, defect or one-sided defect leave the float range.
 
 Each generated config first gets a ``generate`` line, then each run prints
 
     <command> <config> exit=<code> <sha256>
 
-where the SHA-256 covers the run's stdout, stderr, exit code and every file
-it wrote.  A last line per config covers the library's one-point results at
-7 fixed times inside the config's grid span, off its nodes:
+where the SHA-256 covers the run's stdout, stderr, exit code, every file it
+wrote and the category and message of each warning it raised.  A last line
+per config covers the library's one-point results at 7 fixed times inside
+the config's grid span, off its nodes:
 
     pointwise <config> <sha256>
 
@@ -31,7 +32,7 @@ the same lines exactly when their reports are byte-identical:
     python scripts/cli_digests.py > b.txt       # in the other
     diff a.txt b.txt
 
-``invman`` is imported from the ``src/`` beside this script.  The 136 lines
+``invman`` is imported from the ``src/`` beside this script.  The 144 lines
 take about 15 s on a 2-vCPU box, most of it in the m = 16 ``flow`` runs.
 """
 
@@ -64,14 +65,19 @@ OVERFLOWS = {
                                window=[0.0, 3.5], step=1e-3),
     # R = (dC/dt + C A) C+ is 1e309 on the whole grid; the zero-length window never marches it.
     "reduced-overflow": dict(DIAGONAL, coeff=[["1e308", "0"], ["0", "1"]], chart=[["10", "0"]], window=[0.0, 0.0]),
+    # P A - A P leaves the float range: the defect is not finite.
+    "defect-overflow": dict(DIAGONAL, coeff=[["1e308"] * 2] * 2, chart=[["1", "10"]], window=[0.0, 0.0]),
+    # The defect is finite, but defect @ P is not.
+    "defect-main-overflow": dict(DIAGONAL, coeff=[["1e307"] * 2] * 2, chart=[["1", "10"]], window=[0.0, 0.0]),
 }
 
 
 def _run(argv: list[str], written: list[Path]) -> tuple[str, str]:
     """Run the CLI on ``argv``; return its exit code and the digest of everything it emitted."""
     stdout, stderr = io.StringIO(), io.StringIO()
-    # Fresh warning filters: each run reports its own warnings, as a separate process would.
-    with warnings.catch_warnings(), redirect_stdout(stdout), redirect_stderr(stderr):
+    # Warnings are recorded, not printed: their printed form holds the path of the module that raised them.
+    with warnings.catch_warnings(record=True) as caught, redirect_stdout(stdout), redirect_stderr(stderr):
+        warnings.simplefilter("always")
         try:
             code = repr(cli.main(argv))
         except (Exception, SystemExit) as exc:  # a traceback or an argparse exit is an outcome too
@@ -80,6 +86,8 @@ def _run(argv: list[str], written: list[Path]) -> tuple[str, str]:
     digest = hashlib.sha256()
     for part in (stdout.getvalue(), stderr.getvalue(), code):
         digest.update(part.encode() + b"\0")
+    for warning in caught:
+        digest.update(f"warning:{warning.category.__name__}: {warning.message}\0".encode())
     for path in written:
         digest.update(path.read_bytes() if path.is_file() else b"<missing>")
         digest.update(b"\0")

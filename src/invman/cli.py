@@ -9,7 +9,9 @@ Subcommands:
 
 Exit codes: 0 success / requested assertion holds; 1 assertion or
 precondition fails; 2 configuration problems; 3 numerical failures.
-Set INVMAN_LOG=debug|info|warning to control log verbosity.
+With INVMAN_LOG=info or debug (any letter case), ``flow --csv`` prints
+``INFO:invman:wrote <path>`` to stderr.  The module only checks arguments and
+does I/O: the numerics, and their guards, live in the library.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import logging
 import os
 import sys
 from dataclasses import dataclass
@@ -41,7 +42,7 @@ from .errors import (
 )
 from .flow import DEFAULT_SEED, DEFAULT_STEP, DEFAULT_TRIALS, _checked_conjugacy, run_flow
 from .invariance import DEFAULT_GRID_COUNT, DEFAULT_GRID_SPAN, DEFAULT_VERDICT_TOL
-from .invariance import SystemSpec, _require_finite, _sampled_verdicts, verdicts
+from .invariance import SystemSpec, _sampled_verdicts, verdicts
 # Unused here, but perfbench/test_perfbench.py checks that the tracer wraps this binding.
 from .invariance import reduced_matrix  # noqa: F401
 from .matexpr import MatrixFunction
@@ -65,8 +66,6 @@ _NUMERICAL_ERRORS = (
     FrameError,
     ScenarioError,
 )
-
-log = logging.getLogger("invman")
 
 _ASSERTION_FIELDS = {
     "joint": "joint_invariant",
@@ -241,9 +240,7 @@ def cmd_reduce(args) -> int:
     except PreconditionError as exc:
         print(f"reduce: {exc}", file=sys.stderr)
         return EXIT_VERDICT
-    with np.errstate(over="ignore", invalid="ignore"):
-        reduced = frames.reduced(coeff)
-    _require_finite(spec.t_grid, {"R": reduced}, "reduced matrix")
+    reduced = frames.reduced(coeff)
     payload = {
         "schema": "invman.reduce/1",
         "grid": opts.grid,
@@ -287,7 +284,8 @@ def cmd_flow(args) -> int:
             writer = csv.writer(fh)
             writer.writerow(["t", "drift_mn", "drift_complement", "conjugacy_residual"])
             writer.writerows(result.csv_rows())
-        log.info("wrote %s", target)
+        if os.environ.get("INVMAN_LOG", "").lower() in ("debug", "info"):
+            print(f"INFO:invman:wrote {target}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -350,25 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _StderrHandler(logging.Handler):
-    """Writes each record to the ``sys.stderr`` of the moment, so every ``main()`` logs to its own stream."""
-
-    def emit(self, record):
-        print(f"{record.levelname}:{record.name}:{record.getMessage()}", file=sys.stderr)  # logging.BASIC_FORMAT
-
-
-def _configure_logging():
-    """Set the ``invman`` logger's level from INVMAN_LOG; other loggers, the root included, are left alone."""
-    level = getattr(logging, os.environ.get("INVMAN_LOG", "warning").upper(), None)
-    # Only a level's name gives an int: other attributes of logging (BASIC_FORMAT, ...) count as unknown names.
-    log.setLevel(level if isinstance(level, int) else logging.WARNING)
-    if not log.handlers:  # installed once; a root handler of the host process would print each line again
-        log.addHandler(_StderrHandler())
-        log.propagate = False
-
-
 def main(argv=None) -> int:
-    _configure_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

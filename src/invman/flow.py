@@ -12,7 +12,8 @@ are the step grid bit for bit (0.5*h*2k == h*k exactly), the frames on the
 step grid (on the half steps only for the conjugacy check's reduced flow X,
 the same march of R(t)), one draw of the launch coefficients c and one march
 Y_{k+1} = M_k Y_k, every trajectory being Y_k c.  A drift or conjugacy
-residual that is not finite raises EvaluationError at its first time.
+residual, or a reduced matrix R, that is not finite raises EvaluationError
+at its first time.
 """
 
 from __future__ import annotations
@@ -140,8 +141,8 @@ def _march(spec: SystemSpec, t_span: tuple[float, float], h: float, sides: tuple
     drifts = [_drift(ts, proj, traj, side) for side, traj in zip(sides, trajs)]
     if not conjugacy:
         return ts, drifts, None
+    (reduced,) = _checked(t0, h_eff, _fundamental(frames.reduced(coeff), h_eff))
     with np.errstate(over="ignore", invalid="ignore"):
-        (reduced,) = _checked(t0, h_eff, _fundamental(frames.reduced(coeff), h_eff))
         lhs = fund @ embedding[0]       # (N+1, m, n)
         residuals = {
             "conjugacy_embedding": linalg.frobenius(lhs - embedding @ reduced),

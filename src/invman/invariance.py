@@ -118,13 +118,21 @@ class FrameSamples:
         return self.dembedding @ self.chart + self.embedding @ self.dchart
 
     def defect(self, coeff: np.ndarray) -> np.ndarray:
-        """The defect dP/dt + P A - A P per sample, given A on the same grid."""
+        """The defect dP/dt + P A - A P per sample, given A on the same grid; it must be finite."""
         proj = self.projector
-        return self.dprojector + proj @ coeff - coeff @ proj
+        with np.errstate(over="ignore", invalid="ignore"):
+            defect = self.dprojector + proj @ coeff - coeff @ proj
+        if not np.isfinite(defect).all():
+            _require_finite(self.ts, {"defect": defect})
+        return defect
 
     def reduced(self, coeff: np.ndarray) -> np.ndarray:
-        """The reduced coefficient R = (dC/dt + C A) C+ per sample, given A on the same grid."""
-        return (self.dchart + self.chart @ coeff) @ self.embedding
+        """The reduced coefficient R = (dC/dt + C A) C+ per sample, given A on the same grid; it must be finite."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            reduced = (self.dchart + self.chart @ coeff) @ self.embedding
+        if not np.isfinite(reduced).all():
+            _require_finite(self.ts, {"R": reduced}, "reduced matrix")
+        return reduced
 
 
 def frame_samples(spec: SystemSpec, ts) -> FrameSamples:
@@ -281,26 +289,18 @@ def _sampled_verdicts(
     proj = fs.projector
     defect = fs.defect(coeff_g)
 
-    eye = np.eye(spec.m)
-    norm_defect = linalg.frobenius(defect)
-    norm_main = linalg.frobenius(defect @ proj)
-    norm_comp = linalg.frobenius(defect @ (eye - proj))
-    norm_embed = linalg.frobenius(defect @ fs.embedding)
+    with np.errstate(over="ignore", invalid="ignore"):  # a finite defect may still overflow these products
+        one_sided = (defect @ proj, defect @ (np.eye(spec.m) - proj), defect @ fs.embedding)
+    curves = dict(zip(_CURVES, (linalg.frobenius(x) for x in (defect, *one_sided))))
     # A NaN compares False against tol and would read as FAIL: it is a numerical failure instead.
-    _require_finite(grid, dict(zip(_CURVES, (norm_defect, norm_main, norm_comp, norm_embed))))
+    _require_finite(grid, curves)
 
-    joint = bool(np.max(norm_defect) <= tol)
-    main = joint or bool(np.max(norm_main) <= tol)
-    comp = joint or bool(np.max(norm_comp) <= tol)
-
+    joint = bool(np.max(curves["defect"]) <= tol)
     return InvarianceReport(
         t_grid=grid,
-        defect=norm_defect,
-        defect_main=norm_main,
-        defect_complement=norm_comp,
-        defect_embedding=norm_embed,
+        **curves,
         tolerance=float(tol),
         joint_invariant=joint,
-        main_invariant=main,
-        complement_kernel_condition=comp,
+        main_invariant=joint or bool(np.max(curves["defect_main"]) <= tol),
+        complement_kernel_condition=joint or bool(np.max(curves["defect_complement"]) <= tol),
     ), fs, coeff_g

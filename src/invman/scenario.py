@@ -339,15 +339,8 @@ def random_scenario(
     return ScenarioSpec(frame=frame, a=a, b=b, c=c, d=d, structure=structure, t_grid=grid)
 
 
-def to_config(
-    s: ScenarioSpec,
-    tolerance: float = DEFAULT_VERDICT_TOL,
-    h: float = DEFAULT_STEP,
-    seed: int = DEFAULT_SEED,
-    trials: int = DEFAULT_TRIALS,
-    metadata: Optional[dict] = None,
-) -> dict:
-    """Serialize a scenario to the JSON config format the CLI consumes.
+def to_config(s: ScenarioSpec, metadata: Optional[dict] = None) -> dict:
+    """Serialize a scenario to the JSON config format the CLI consumes, with the default run options.
 
     The expected verdicts ride along as metadata so a round-trip through the
     public pipeline can confirm them.
@@ -362,10 +355,10 @@ def to_config(
         "chart": s.frame.chart.to_strings(),
         "comp_chart": s.frame.comp_chart.to_strings(),
         "grid": {"start": float(grid[0]), "end": float(grid[-1]), "count": int(grid.size)},
-        "tolerance": tolerance,
-        "step": h,
-        "seed": seed,
-        "trials": trials,
+        "tolerance": DEFAULT_VERDICT_TOL,
+        "step": DEFAULT_STEP,
+        "seed": DEFAULT_SEED,
+        "trials": DEFAULT_TRIALS,
         "expected_verdicts": {
             "joint": exp.joint,
             "mn": exp.main,

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import logging
 import math
 import subprocess
 import sys
@@ -44,6 +45,11 @@ NILPOTENT_CONFIG = {
 # Y and X stay finite, but Y C+(t0) - C+(t) X leaves the float range from t = 3.48 on.
 CONJUGACY_OVERFLOW = dict(NILPOTENT_CONFIG, coeff=[["200", "0"], ["0", "200"]], chart=[["1e-6", "0"]],
                           window=[0.0, 3.5], step=1e-3)
+
+
+# P A - A P leaves the float range; with 1e307 the defect is finite, but defect @ P is not.
+DEFECT_OVERFLOW = dict(NILPOTENT_CONFIG, coeff=[["1e308"] * 2] * 2, chart=[["1", "10"]], window=[0.0, 0.0])
+DEFECT_MAIN_OVERFLOW = dict(DEFECT_OVERFLOW, coeff=[["1e307"] * 2] * 2)
 
 
 def _quiet_main(argv):
@@ -129,6 +135,15 @@ class TestCheck:
     ):
         config = dict(NILPOTENT_CONFIG, **changes)
         assert main([command, "--config", _write(tmp_path, config)]) == 3
+        assert capsys.readouterr() == ("", f"numerical failure: {message}\n")
+
+    @pytest.mark.parametrize("config, message", [
+        (DEFECT_OVERFLOW, "residual 'defect' is not finite at t=0.0"),
+        (DEFECT_MAIN_OVERFLOW, "residual 'defect_main' is not finite at t=0.0"),
+    ], ids=["defect", "defect_main"])
+    @pytest.mark.parametrize("command", ["check", "reduce", "flow"])
+    def test_defect_past_the_float_range_exits_3_without_a_warning(self, tmp_path, capsys, config, message, command):
+        assert _quiet_main([command, "--config", _write(tmp_path, config)]) == 3
         assert capsys.readouterr() == ("", f"numerical failure: {message}\n")
 
     @pytest.mark.parametrize("changes, message", [
@@ -402,6 +417,21 @@ class TestFlow:
         assert err == "numerical failure: residual 'conjugacy_embedding' is not finite at t=3.48\n"
         assert not (tmp_path / "csv").exists()
 
+    @pytest.mark.parametrize("command", ["reduce", "flow"])
+    def test_reduced_matrix_past_the_float_range_at_a_half_step_names_that_time(self, tmp_path, capsys, command):
+        # C A = 1e308 (1 + 9t) leaves the float range first at the half step t = 0.09025 of h = 0.0095.
+        config = dict(NILPOTENT_CONFIG, coeff=[["1e8", "0"], ["0", "1"]], chart=[["1e300*(1 + 9*t)", "0"]],
+                      comp_chart=[["0", "1e300"]], window=[0.0, 0.095], step=0.01)
+        assert _quiet_main([command, "--config", _write(tmp_path, config)]) == 3
+        assert capsys.readouterr() == ("", "numerical failure: reduced matrix 'R' is not finite at t=0.09025\n")
+
+    def test_reduced_matrix_past_the_float_range_exits_3_naming_its_time(self, tmp_path, capsys):
+        # As for reduce: R = 1e309 on the whole grid, and the zero-length window samples it at t0.
+        config = dict(NILPOTENT_CONFIG, coeff=[["1e308", "0"], ["0", "1"]], chart=[["10", "0"]], window=[0.0, 0.0])
+        assert _quiet_main(["flow", "--config", _write(tmp_path, config)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == "numerical failure: reduced matrix 'R' is not finite at t=0.0\n"
+
     def test_schema_golden(self, tmp_path):
         out = tmp_path / "flow.json"
         main(["flow", "--config", str(CONFIGS / "block_diagonal.json"), "--json", str(out)])
@@ -524,6 +554,25 @@ def test_each_main_logs_to_its_own_stderr_at_its_own_level(tmp_path, monkeypatch
         errs.append(err.getvalue())
     assert errs == [f"INFO:invman:wrote {tmp_path / name / 'residuals.csv'}\n" if logged else ""
                     for name in ("o0", "o1")]
+
+
+@pytest.mark.parametrize("level, logged", [
+    ("INFO", True), ("Debug", True), ("warning", False), ("NOTSET", False), ("bogus", False),
+])
+def test_the_wrote_line_follows_invman_log_in_any_letter_case(tmp_path, monkeypatch, capsys, level, logged):
+    monkeypatch.setenv("INVMAN_LOG", level)
+    assert main(["flow", "--config", _write(tmp_path, NILPOTENT_CONFIG), "--csv", str(tmp_path / "o")]) == 0
+    target = tmp_path / "o" / "residuals.csv"
+    assert capsys.readouterr().err == (f"INFO:invman:wrote {target}\n" if logged else "")
+
+
+def test_main_leaves_the_process_logging_state_alone(tmp_path, monkeypatch):
+    monkeypatch.setenv("INVMAN_LOG", "debug")
+    logger = logging.getLogger("invman")
+    before = (logger.level, list(logger.handlers), logger.propagate)
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert main(["flow", "--config", _write(tmp_path, NILPOTENT_CONFIG), "--csv", str(tmp_path / "o")]) == 0
+    assert (logger.level, list(logger.handlers), logger.propagate) == before
 
 
 def test_log_level_naming_no_level_falls_back_to_warning(monkeypatch):

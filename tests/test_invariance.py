@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from invman import linalg
-from invman.errors import RankDeficiencyError, SingularMatrixError
+from invman.errors import EvaluationError, RankDeficiencyError, SingularMatrixError
 from invman.invariance import (
     SystemSpec,
     frame_samples,
@@ -352,3 +352,15 @@ class TestReducedMatrix:
         spec = to_system(scen)
         for t in spec.t_grid:
             np.testing.assert_allclose(reduced_matrix(spec, t), [[-1.0]], atol=1e-10)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, message", [
+    (reduced_matrix, "reduced matrix 'R' is not finite at t=0.5"),
+    (invariance_defect, "residual 'defect' is not finite at t=0.5"),
+])
+def test_one_point_results_past_the_float_range_raise_without_a_warning(call, message):
+    # P A - A P, and C A, leave the float range at every t.
+    spec = _spec([["1e308", "1e308"], ["1e308", "1e308"]], [["1", "10"]], [["0", "1"]])
+    with pytest.raises(EvaluationError, match=re.escape(message)):
+        call(spec, 0.5)
