@@ -69,6 +69,8 @@ class SystemSpec:
     chart: MatrixFunction                       # n x m, full row rank on the grid
     comp_chart: Optional[MatrixFunction] = None  # p x m with p = m - n
     t_grid: np.ndarray = field(default_factory=DEFAULT_GRID)
+    # Memo of _one_point: (bits of t, frames at [t], A at [t] or None), one point at a time.
+    _point: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.coeff.rows != self.coeff.cols:
@@ -198,21 +200,45 @@ def _require_finite(ts, curves: dict, what: str = "residual") -> None:
         raise EvaluationError(f"{what} {name!r} is not finite at t={float(ts[k])!r}", k)
 
 
+def _one_point(spec: SystemSpec, t, with_coeff: bool) -> tuple[FrameSamples, Optional[np.ndarray]]:
+    """The frames at [t], and A at [t] when ``with_coeff``, memoised on ``spec`` for the last t (by its bits).
+
+    Frames are sampled before A, and an entry is stored only once all it holds was sampled.
+    """
+    if np.ndim(t) != 0:
+        raise ShapeError(f"t must be a scalar, got shape {np.shape(t)}")
+    ts = np.array([t], dtype=float)
+    key = ts.tobytes()  # 0.0 and -0.0 differ: sin(-0.0) is -0.0
+    point = spec._point
+    if point is None or point[0] != key:
+        point = (key, frame_samples(spec, ts), None)
+    if with_coeff and point[2] is None:
+        point = point[:2] + (spec.coeff.eval_grid(ts),)
+    object.__setattr__(spec, "_point", point)
+    return point[1:]
+
+
 def projector_derivative(spec: SystemSpec, t: float) -> np.ndarray:
-    """Exact dP/dt at ``t`` via symbolic chart derivatives and the closed-form
-    derivative of the pseudoinverse (Moore-Penrose or stacked-inverse route)."""
-    fs = frame_samples(spec, [t])
-    return fs.dprojector[0]
+    """Exact dP/dt at scalar ``t`` via symbolic chart derivatives and the closed-form
+    derivative of the pseudoinverse (Moore-Penrose or stacked-inverse route).
+
+    The three one-point functions share the frames and A they sample at ``t``
+    through a one-point memo on ``spec``; each returns a freshly computed array.
+    """
+    return _one_point(spec, t, False)[0].dprojector[0]
 
 
 def invariance_defect(spec: SystemSpec, t: float) -> np.ndarray:
-    """The defect matrix dP/dt + P A - A P at ``t``."""
-    return frame_samples(spec, [t]).defect(spec.coeff.eval(t))[0]
+    """The defect matrix dP/dt + P A - A P at scalar ``t`` (frames and A shared as in :func:`projector_derivative`)."""
+    fs, coeff = _one_point(spec, t, True)
+    return fs.defect(coeff)[0]
 
 
 def reduced_matrix(spec: SystemSpec, t: float) -> np.ndarray:
-    """Coefficient matrix R(t) = (dC/dt + C A) C+ of the reduced n-dimensional flow."""
-    return frame_samples(spec, [t]).reduced(spec.coeff.eval(t))[0]
+    """Coefficient matrix R(t) = (dC/dt + C A) C+ of the reduced n-dimensional flow at scalar ``t``
+    (frames and A shared as in :func:`projector_derivative`)."""
+    fs, coeff = _one_point(spec, t, True)
+    return fs.reduced(coeff)[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -575,8 +575,8 @@ def test_main_leaves_the_process_logging_state_alone(tmp_path, monkeypatch):
     assert (logger.level, list(logger.handlers), logger.propagate) == before
 
 
-def test_log_level_naming_no_level_falls_back_to_warning(monkeypatch):
-    # logging.BASIC_FORMAT is a string, not a level.  Run as its own process, as from a shell.
+def test_an_invman_log_other_than_info_or_debug_keeps_stderr_empty_from_a_shell(monkeypatch):
+    # Only info and debug print anything; any other value is ignored.  Run as its own process, as from a shell.
     monkeypatch.setenv("INVMAN_LOG", "BASIC_FORMAT")
     monkeypatch.setenv("PYTHONPATH", str(Path(cli.__file__).resolve().parents[1]))
     done = subprocess.run(

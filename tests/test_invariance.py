@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import math
@@ -10,8 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from invman import linalg
-from invman.errors import EvaluationError, RankDeficiencyError, SingularMatrixError
+from invman import invariance, linalg
+from invman.errors import EvaluationError, RankDeficiencyError, ShapeError, SingularMatrixError
 from invman.invariance import (
     SystemSpec,
     frame_samples,
@@ -364,3 +365,115 @@ def test_one_point_results_past_the_float_range_raise_without_a_warning(call, me
     spec = _spec([["1e308", "1e308"], ["1e308", "1e308"]], [["1", "10"]], [["0", "1"]])
     with pytest.raises(EvaluationError, match=re.escape(message)):
         call(spec, 0.5)
+
+
+ONE_POINT = (projector_derivative, invariance_defect, reduced_matrix)
+
+
+def _fresh(spec):
+    """A copy of ``spec`` with an empty one-point memo."""
+    return dataclasses.replace(spec)
+
+
+class TestOnePointMemo:
+    """The three one-point functions share one memoised sample of the frames and A per spec."""
+
+    SPECS = [
+        ROTATION_SPEC,
+        _spec([["sin(t)", "t^2"], ["exp(-t)", "cos(3*t)"]], [["1", "0.5*t"]]),  # Moore-Penrose route
+        to_system(random_scenario(Structure.FULL, m=4, n=2, seed=8)),
+    ]
+
+    @pytest.fixture
+    def samples(self, monkeypatch):
+        """The times frame_samples is called at, in call order."""
+        seen = []
+
+        def counting(spec, ts):
+            seen.append(np.array(ts, dtype=float).tobytes())
+            return frame_samples(spec, ts)
+
+        monkeypatch.setattr(invariance, "frame_samples", counting)
+        return seen
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_hits_give_the_bits_of_a_fresh_spec(self, spec, samples):
+        spec = _fresh(spec)
+        for t in (0.3, 1.7):
+            want = [call(_fresh(spec), t).tobytes() for call in ONE_POINT]
+            for _ in range(2):
+                assert [call(spec, t).tobytes() for call in ONE_POINT] == want
+        # Once per time for spec itself, once per call for its fresh copies.
+        assert len(samples) == 2 * (1 + len(ONE_POINT))
+
+    def test_results_are_fresh_arrays(self):
+        spec = _fresh(self.SPECS[2])
+        for call in ONE_POINT:
+            first = call(spec, 0.9)
+            want = first.copy()
+            first[...] = np.nan
+            np.testing.assert_array_equal(call(spec, 0.9), want)
+
+    def test_zero_and_negative_zero_are_sampled_separately(self, samples):
+        spec = _fresh(NILPOTENT)
+        for t in (0.0, 0.0, -0.0, -0.0, 0.0):
+            reduced_matrix(spec, t)
+        assert samples == [np.array([t]).tobytes() for t in (0.0, -0.0, 0.0)]
+        # The message names the time of the sample it came from.
+        spec = _spec([["1e308", "1e308"], ["1e308", "1e308"]], [["1", "10"]], [["0", "1"]])
+        for t in (0.0, -0.0):
+            with pytest.raises(EvaluationError, match=re.escape(f"is not finite at t={t!r}")):
+                invariance_defect(spec, t)
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_alternating_times_give_correct_results(self, spec):
+        spec = _fresh(spec)
+        ts = [0.3, 1.7, 0.3, -0.4, 1.7, 1.7, 0.3]
+        want = {t: [call(_fresh(spec), t).tobytes() for call in ONE_POINT] for t in set(ts)}
+        for k, t in enumerate(ts):
+            order = ONE_POINT if k % 2 else ONE_POINT[::-1]
+            got = {call: call(spec, t).tobytes() for call in order}
+            assert [got[call] for call in ONE_POINT] == want[t]
+
+    @pytest.mark.parametrize("coeff, chart, message", [
+        # A pole of the chart: the frames fail.
+        ([["0", "0"], ["0", "0"]], [["1", "1/(t - 0.5)"]], "entry (0,1) at t=0.5: division by zero"),
+        # A pole of A: the frames are sampled, then A fails.
+        ([["1/(t - 0.5)", "0"], ["0", "0"]], [["1", "0"]], "entry (0,0) at t=0.5: division by zero"),
+        # A past the float range.
+        ([["exp(2000*t)", "0"], ["0", "0"]], [["1", "0"]], "entry (0,0) is not finite at t=0.5"),
+    ])
+    def test_a_failed_sampling_raises_the_same_error_and_stores_nothing(self, coeff, chart, message):
+        spec = _spec(coeff, chart, [["0", "1"]])
+        projector_derivative(spec, 0.25)
+        stored = spec._point
+        for call in (invariance_defect, reduced_matrix, invariance_defect):
+            with pytest.raises(EvaluationError, match=re.escape(message)):
+                call(spec, 0.5)
+            assert spec._point is stored
+
+    def test_replace_starts_with_an_empty_memo(self):
+        spec = _fresh(DIAG)
+        reduced_matrix(spec, 1.0)
+        assert spec._point is not None
+        assert dataclasses.replace(spec, t_grid=np.linspace(0.0, 1.0, 3))._point is None
+        assert dataclasses.replace(spec)._point is None
+
+    def test_the_memo_holds_one_point(self):
+        spec = _fresh(self.SPECS[1])
+        ts = np.linspace(-2.0, 2.0, 1000)
+        for k, t in enumerate(ts):
+            ONE_POINT[-1 - k % 3](spec, t)
+        key, fs, coeff = spec._point
+        assert key == ts[-1:].tobytes()
+        assert fs.ts.shape == (1,) and coeff.shape == (1, 2, 2)
+
+
+@pytest.mark.parametrize("call", ONE_POINT)
+@pytest.mark.parametrize("shape", [(2,), (1,), (1, 1)])
+def test_one_point_functions_refuse_a_t_that_is_not_a_scalar(call, shape, monkeypatch):
+    spec = _fresh(DIAG)
+    monkeypatch.setattr(invariance, "frame_samples", None)  # nothing may be sampled
+    with pytest.raises(ShapeError, match=re.escape(f"t must be a scalar, got shape {shape}")):
+        call(spec, np.full(shape, 0.5))
+    assert spec._point is None
