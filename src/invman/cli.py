@@ -17,11 +17,11 @@ does I/O: the numerics, and their guards, live in the library.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -199,8 +199,33 @@ def load_config(path: str) -> tuple[SystemSpec, RunOptions]:
     return spec, options
 
 
+# The text of each item of a list whose first item is of this type; it refuses any other type, bool and int too.
+_ITEM_TEXT = {float: float.__repr__, str: encode_basestring_ascii}
+
+
+def _json(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` of a JSON value whose keys are strings, byte for byte, for a
+    value at the nesting ``indent``.  Under ``indent`` json encodes item by item in Python; this joins each list
+    of floats or of strings in one call."""
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        items = [f"{encode_basestring_ascii(key)}: {_json(value[key], inner)}" for key in sorted(value)]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)) and value:
+        item_text = _ITEM_TEXT.get(type(value[0]))
+        try:  # a list of floats or of strings is one join
+            text = None if item_text is None else (",\n" + inner).join(map(item_text, value))
+        except TypeError:
+            text = None
+        # NaN and the infinities are the only floats whose repr holds an "n".
+        if text is None or item_text is float.__repr__ and "n" in text:
+            text = (",\n" + inner).join([_json(item, inner) for item in value])
+        return "[\n" + inner + text + "\n" + indent + "]"
+    return json.dumps(value)  # a scalar, {} or []: json's own spelling, NaN and Infinity included
+
+
 def _emit_json(payload: dict, path: str | None):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = _json(payload) + "\n"
     if path:
         Path(path).write_text(text)
     else:
@@ -280,10 +305,8 @@ def cmd_flow(args) -> int:
         directory = Path(args.csv)
         directory.mkdir(parents=True, exist_ok=True)
         target = directory / "residuals.csv"
-        with target.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "drift_mn", "drift_complement", "conjugacy_residual"])
-            writer.writerows(result.csv_rows())
+        rows = [("t", "drift_mn", "drift_complement", "conjugacy_residual"), *result.csv_rows()]
+        target.write_text("\r\n".join(map(",".join, rows)) + "\r\n", newline="")  # csv.writer's bytes
         if os.environ.get("INVMAN_LOG", "").lower() in ("debug", "info"):
             print(f"INFO:invman:wrote {target}", file=sys.stderr)
     return EXIT_OK
@@ -302,7 +325,7 @@ def cmd_generate(args) -> int:
         raise ConfigError(f"generate needs a seed >= 0, got {args.seed}")
     scenario = random_scenario(Structure(args.kind), m=m, n=n, seed=args.seed)
     config = to_config(scenario, metadata={"kind": args.kind, "generator_seed": args.seed})
-    Path(args.out).write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
+    Path(args.out).write_text(_json(config) + "\n")
     return EXIT_OK
 
 

@@ -316,12 +316,12 @@ class FlowResult:
         }
 
     def csv_rows(self):
-        """Rows for the pinned CSV columns: t, drift_mn, drift_complement, conjugacy_residual."""
+        """Rows of float reprs for the pinned CSV columns: t, drift_mn, drift_complement, conjugacy_residual."""
         conj = self.conjugacy_residuals
         if conj is None:
             conj = np.full(self.ts.size, np.nan)
-        for row in zip(self.ts, self.drift_mn, self.drift_complement, conj):
-            yield [repr(float(x)) for x in row]
+        columns = (self.ts, self.drift_mn, self.drift_complement, conj)
+        return zip(*(map(float.__repr__, column.tolist()) for column in columns))
 
 
 def run_flow(

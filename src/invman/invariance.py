@@ -147,7 +147,7 @@ def frame_samples(spec: SystemSpec, ts) -> FrameSamples:
     right inverse (Moore-Penrose or stacked) or its derivative past the
     float range is reported with the earliest offending time point.
     """
-    ts = np.asarray(ts, dtype=float).reshape(-1)
+    ts = np.asarray(ts, dtype=float)  # eval_grid refuses a grid that is not 1-D, as ShapeError
     n = spec.n
     chart_g = spec.chart.eval_grid(ts)
     dchart_g = spec.chart.derivative().eval_grid(ts)

@@ -285,22 +285,13 @@ _TOKEN_RE = re.compile(rf"\s*({_TOKEN})")
 # The longest run of whitespace and tokens from the start, each token read as _TOKEN_RE reads it
 # (a lookahead does not backtrack): it ends where the first unexpected character stands.
 _TOKENS_RE = re.compile(rf"(?:\s*(?=({_TOKEN}))\1)*\s*")
-_PARENS_RE = re.compile(r"[()]")
 _INT_RE = re.compile(r"\d+\Z")
 _OPERATORS = frozenset("+-*/^()")
 _ADDITIVE = frozenset("+-")
 _MULTIPLICATIVE = frozenset("*/")
-
-
-def _closers(text: str) -> dict[int, int]:
-    """The offset of the ')' that closes each closed '(' of ``text``, by the offset of the '('."""
-    closers, opened = {}, []
-    for m in _PARENS_RE.finditer(text):
-        if m[0] == "(":
-            opened.append(m.start())
-        elif opened:
-            closers[opened.pop()] = m.start()
-    return closers
+# A remembered text is indexed by its first _PREFIX characters, cut at the first ')': its own, or the one after a
+# shorter text, so the key reads the same from the text alone as from the text and what follows it.
+_PREFIX = 16
 
 
 # Deepest tree, and deepest nesting of '(' and '-', that the parser accepts: then parsing, differentiate,
@@ -315,21 +306,31 @@ class _Parser:
     Tokens are read on demand: ``tok`` is the next unread token ("" at the
     end) and ``at`` its offset.  Every entry and every parenthesised group
     that parses is remembered by its text, with the nesting it adds; a group
-    whose text comes again is skipped to its ')' and gives the same node, as
-    long as its nesting still fits under ``MAX_DEPTH``.
+    whose text comes again (balanced, so the ')' after it closes the group)
+    is skipped and gives the same node, as long as its nesting still fits
+    under ``MAX_DEPTH``.  Only a failed parse scans the whole entry: a
+    character that starts no token is the error, wherever it stands.
     """
 
     def __init__(self):
         self.nodes: dict[tuple, ScalarExpr] = {}
         self.depths = {id(T): 1}
         self.groups: dict[str, tuple[ScalarExpr, int]] = {}
+        # index key -> [(text + ")", node, nesting)] of every remembered text (see _PREFIX).
+        self.closed: dict[str, list[tuple[str, ScalarExpr, int]]] = {}
 
     def _advance(self):
         m = _TOKEN_RE.match(self.text, self.pos)
-        if m is None:  # only whitespace is left
-            self.tok, self.at = "", len(self.text)
-        else:
+        if m is not None:
             self.tok, self.at, self.pos = m[1], m.start(1), m.end()
+        elif self.text[self.pos :].strip():  # parse() puts the scan's error in its place
+            raise ParseError("unexpected character", self.pos)
+        else:
+            self.tok, self.at = "", len(self.text)
+
+    def _remember(self, text: str, prefix: str, expr: ScalarExpr, nesting: int):
+        self.groups[text] = expr, nesting
+        self.closed.setdefault(prefix, []).append((text + ")", expr, nesting))
 
     def _shared(self, key: tuple, cls, *fields) -> ScalarExpr:
         node = self.nodes.get(key)
@@ -344,15 +345,18 @@ class _Parser:
     def parse(self, text: str) -> ScalarExpr:
         if (seen := self.groups.get(text)) is not None:
             return seen[0]
-        end = _TOKENS_RE.match(text).end()
-        if end < len(text):
-            raise ParseError(f"unexpected character {text[end]!r}", end)
-        self.text, self.pos, self.level, self.peak, self.closers = text, 0, 0, 0, None
-        self._advance()
-        expr = self._sum()
-        if self.tok:
-            raise ParseError(f"unexpected {self.tok!r}", self.at)
-        self.groups[text] = expr, self.peak
+        self.text, self.pos, self.level, self.peak = text, 0, 0, 0
+        try:
+            self._advance()
+            expr = self._sum()
+            if self.tok:
+                raise ParseError(f"unexpected {self.tok!r}", self.at)
+        except ParseError:
+            end = _TOKENS_RE.match(text).end()
+            if end < len(text):
+                raise ParseError(f"unexpected character {text[end]!r}", end) from None
+            raise
+        self._remember(text, text[:_PREFIX].partition(")")[0], expr, self.peak)
         return expr
 
     def _sum(self) -> ScalarExpr:
@@ -427,25 +431,23 @@ class _Parser:
 
     def _group(self) -> ScalarExpr:
         """The expression in the parenthesised group that starts at the next token."""
-        if self.closers is None:
-            self.closers = _closers(self.text)
-        level, start = self.level, self.at
-        close = self.closers.get(start)
-        if close is not None:
-            key = self.text[start + 1 : close]
-            if (seen := self.groups.get(key)) is not None and level + seen[1] <= MAX_DEPTH:
-                self.peak = max(self.peak, level + seen[1])
-                self.pos = close + 1
-                self._advance()
-                return seen[0]
+        level, start, text = self.level, self.at, self.text
+        prefix = text[start + 1 : start + 1 + _PREFIX].partition(")")[0]
+        for closed, expr, nesting in self.closed.get(prefix, ()):
+            if text.startswith(closed, start + 1):
+                if level + nesting <= MAX_DEPTH:
+                    self.peak = max(self.peak, level + nesting)
+                    self.pos = start + 1 + len(closed)
+                    self._advance()
+                    return expr
+                break
         self._advance()
         outer_peak, self.peak = self.peak, level
         expr = self._sum()
         if self.tok != ")":
             raise ParseError("expected ')'", self.at)
+        self._remember(text[start + 1 : self.at], prefix, expr, self.peak - level)
         self._advance()
-        if close is not None:
-            self.groups[key] = expr, self.peak - level
         self.peak = max(outer_peak, self.peak)
         return expr
 

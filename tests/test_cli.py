@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from invman import cli
@@ -438,6 +439,45 @@ class TestFlow:
         paths = schema_paths(json.loads(out.read_text()))
         golden = (DATA / "flow_schema.golden").read_text().splitlines()
         assert paths == golden
+
+    @pytest.mark.parametrize("name, invariant", [("block_diagonal", True), ("lower_triangular", False)])
+    def test_csv_bytes_are_what_csv_writer_writes(self, tmp_path, name, invariant):
+        config = dict(json.loads((CONFIGS / f"{name}.json").read_text()), window=[0.0, 0.5], step=1e-2)
+        out, csv_dir = tmp_path / "flow.json", tmp_path / "csv"
+        assert main(["flow", "--config", _write(tmp_path, config), "--json", str(out), "--csv", str(csv_dir)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["main_invariant"] is invariant
+        conjugacy = payload["conjugacy_residual"] or [math.nan] * len(payload["t"])
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(["t", "drift_mn", "drift_complement", "conjugacy_residual"])
+        for row in zip(payload["t"], payload["drift_mn"], payload["drift_complement"], conjugacy):
+            writer.writerow([repr(x) for x in row])
+        got = (csv_dir / "residuals.csv").read_bytes()
+        assert got == want.getvalue().encode()
+        assert got.count(b"\r\n") == len(payload["t"]) + 1 and b"\n" not in got.replace(b"\r\n", b"")
+        assert got.endswith(b",nan\r\n") is not invariant
+
+
+# Floats the emitter must spell as json does, beside any other float.
+_FLOATS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 1e-7]), st.floats())
+_STRINGS = st.one_of(st.text(), st.sampled_from(["", "t^2", "\u00e9", "\u2028", "\U0001f600", "\x00\"\\"]))
+_JSON_VALUES = st.recursive(
+    st.one_of(_FLOATS, st.integers(), st.booleans(), st.none(), _STRINGS),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5), st.dictionaries(_STRINGS, inner, max_size=5), st.lists(_FLOATS, max_size=5),
+        st.lists(_STRINGS, max_size=5),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_JSON_VALUES)
+@example(value={"t": [0.0, -0.0, 5e-324, 1e16], "nan": [math.nan, math.inf, -math.inf], "": [], "e": {}})
+@example(value=[[1.5, 2], [True, 1.0], [None, "\u00e9"], [[]], [{}], 1e16, -math.inf])
+def test_the_emitter_writes_what_json_dumps_writes(value):
+    assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 class _Built(Exception):

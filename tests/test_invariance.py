@@ -477,3 +477,14 @@ def test_one_point_functions_refuse_a_t_that_is_not_a_scalar(call, shape, monkey
     with pytest.raises(ShapeError, match=re.escape(f"t must be a scalar, got shape {shape}")):
         call(spec, np.full(shape, 0.5))
     assert spec._point is None
+
+
+@pytest.mark.parametrize("ts", [[[0.1, 0.2], [0.3, 0.4]], [[0.5]], 0.5], ids=["2x2", "1x1", "scalar"])
+def test_frame_samples_refuses_a_grid_that_is_not_one_dimensional(ts):
+    # The message eval_grid gives for the same grid: no grid is flattened into more or fewer points.
+    for refuse in (functools.partial(frame_samples, NILPOTENT), DIAG.chart.eval_grid):
+        with pytest.raises(ShapeError, match="^time grid must be one-dimensional$"):
+            refuse(ts)
+    config = json.loads((CONFIGS / "full.json").read_text())
+    with pytest.raises(ShapeError, match="^time grid must be one-dimensional$"):
+        frame_samples(_spec(config["coeff"], config["chart"], config["comp_chart"]), [[0.1, 0.2], [0.3, 0.4]])

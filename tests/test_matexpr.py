@@ -469,6 +469,24 @@ class TestParserEquivalence:
     def test_unicode_spaces_and_digits(self, text):
         _same_build([[text]])
 
+    @pytest.mark.parametrize("text, message, offset", [
+        ("2\u00b2", "unexpected character '\u00b2'", 1),
+        ("t + * $", "unexpected character '$'", 6),  # a parse error comes before the character
+        ("(t+1)*(t+1)$", "unexpected character '$'", 11),  # right after a group memo hit
+        ("(" * 101 + "t" + ")" * 101 + "$", "unexpected character '$'", 203),  # after a depth error
+    ], ids=["superscript", "parse-error-first", "after-a-memo-hit", "after-a-depth-error"])
+    def test_an_unexpected_character_is_the_error_wherever_it_stands(self, text, message, offset):
+        _same_build([[text]])
+        with pytest.raises(ParseError) as info:
+            MatrixFunction.build([[text]])
+        assert (info.value.message, info.value.offset) == (f"entry (0,0): {message}", offset)
+
+    def test_a_build_that_parses_scans_no_whole_entry(self, monkeypatch):
+        rows = json.loads((CONFIGS / "full.json").read_text())["coeff"]
+        want = sharing_shape(MatrixFunction.build(rows))
+        monkeypatch.setattr(matexpr, "_TOKENS_RE", None)  # the scan that only a failed parse runs
+        assert sharing_shape(MatrixFunction.build(rows)) == want
+
     @pytest.mark.parametrize("text", ["t^" + "9" * 309, "t^-" + "9" * 309, "2*t^" + "9" * 308],
                              ids=["t^9x309", "t^-9x309", "2*t^9x308"])
     def test_exponent_near_the_float_range(self, text):
