@@ -371,9 +371,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser every main() call parses with, built on the first call: argparse's tree costs about 1 ms to build.
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.handler(args)
     except (ConfigError, ParseError) as exc:

@@ -4,9 +4,9 @@ Inversion and rank are implemented by row elimination with partial pivoting
 rather than an orthogonal factorization: the matrices here are small (desk
 scale, m of order ten) and an auditable elimination beats an opaque one.
 ``invert`` takes one matrix or a whole stack of them and runs one elimination
-over the stack, column by column, stack axis last, with each matrix's own
-pivots and threshold, so a stack inverts bit for bit like a loop over its
-matrices; their pivots are checked once the elimination is done.
+over each cache-sized block of the stack, column by column, stack axis last,
+with each matrix's own pivots and threshold, so a stack inverts bit for bit
+like a loop over its matrices; their pivots are checked once it is done.
 ``rank`` takes one matrix at a time; the Moore-Penrose right inverse does not
 call it, because its batched Gram inverse is the stricter full-row-rank test.
 Scaling by a power of two is exact in the normal range, so the right inverse
@@ -33,6 +33,7 @@ __all__ = [
 # Relative pivot threshold: a pivot counts only if it exceeds this fraction
 # of the largest entry magnitude of the input matrix.
 DEFAULT_TOL = 1e-9
+_BLOCK_BYTES = 2**20        # working array of one invert block: about what stays in cache
 
 
 def _as_matrix(a, what: str) -> np.ndarray:
@@ -72,12 +73,13 @@ def invert(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Inverse of a square matrix, or of each matrix of an (N, k, k) stack, by
     Gauss-Jordan elimination with partial pivoting.
 
-    One elimination runs over the whole stack, column by column, stack axis
-    last: each row operation runs over N contiguous values, on the columns
-    after the pivot's only (no later step reads an eliminated one).  Each
-    matrix takes the first largest pivot candidate in its current row order,
-    and each of its entries sees the same operations as if it were inverted on
-    its own.  A pivot at or below ``tol`` (0 < tol < inf) times its matrix's
+    One elimination runs over each block of consecutive matrices whose [A | E]
+    fill ``_BLOCK_BYTES`` (a whole large stack would not stay in cache),
+    column by column, stack axis last: each row operation runs over the
+    block's contiguous values, on the columns after the pivot's only (no
+    later step reads an eliminated one).  Each matrix takes the first largest
+    pivot candidate in its current row order, and each of its entries sees the
+    same operations as if it were inverted on its own.  A pivot at or below ``tol`` (0 < tol < inf) times its matrix's
     largest entry magnitude marks the matrix as singular to tolerance; the
     pivots are scanned after the elimination, and the error names the first
     such matrix in its ``index`` with the message of its first failing column.
@@ -93,24 +95,30 @@ def invert(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     if k != cols:
         raise ShapeError(f"invert: matrix is {mats.shape[1:]}, not square")
     scale = abs(mats).max(axis=(1, 2))
-    # aug[j, r, n] is entry (r, j) of [A | E] for matrix n: a column of the stack is one contiguous block.
-    aug = np.empty((2 * k, k, count))
-    aug[:k] = mats.transpose(2, 1, 0)
-    aug[k:] = np.eye(k)[:, :, None]
     pivots = np.empty((k, count))
-    stack = np.arange(count)
+    inv = np.empty((count, k, k))
+    block = _BLOCK_BYTES // (16 * k * k) or 1  # matrices whose [A | E] fill _BLOCK_BYTES
     # A failed matrix divides by its zero or tiny pivot and carries on, alone.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for col in range(k):
-            live = aug[col:]
-            p = col + abs(live[0, col:]).argmax(axis=0)
-            pivot_rows = live[:, p, stack]
-            live[:, p, stack] = live[:, col]
-            pivots[col] = pivot = pivot_rows[0]
-            np.divide(pivot_rows[1:], pivot, out=live[1:, col])
-            # Column col is dead from here on: it holds each row's factor, 0 in the pivot row.
-            live[0, col] = 0.0
-            live[1:] -= live[0] * live[1:, col, None]
+        for lo in range(0, count, block):
+            part, part_pivots = mats[lo : lo + block], pivots[:, lo : lo + block]
+            # aug[j, r, n] is entry (r, j) of [A | E] for matrix lo + n: a column of the block is contiguous.
+            aug = np.empty((2 * k, k, len(part)))
+            aug[:k] = part.transpose(2, 1, 0)
+            aug[k:] = 0.0
+            aug[k:].reshape(k * k, -1)[:: k + 1] = 1.0  # E: entry (j, j) of each matrix of the block
+            stack = np.arange(len(part))
+            for col in range(k):
+                live = aug[col:]
+                p = col + abs(live[0, col:]).argmax(axis=0)
+                pivot_rows = live[:, p, stack]
+                live[:, p, stack] = live[:, col]
+                part_pivots[col] = pivot = pivot_rows[0]
+                np.divide(pivot_rows[1:], pivot, out=live[1:, col])
+                # Column col is dead from here on: it holds each row's factor, 0 in the pivot row.
+                live[0, col] = 0.0
+                live[1:] -= live[0] * live[1:, col, None]
+            inv[lo : lo + block] = aug[k:].transpose(2, 1, 0)
     bad = abs(pivots) <= tol * scale
     if np.count_nonzero(bad):
         first = int(bad.any(axis=0).argmax())
@@ -118,7 +126,6 @@ def invert(a, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise SingularMatrixError("invert: zero matrix" if scale[first] == 0.0 else (
             f"invert: singular to tolerance (pivot {abs(pivots[col, first]):.3e} <= {limit:.3e} in column {col})"
         ), index=first)
-    inv = aug[k:].transpose(2, 1, 0).copy()
     return inv[0] if single else inv
 
 

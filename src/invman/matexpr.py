@@ -405,7 +405,8 @@ class _Parser:
         if math.isinf(float(text)):  # numpy's power and the derivative's factor need k as a float
             raise ParseError(f"exponent {text!r} is out of range", offset)
         self._advance()
-        return sign * int(text)
+        # In float range, k has at most 309 digits once its leading zeros are gone: under int()'s digit limit.
+        return sign * int(text.lstrip("0") or "0")
 
     def _atom(self) -> ScalarExpr:
         text, offset = self.tok, self.at

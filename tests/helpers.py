@@ -316,7 +316,7 @@ class _ReferenceParser:
         if math.isinf(float(text)):
             raise ParseError(f"exponent {text!r} is out of range", offset)
         self._next()
-        return sign * int(text)
+        return sign * int(text.lstrip("0") or "0")
 
     def _atom(self) -> ScalarExpr:
         kind, text, offset = self._next()

@@ -686,3 +686,68 @@ def test_mutated_shipped_config_exits_with_a_code_not_a_traceback(data):
             rc = main(["check", "--config", str(target)])
     assert rc in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+
+
+def test_a_zero_padded_exponent_past_the_int_digit_limit_checks(tmp_path, capsys):
+    config = json.loads((CONFIGS / "nilpotent_shear.json").read_text())
+    config["coeff"][0][1] = "t^" + "0" * 5000 + "3"
+    assert main(["check", "--config", _write(tmp_path, config)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_main_builds_one_parser_per_process(monkeypatch):
+    # Run as its own process, so that no earlier main() call has built the parser yet.
+    monkeypatch.setenv("PYTHONPATH", str(Path(cli.__file__).resolve().parents[1]))
+    script = (
+        "import contextlib, io\n"
+        "from invman import cli\n"
+        "built = []\n"
+        "build = cli.build_parser\n"
+        "cli.build_parser = lambda: built.append(1) or build()\n"
+        f"argv = ['check', '--config', {str(CONFIGS / 'full.json')!r}]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(argv) for _ in range(3)]\n"
+        "print(codes, len(built))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[0, 0, 0] 1\n", "")
+
+
+def test_build_parser_returns_a_new_parser_each_call():
+    assert cli.build_parser() is not cli.build_parser()
+
+
+class TestNoStateCarriesBetweenCalls:
+    def test_assert_is_not_kept(self, capsys):
+        config = str(CONFIGS / "full.json")
+        assert main(["check", "--config", config, "--assert", "mn"]) == 1
+        assert main(["check", "--config", config]) == 0
+
+    def test_csv_is_not_kept(self, tmp_path, capsys):
+        config = _write(tmp_path, NILPOTENT_CONFIG)
+        assert main(["flow", "--config", config, "--csv", str(tmp_path / "first")]) == 0
+        assert (tmp_path / "first" / "residuals.csv").is_file()
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["flow", "--config", config]) == 0
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_an_argparse_error_then_a_good_call(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["check"])
+        assert exited.value.code == 2
+        assert "--config" in capsys.readouterr().err
+        assert main(["check", "--config", _write(tmp_path, NILPOTENT_CONFIG)]) == 0
+
+    def test_version_then_a_good_call(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["--version"])
+        assert exited.value.code == 0
+        assert capsys.readouterr().out.startswith("invman ")
+        assert main(["check", "--config", _write(tmp_path, NILPOTENT_CONFIG)]) == 0
+
+    def test_generate_then_check_run_their_own_handlers(self, tmp_path, capsys):
+        out = tmp_path / "gen.json"
+        assert main(["generate", "--kind", "block_diagonal", "--seed", "3", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["check", "--config", str(out), "--assert", "joint"]) == 0
+        assert capsys.readouterr().out.startswith("grid: ")

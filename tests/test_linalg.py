@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from invman import linalg
 from invman.errors import RankDeficiencyError, ShapeError, SingularMatrixError
 from invman.linalg import (
     frobenius,
@@ -160,6 +161,27 @@ class TestInvertStack:
                     got = invert(stack[:first])
             assert got.tobytes() == np.array(expected).reshape(got.shape).tobytes()
         assert min(failed_at) == 0 and max(failed_at) > 0
+
+    @pytest.mark.parametrize("k, per_block", [(1, 7), (3, 7), (8, 1), (16, None)])
+    def test_a_stack_of_several_blocks_inverts_like_its_matrices(self, monkeypatch, k, per_block):
+        # per_block=None keeps the shipped block budget: 256 matrices of 16x16 per block.
+        if per_block is not None:
+            monkeypatch.setattr(linalg, "_BLOCK_BYTES", 16 * k * k * per_block)
+        per_block = linalg._BLOCK_BYTES // (16 * k * k) or 1
+        count = 3 * per_block + per_block // 2 + 1
+        rng = np.random.default_rng(70 + k)
+        stack = _invertible(rng.standard_normal((count + 10, k, k)))[:count]
+        assert len(stack) == count
+        got = invert(stack)
+        assert got.tobytes() == np.array([reference_invert(mat) for mat in stack]).tobytes()
+        late = count - per_block // 3 - 1  # in the last, partial block
+        stack[late, -1] = stack[late, 0] if k > 1 else 0.0  # fails in the last column
+        stack[late + 1 :] = 0.0  # fails at once, but later in the stack
+        with pytest.raises(SingularMatrixError) as reference:
+            reference_invert(stack[late])
+        with pytest.raises(SingularMatrixError) as info:
+            invert(stack)
+        assert (info.value.index, str(info.value)) == (late, str(reference.value))
 
     def test_empty_stack(self):
         assert invert(np.empty((0, 3, 3))).shape == (0, 3, 3)

@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import operator
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -491,6 +492,22 @@ class TestParserEquivalence:
                              ids=["t^9x309", "t^-9x309", "2*t^9x308"])
     def test_exponent_near_the_float_range(self, text):
         _same_build([[text]])
+
+    def test_a_zero_padded_exponent_past_the_int_digit_limit_is_its_value(self):
+        rows, want = [["t^" + "0" * 5000 + "3"]], [["t^3"]]
+        assert sharing_shape(MatrixFunction.build(rows)) == sharing_shape(MatrixFunction.build(want))
+        assert sharing_shape(reference_parse_matrix(rows)) == sharing_shape(reference_parse_matrix(want))
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="this Python has no int digit limit")
+    def test_a_zero_padded_exponent_parses_under_the_lowest_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            for parse in (MatrixFunction.build, reference_parse_matrix):
+                got = parse([["t^-" + "0" * 698 + "12"]])
+                assert sharing_shape(got) == sharing_shape(parse([["t^-12"]]))
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def _generated_config(m):
