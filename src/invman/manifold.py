@@ -13,6 +13,7 @@ set definitions ``y = P y`` and ``P y = 0`` for each projector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -38,14 +39,22 @@ __all__ = [
 
 # Loud-failure threshold for the construction identities of a frame.
 IDENTITY_TOL = 1e-9
-# The construction identities, in the order build_frame checks them.
-_IDENTITIES = (
-    "idempotency (main)",
-    "idempotency (comp)",
-    "annihilation (main*comp)",
-    "annihilation (comp*main)",
-    "complementarity",
-)
+# Each projector identity, by name, as the matrix R that vanishes when it
+# holds (P = C+C, P_comp = C_comp+C_comp, E the identity matrix).  The first
+# five are the construction identities, in the order build_frame checks them;
+# the suites sample R c.  An entry is evaluated only when a caller reads it.
+_RESIDUALS = {
+    "idempotency (main)": lambda f: f.projector @ f.projector - f.projector,
+    "idempotency (comp)": lambda f: f.comp_projector @ f.comp_projector - f.comp_projector,
+    "annihilation (main*comp)": lambda f: f.projector @ f.comp_projector,
+    "annihilation (comp*main)": lambda f: f.comp_projector @ f.projector,
+    "complementarity": lambda f: f.projector + f.comp_projector - np.eye(f.m),
+    "comp chart on main": lambda f: f.comp_chart @ f.projector,            # C_comp P
+    "chart on comp": lambda f: f.chart @ f.comp_projector,                 # C P_comp
+    "image": lambda f: f.projector @ f.embedding - f.embedding,            # P C+ - C+
+    "retraction": lambda f: f.projector - f.embedding @ (f.chart @ f.projector),  # (E - C+C) P
+}
+_CONSTRUCTION = tuple(_RESIDUALS)[:5]
 
 
 class Subspace(Enum):
@@ -77,10 +86,6 @@ class ProjectorFrame:
     def n(self) -> int:
         return self.chart.shape[0]
 
-    @property
-    def p(self) -> int:
-        return self.comp_chart.shape[0]
-
 
 def build_frame(
     chart: MatrixFunction,
@@ -110,33 +115,25 @@ def build_frame(
         raise type(exc)(f"build_frame: {exc}", exc.index) from exc
     embedding, comp_embedding = inv[:, :n], inv[:, n:]
     with np.errstate(over="ignore", invalid="ignore"):
-        proj_main = embedding @ c1
-        proj_comp = comp_embedding @ c2
-        residuals = linalg.frobenius([
-            proj_main @ proj_main - proj_main,
-            proj_comp @ proj_comp - proj_comp,
-            proj_main @ proj_comp,
-            proj_comp @ proj_main,
-            proj_main + proj_comp - np.eye(m),
-        ])
+        frame = ProjectorFrame(
+            t=float(t),
+            chart=c1,
+            comp_chart=c2,
+            embedding=embedding,
+            comp_embedding=comp_embedding,
+            projector=embedding @ c1,
+            comp_projector=comp_embedding @ c2,
+        )
+        residuals = linalg.frobenius([_RESIDUALS[name](frame) for name in _CONSTRUCTION])
     worst = int(residuals.argmax())
     if not residuals[worst] <= tol:  # a NaN residual fails too
         raise FrameError(
-            f"build_frame: identity '{_IDENTITIES[worst]}' has residual {residuals[worst]:.3e} > {tol:g} "
+            f"build_frame: identity '{_CONSTRUCTION[worst]}' has residual {residuals[worst]:.3e} > {tol:g} "
             f"at t={float(t)!r}"
         )
-    if linalg.rank(proj_main) != n or linalg.rank(proj_comp) != p:
+    if linalg.rank(frame.projector) != n or linalg.rank(frame.comp_projector) != p:
         raise FrameError(f"build_frame: projector ranks differ from ({n}, {p}) at t={float(t)!r}")
-
-    return ProjectorFrame(
-        t=float(t),
-        chart=c1,
-        comp_chart=c2,
-        embedding=embedding,
-        comp_embedding=comp_embedding,
-        projector=proj_main,
-        comp_projector=proj_comp,
-    )
+    return frame
 
 
 @dataclass(frozen=True)
@@ -180,44 +177,44 @@ class KernelIdentityReport:
 
     @property
     def max_residual(self) -> float:
-        return max(
+        residuals = (
             self.max_comp_chart_on_main,
             self.max_comp_projector_on_main,
             self.max_chart_on_comp,
             self.max_comp_range_defect,
         )
+        # NaN if any is NaN: max drops a NaN that is not its first argument.
+        return math.nan if any(map(math.isnan, residuals)) else max(residuals)
 
     @property
     def passed(self) -> bool:
         return self.max_residual <= self.tol
 
 
-def _sample_vectors(frame: ProjectorFrame, samples: int, seed: int, caller: str) -> np.ndarray:
-    """``samples`` standard-normal vectors of R^m, one per row, from a generator seeded with ``seed``."""
-    if samples < 1:
-        raise ValueError(f"{caller}: samples must be >= 1")
-    return np.random.default_rng(seed).standard_normal((samples, frame.m))
-
-
 def _max_row_norm(rows: np.ndarray) -> float:
     return float(np.max(linalg.frobenius(rows[:, None, :])))
+
+
+def _sampled_residuals(frame: ProjectorFrame, fields: dict, samples: int, seed: int, caller: str) -> dict:
+    """For each report field, the max |R c| of its ``_RESIDUALS`` entry R over ``samples`` normal c."""
+    if samples < 1:
+        raise ValueError(f"{caller}: samples must be >= 1")
+    cs = np.random.default_rng(seed).standard_normal((samples, frame.m))
+    return {field: _max_row_norm(cs @ _RESIDUALS[name](frame).T) for field, name in fields.items()}
 
 
 def check_kernel_identities(
     frame: ProjectorFrame, samples: int = 100, tol: float = 1e-9, seed: int = 0
 ) -> KernelIdentityReport:
     """Sample each subspace by projecting standard-normal vectors and test the identities."""
-    cs = _sample_vectors(frame, samples, seed, "check_kernel_identities")
-    on_main = cs @ frame.projector.T          # rows are y = P_main c
-    on_comp = cs @ frame.comp_projector.T     # rows are y = P_comp c
-    return KernelIdentityReport(
-        samples=samples,
-        max_comp_chart_on_main=_max_row_norm(on_main @ frame.comp_chart.T),
-        max_comp_projector_on_main=_max_row_norm(on_main @ frame.comp_projector.T),
-        max_chart_on_comp=_max_row_norm(on_comp @ frame.chart.T),
-        max_comp_range_defect=_max_row_norm(on_comp - on_comp @ frame.comp_projector.T),
-        tol=tol,
-    )
+    fields = {
+        "max_comp_chart_on_main": "comp chart on main",
+        "max_comp_projector_on_main": "annihilation (comp*main)",
+        "max_chart_on_comp": "chart on comp",
+        "max_comp_range_defect": "idempotency (comp)",
+    }
+    maxima = _sampled_residuals(frame, fields, samples, seed, "check_kernel_identities")
+    return KernelIdentityReport(samples=samples, tol=tol, **maxima)
 
 
 @dataclass(frozen=True)
@@ -232,19 +229,18 @@ class EmbeddingReport:
 
     @property
     def passed(self) -> bool:
-        return self.injective and max(self.image_residual, self.max_retraction_defect) <= self.tol
+        return self.injective and self.image_residual <= self.tol and self.max_retraction_defect <= self.tol
 
 
 def check_embedding(
     frame: ProjectorFrame, samples: int = 100, tol: float = 1e-9, seed: int = 0
 ) -> EmbeddingReport:
     """Injectivity, image containment, and surjectivity of the embedding map."""
-    on_main = _sample_vectors(frame, samples, seed, "check_embedding") @ frame.projector.T
-    retracted = on_main @ frame.chart.T @ frame.embedding.T
+    maxima = _sampled_residuals(frame, {"max_retraction_defect": "retraction"}, samples, seed, "check_embedding")
     return EmbeddingReport(
         injective=linalg.rank(frame.embedding) == frame.n,
-        image_residual=linalg.frobenius(frame.projector @ frame.embedding - frame.embedding),
-        max_retraction_defect=_max_row_norm(on_main - retracted),
+        image_residual=linalg.frobenius(_RESIDUALS["image"](frame)),
         samples=samples,
         tol=tol,
+        **maxima,
     )

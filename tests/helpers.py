@@ -513,6 +513,32 @@ def schema_paths(obj, prefix: str = "") -> list[str]:
     return [f"{prefix.rstrip('.')}:{type(obj).__name__}"]
 
 
+def reference_identity_samples(frame, samples: int, seed: int) -> dict:
+    """Every residual field of ``check_kernel_identities`` and ``check_embedding``.
+
+    Each sampled field is the largest row norm of one product of the sampled
+    range vectors: the rows of ``on_main`` are y = P c and those of
+    ``on_comp`` are y = P_comp c, for ``samples`` standard-normal c drawn
+    from ``default_rng(seed)``.  The suites, which sample R c for the matrix
+    R of each identity, must agree with it to rounding.
+    """
+    cs = np.random.default_rng(seed).standard_normal((samples, frame.m))
+    on_main = cs @ frame.projector.T
+    on_comp = cs @ frame.comp_projector.T
+
+    def worst(rows: np.ndarray) -> float:
+        return float(np.max(np.linalg.norm(rows, axis=1)))
+
+    return {
+        "max_comp_chart_on_main": worst(on_main @ frame.comp_chart.T),
+        "max_comp_projector_on_main": worst(on_main @ frame.comp_projector.T),
+        "max_chart_on_comp": worst(on_comp @ frame.chart.T),
+        "max_comp_range_defect": worst(on_comp - on_comp @ frame.comp_projector.T),
+        "image_residual": float(np.linalg.norm(frame.projector @ frame.embedding - frame.embedding)),
+        "max_retraction_defect": worst(on_main - on_main @ frame.chart.T @ frame.embedding.T),
+    }
+
+
 def random_well_conditioned_stack(rng: np.random.Generator, m: int, n: int):
     """Numeric (chart, comp_chart) pair with modest condition number.
 

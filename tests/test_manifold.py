@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,8 @@ from invman.errors import EvaluationError, FrameError, InvmanError, ShapeError, 
 from invman.invariance import SystemSpec, frame_samples
 from invman.linalg import frobenius, right_pseudoinverse
 from invman.manifold import (
+    EmbeddingReport,
+    KernelIdentityReport,
     Subspace,
     build_frame,
     check_embedding,
@@ -16,7 +19,7 @@ from invman.manifold import (
 )
 from invman.matexpr import MatrixFunction
 
-from helpers import random_well_conditioned_stack
+from helpers import random_well_conditioned_stack, reference_identity_samples
 
 IDENTITY = MatrixFunction.build([["1", "0"]]), MatrixFunction.build([["0", "1"]])
 ROTATION = (
@@ -80,11 +83,28 @@ class TestBuildFrame:
             build_frame(chart, comp, t=t)
         assert str(info.value) == f"build_frame: inverse of the stacked frame is not finite at t={t!r}"
 
-    def test_nan_identity_residual_is_a_frame_error(self, monkeypatch):
-        monkeypatch.setattr(linalg, "frobenius", lambda mats: np.array([0.0, math.nan, 0.0, 0.0, 0.0]))
+    @pytest.mark.parametrize("position, name", enumerate([
+        "idempotency (main)",
+        "idempotency (comp)",
+        "annihilation (main*comp)",
+        "annihilation (comp*main)",
+        "complementarity",
+    ]))
+    def test_nan_identity_residual_is_a_frame_error(self, monkeypatch, position, name):
+        # One Frobenius call over the five construction identities, in this order.
+        calls = []
+
+        def frobenius(mats):
+            calls.append(len(mats))
+            residuals = np.zeros(5)
+            residuals[position] = math.nan
+            return residuals
+
+        monkeypatch.setattr(linalg, "frobenius", frobenius)
         with pytest.raises(FrameError) as info:
             build_frame(MatrixFunction.build([["1", "0"]]), MatrixFunction.build([["0", "1"]]), t=0.25)
-        assert str(info.value) == "build_frame: identity 'idempotency (comp)' has residual nan > 1e-09 at t=0.25"
+        assert str(info.value) == f"build_frame: identity '{name}' has residual nan > 1e-09 at t=0.25"
+        assert calls == [5]
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -258,3 +278,48 @@ class TestEmbedding:
         assert report.injective
         assert report.image_residual < 1e-9
         assert report.max_retraction_defect < 1e-9
+
+
+class TestSampledSuites:
+    @pytest.mark.parametrize("seed", [4, 29])
+    @pytest.mark.parametrize("perturbed", ["chart", "comp_chart", "embedding", "projector", "comp_projector"])
+    def test_fields_are_the_sampled_products_of_range_vectors(self, perturbed, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(3, 7))
+        top, bottom = random_well_conditioned_stack(rng, m, int(rng.integers(1, m)))
+        fr = build_frame(MatrixFunction.constant(top), MatrixFunction.constant(bottom), t=0.0)
+        # A hand-built frame off by about 1e-3 in one matrix: its residuals are far from rounding.
+        matrix = getattr(fr, perturbed)
+        fr = dataclasses.replace(fr, **{perturbed: matrix + 1e-3 * rng.standard_normal(matrix.shape)})
+        kernel = check_kernel_identities(fr, samples=40, seed=seed)
+        embedding = check_embedding(fr, samples=40, seed=seed)
+        got = {**dataclasses.asdict(kernel), **dataclasses.asdict(embedding)}
+        want = reference_identity_samples(fr, samples=40, seed=seed)
+        assert max(want.values()) > 1e-5
+        for field, value in want.items():
+            # A residual is a difference of unit-scale terms: the absolute part covers their rounding,
+            # and an identity the perturbation leaves intact, which both routes leave at rounding.
+            assert got[field] == pytest.approx(value, rel=1e-12, abs=1e-14), field
+
+    @pytest.mark.parametrize("suite, field", [
+        (check_kernel_identities, "max_chart_on_comp"),
+        (check_embedding, "max_retraction_defect"),
+    ])
+    def test_a_nan_residual_fails_its_suite(self, suite, field):
+        fr = dataclasses.replace(build_frame(*IDENTITY, t=0.0), chart=np.array([[math.nan, 0.0]]))
+        report = suite(fr, samples=10)
+        assert math.isnan(getattr(report, field))
+        assert report.passed is False
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_a_nan_in_any_kernel_field_is_the_max_residual(self, position):
+        fields = [0.0, 0.0, 0.0, 0.0]
+        fields[position] = math.nan
+        report = KernelIdentityReport(10, *fields, tol=1e-9)
+        assert math.isnan(report.max_residual)
+        assert report.passed is False
+
+    @pytest.mark.parametrize("image, retraction", [(math.nan, 0.0), (0.0, math.nan)])
+    def test_a_nan_embedding_residual_fails(self, image, retraction):
+        report = EmbeddingReport(True, image, retraction, samples=10, tol=1e-9)
+        assert report.passed is False
