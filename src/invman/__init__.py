@@ -14,8 +14,10 @@ from .errors import (
     ConfigError,
     EvaluationError,
     FrameError,
+    InputError,
     IntegrationOverflowError,
     InvmanError,
+    NumericalError,
     ParseError,
     PreconditionError,
     RankDeficiencyError,

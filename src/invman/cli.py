@@ -27,19 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (
-    ConfigError,
-    EvaluationError,
-    FrameError,
-    IntegrationOverflowError,
-    InvmanError,
-    ParseError,
-    PreconditionError,
-    RankDeficiencyError,
-    ScenarioError,
-    ShapeError,
-    SingularMatrixError,
-)
+from .errors import ConfigError, InputError, InvmanError, NumericalError, ParseError, PreconditionError, ShapeError
 from .flow import DEFAULT_SEED, DEFAULT_STEP, DEFAULT_TRIALS, _checked_conjugacy, run_flow
 from .invariance import DEFAULT_GRID_COUNT, DEFAULT_GRID_SPAN, DEFAULT_VERDICT_TOL
 from .invariance import SystemSpec, _sampled_verdicts, verdicts
@@ -57,15 +45,6 @@ EXIT_NUMERICAL = 3
 # the verdict grid, or the RK4 half-step grid of the flow window.  A config
 # past it exits 2 before anything is allocated.
 MAX_SAMPLED_ENTRIES = 2**26
-
-_NUMERICAL_ERRORS = (
-    SingularMatrixError,
-    RankDeficiencyError,
-    IntegrationOverflowError,
-    EvaluationError,
-    FrameError,
-    ScenarioError,
-)
 
 _ASSERTION_FIELDS = {
     "joint": "joint_invariant",
@@ -382,7 +361,7 @@ def main(argv=None) -> int:
     args = _parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ConfigError, ParseError) as exc:
+    except InputError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:  # configs are read in load_config, so this is a --json, --csv or --out write
@@ -391,10 +370,10 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return EXIT_VERDICT
-    except _NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except InvmanError as exc:  # ShapeError and anything else package-raised
+    except InvmanError as exc:  # ShapeError, or any other class of neither kind
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -1,9 +1,9 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes, so raising the right class matters:
-configuration and parse problems are user errors, singularity / rank /
-overflow conditions are numerical failures, and PreconditionError marks a
-run whose mathematical precondition did not hold.
+The CLI maps these onto exit codes by kind, so raising the right class
+matters: an InputError (ParseError, ConfigError) exits 2, a PreconditionError
+1, and a NumericalError (singularity, rank deficiency, a non-finite value,
+a failed frame identity, a bad scenario, overflow) 3, as does ShapeError.
 """
 
 
@@ -11,7 +11,15 @@ class InvmanError(Exception):
     """Base class for all package errors."""
 
 
-class ParseError(InvmanError):
+class InputError(InvmanError):
+    """Base class for problems with the user's input: the CLI exits 2."""
+
+
+class NumericalError(InvmanError):
+    """Base class for numerical failures: the CLI exits 3."""
+
+
+class ParseError(InputError):
     """Malformed expression text. Carries the byte offset of the problem."""
 
     def __init__(self, message: str, offset: int):
@@ -20,7 +28,7 @@ class ParseError(InvmanError):
         self.offset = offset
 
 
-class _IndexedError(InvmanError):
+class _IndexedError(NumericalError):
     """A failure at one item of a stack or grid.
 
     ``index`` is the position of the first failing item; 0 for a single one.
@@ -47,15 +55,15 @@ class RankDeficiencyError(_IndexedError):
     """A matrix that must have full row rank does not."""
 
 
-class FrameError(InvmanError):
+class FrameError(NumericalError):
     """A stacked frame failed its consistency identities."""
 
 
-class ScenarioError(InvmanError):
+class ScenarioError(NumericalError):
     """A generated scenario is inconsistent with its declared structure."""
 
 
-class IntegrationOverflowError(InvmanError):
+class IntegrationOverflowError(NumericalError):
     """The integrator produced a non-finite state."""
 
     def __init__(self, step: int, t: float):
@@ -72,5 +80,5 @@ class PreconditionError(InvmanError):
         self.residual = residual
 
 
-class ConfigError(InvmanError):
+class ConfigError(InputError):
     """A configuration file is missing fields or has inconsistent values."""

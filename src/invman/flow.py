@@ -64,9 +64,9 @@ def _half_grid(t_span: tuple[float, float], h: float) -> tuple[float, float, np.
 
     A zero-length window takes no step; its grid is the single time t0.
     """
-    if h <= 0:
-        raise ValueError(f"step size must be positive, got {h!r}")
-    t0, t1 = float(t_span[0]), float(t_span[1])
+    t0, t1, h = float(t_span[0]), float(t_span[1]), float(h)  # Python floats: an overflow here is inf, not a warning
+    if not (0 < h < np.inf and np.isfinite((t1 - t0) / h)):  # a finite step count over a finite window
+        raise ValueError(f"step must be in (0, inf) over a finite window, got h={h!r}, window=({t0!r}, {t1!r})")
     n = max(1, round(abs(t1 - t0) / h)) if t1 != t0 else 0
     h_eff = (t1 - t0) / n if n else 0.0
     return t0, h_eff, t0 + 0.5 * h_eff * np.arange(2 * n + 1)
@@ -171,8 +171,8 @@ def integrate_states(
     if coeff.rows != coeff.cols:
         raise ShapeError(f"system matrix must be square, got {coeff.shape}")
     y0 = np.asarray(y0, dtype=float)
-    if y0.shape[0] != coeff.rows:
-        raise ShapeError(f"initial state has {y0.shape[0]} rows, system is {coeff.rows}-dimensional")
+    if y0.ndim not in (1, 2) or y0.shape[0] != coeff.rows:
+        raise ShapeError(f"initial state has shape {y0.shape}, system is {coeff.rows}-dimensional")
     start, h_eff, half_ts = _half_grid((t0, t1), h)
     _, states = _checked(start, h_eff, _fundamental(coeff.eval_grid(half_ts), h_eff), y0)
     return FundamentalSolution(ts=half_ts[::2], matrices=states)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from invman import cli
+from invman import cli, errors
 from invman.cli import MAX_SAMPLED_ENTRIES, load_config, main
 from invman.invariance import reduced_matrix
 
@@ -259,6 +259,22 @@ class TestCheck:
 
     def test_missing_file_exits_2(self):
         assert main(["check", "--config", "/nonexistent/nowhere.json"]) == 2
+
+    @pytest.mark.parametrize("payload, message", [
+        (dict(NILPOTENT_CONFIG, comp_chart=[["1", "0"], ["0", "1"]]),
+         "config key 'comp_chart' has shape (2, 2), expected (1, 2)"),
+        ([1, 2], "config {path!r} must be a JSON object"),
+        (dict(NILPOTENT_CONFIG, n=2), "dimensions must be integers with 0 < n < m, got m=2, n=2"),
+        (dict(NILPOTENT_CONFIG, grid={"start": 0.0, "end": 2.0, "count": 1}), "grid needs count >= 2 and end > start"),
+        (dict(NILPOTENT_CONFIG, grid={"start": 2.0, "end": 2.0, "count": 5}), "grid needs count >= 2 and end > start"),
+        (dict(NILPOTENT_CONFIG, window=[0.0]), "window must be a [t0, t1] pair"),
+        (dict(NILPOTENT_CONFIG, window={"t0": 0.0, "t1": 1.0}), "window must be a [t0, t1] pair"),
+        (dict(NILPOTENT_CONFIG, grid={"start": 0.0, "end": 5e-324, "count": 3}), "t_grid must be strictly increasing"),
+    ])
+    def test_inconsistent_config_exits_2_with_its_message(self, tmp_path, capsys, payload, message):
+        path = _write(tmp_path, payload)
+        assert main(["check", "--config", path]) == 2
+        assert capsys.readouterr() == ("", f"config error: {message.format(path=path)}\n")
 
     def test_singular_stack_exits_3(self, tmp_path, capsys):
         bad = dict(NILPOTENT_CONFIG, comp_chart=[["2", "0"]])
@@ -693,6 +709,61 @@ def test_a_zero_padded_exponent_past_the_int_digit_limit_checks(tmp_path, capsys
     config["coeff"][0][1] = "t^" + "0" * 5000 + "3"
     assert main(["check", "--config", _write(tmp_path, config)]) == 0
     assert capsys.readouterr().err == ""
+
+
+def _error_instance(cls):
+    """An instance of an invman error class, built with the arguments its constructor takes."""
+    arguments = {
+        errors.ParseError: ("bad token", 3),
+        errors.IntegrationOverflowError: (4, 0.5),
+        errors.PreconditionError: ("not invariant", 0.25),
+    }
+    return cls(*arguments.get(cls, ("went wrong",)))
+
+
+# The exit code and stderr prefix of each concrete error class, as main() reports it.
+_REPORTED_AS = {
+    "ConfigError": (2, "config error: "),
+    "ParseError": (2, "config error: "),
+    "PreconditionError": (1, "precondition failed: "),
+    "EvaluationError": (3, "numerical failure: "),
+    "SingularMatrixError": (3, "numerical failure: "),
+    "RankDeficiencyError": (3, "numerical failure: "),
+    "FrameError": (3, "numerical failure: "),
+    "ScenarioError": (3, "numerical failure: "),
+    "IntegrationOverflowError": (3, "numerical failure: "),
+    "ShapeError": (3, "error: "),
+}
+
+
+def _raising_main(monkeypatch, exc):
+    def load_config(path):
+        raise exc
+
+    monkeypatch.setattr(cli, "load_config", load_config)
+    return main(["check", "--config", "unused.json"])
+
+
+def test_every_error_class_exits_with_its_kind_code_and_prefix(monkeypatch, capsys):
+    classes = [
+        value for value in vars(errors).values()
+        if isinstance(value, type) and issubclass(value, errors.InvmanError) and not value.__subclasses__()
+    ]
+    assert sorted(cls.__name__ for cls in classes) == sorted(_REPORTED_AS)
+    for cls in classes:
+        exc = _error_instance(cls)
+        code, prefix = _REPORTED_AS[cls.__name__]
+        assert _raising_main(monkeypatch, exc) == code, cls.__name__
+        assert capsys.readouterr() == ("", f"{prefix}{exc}\n"), cls.__name__
+
+
+class _ContradictedVerdict(errors.NumericalError):
+    """A numerical failure kind that main() has never heard of by name."""
+
+
+def test_a_new_numerical_error_class_is_a_numerical_failure(monkeypatch, capsys):
+    assert _raising_main(monkeypatch, _ContradictedVerdict("the flow contradicts the verdict")) == 3
+    assert capsys.readouterr() == ("", "numerical failure: the flow contradicts the verdict\n")
 
 
 def test_main_builds_one_parser_per_process(monkeypatch):

@@ -1,12 +1,19 @@
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from invman.cli import load_config
-from invman.errors import EvaluationError, IntegrationOverflowError, PreconditionError, SingularMatrixError
+from invman.errors import (
+    EvaluationError,
+    IntegrationOverflowError,
+    PreconditionError,
+    ShapeError,
+    SingularMatrixError,
+)
 from invman.flow import (
     SIDE_COMPLEMENT,
     SIDE_MAIN,
@@ -111,6 +118,38 @@ class TestIntegrateFundamental:
         np.testing.assert_allclose(
             sol.final, [[math.exp(-1.0), 0.0], [0.0, 3.0 * math.exp(-2.0)]], atol=1e-9
         )
+
+    @pytest.mark.parametrize("y0", [5.0, np.ones((2, 2, 2)), np.ones(3), np.ones((1, 2))])
+    def test_initial_state_that_is_not_a_vector_or_matrix_of_m_rows_is_refused(self, y0):
+        coeff = MatrixFunction.build([["-1", "0"], ["0", "-2"]])
+        message = f"initial state has shape {np.shape(y0)}, system is 2-dimensional"
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            integrate_states(coeff, y0, 0.0, 1.0, 1e-2)
+
+    @pytest.mark.parametrize("h, t_span", [
+        (math.nan, (0.0, 1.0)),
+        (math.inf, (0.0, 1.0)),
+        (0.0, (0.0, 1.0)),
+        (-1e-3, (0.0, 1.0)),
+        (1e-3, (0.0, math.inf)),
+        (1e-3, (math.nan, 1.0)),
+        (1e-3, (-1e308, 1e308)),
+        (5e-324, (0.0, 1.0)),
+        (np.float64(5e-324), (0.0, 1.0)),
+    ])
+    def test_step_outside_zero_to_inf_or_window_that_is_not_finite_is_refused(self, h, t_span):
+        t0, t1 = t_span
+        message = f"step must be in (0, inf) over a finite window, got h={float(h)!r}, window=({t0!r}, {t1!r})"
+        runs = [
+            lambda: integrate_fundamental(DIAG.coeff, *t_span, h),
+            lambda: integrate_states(DIAG.coeff, np.ones(2), *t_span, h),
+            lambda: manifold_drift(DIAG, SIDE_MAIN, h=h, t_span=t_span),
+            lambda: conjugacy_check(DIAG, h=h, t_span=t_span),
+            lambda: run_flow(DIAG, h=h, t_span=t_span),
+        ]
+        for run in runs:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                run()
 
 
 class TestManifoldDrift:
