@@ -28,7 +28,8 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, InputError, InvmanError, NumericalError, ParseError, PreconditionError, ShapeError
-from .flow import DEFAULT_SEED, DEFAULT_STEP, DEFAULT_TRIALS, _checked_conjugacy, run_flow
+from .flow import DEFAULT_SEED, DEFAULT_STEP, DEFAULT_TRIALS, MAX_SAMPLED_ENTRIES, _checked_conjugacy, _march_size
+from .flow import run_flow
 from .invariance import DEFAULT_GRID_COUNT, DEFAULT_GRID_SPAN, DEFAULT_VERDICT_TOL
 from .invariance import SystemSpec, _sampled_verdicts, verdicts
 # Unused here, but perfbench/test_perfbench.py checks that the tracer wraps this binding.
@@ -40,11 +41,6 @@ EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-# Most matrix entries (points x m x m) that one sampling of a grid may hold:
-# the verdict grid, or the RK4 half-step grid of the flow window.  A config
-# past it exits 2 before anything is allocated.
-MAX_SAMPLED_ENTRIES = 2**26
 
 _ASSERTION_FIELDS = {
     "joint": "joint_invariant",
@@ -144,20 +140,12 @@ def load_config(path: str) -> tuple[SystemSpec, RunOptions]:
     window = (_finite(window_cfg[0], "window t0"), _finite(window_cfg[1], "window t1"))
     if tolerance <= 0 or h <= 0 or trials < 1 or seed < 0:
         raise ConfigError("tolerance and step must be positive, trials >= 1, seed >= 0")
-    half_steps = 2 * abs(window[1] - window[0]) / h + 1
-    for what, points in ((f"grid count {count}", count), (f"step {h!r} over the window", half_steps)):
-        if points * m * m > MAX_SAMPLED_ENTRIES:
-            raise ConfigError(
-                f"{what} would sample {points:.4g} points of {m}x{m} matrices, "
-                f"more than {MAX_SAMPLED_ENTRIES} entries"
-            )
-    if half_steps * m > MAX_SAMPLED_ENTRIES / trials:  # one state of R^m per trial and half step
-        raise ConfigError(
-            f"trials {trials} would march {half_steps:.4g} points of {trials} states in R^{m}, "
-            f"more than {MAX_SAMPLED_ENTRIES} entries"
-        )
+    if count * m * m > MAX_SAMPLED_ENTRIES:
+        raise ConfigError(f"grid count {count} would sample {count:.4g} points of {m}x{m} matrices, "
+                          f"more than {MAX_SAMPLED_ENTRIES} entries")
 
     try:
+        _march_size(window, h, m * max(m, trials))  # the library's own refusal, with no grid built
         spec = SystemSpec(
             coeff=coeff,
             chart=chart,

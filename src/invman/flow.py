@@ -13,7 +13,7 @@ step grid (on the half steps only for the conjugacy check's reduced flow X,
 the same march of R(t)), one draw of the launch coefficients c and one march
 Y_{k+1} = M_k Y_k, every trajectory being Y_k c.  A drift or conjugacy
 residual, or a reduced matrix R, that is not finite raises EvaluationError
-at its first time.
+at its first time.  ``_march_size`` refuses a march past MAX_SAMPLED_ENTRIES.
 """
 
 from __future__ import annotations
@@ -57,26 +57,34 @@ DEFAULT_STEP = 1e-3
 DEFAULT_TRIALS = 5          # trajectories per drift side
 DEFAULT_SEED = 42
 _CHUNK = 256                # RK4 steps whose step matrices are built together
+# Most floats (points x entries per point) one sampling may hold: a march's half steps, or the CLI's verdict grid.
+MAX_SAMPLED_ENTRIES = 2**26
 
 
-def _half_grid(t_span: tuple[float, float], h: float) -> tuple[float, float, np.ndarray]:
-    """Window start, effective step and the 2n+1 half-step times of an n-step march.
-
-    A zero-length window takes no step; its grid is the single time t0.
-    """
+def _march_size(t_span: tuple[float, float], h: float, entries: int) -> tuple[float, float, int]:
+    """Start, effective step and step count n (0 over a zero-length window) of a march of ``entries`` per half step."""
     t0, t1, h = float(t_span[0]), float(t_span[1]), float(h)  # Python floats: an overflow here is inf, not a warning
     if not (0 < h < np.inf and np.isfinite((t1 - t0) / h)):  # a finite step count over a finite window
         raise ValueError(f"step must be in (0, inf) over a finite window, got h={h!r}, window=({t0!r}, {t1!r})")
     n = max(1, round(abs(t1 - t0) / h)) if t1 != t0 else 0
-    h_eff = (t1 - t0) / n if n else 0.0
+    if (2 * n + 1) * entries > MAX_SAMPLED_ENTRIES:
+        raise ValueError(f"step {h!r} over window ({t0!r}, {t1!r}) takes {2 * n + 1:.4g} half steps x {entries} "
+                         f"entries, more than MAX_SAMPLED_ENTRIES = {MAX_SAMPLED_ENTRIES}")
+    return t0, (t1 - t0) / n if n else 0.0, n
+
+
+def _half_grid(t_span: tuple[float, float], h: float, entries: int) -> tuple[float, float, np.ndarray]:
+    """Window start, effective step and the 2n+1 half-step times of an n-step march, sized by ``_march_size``."""
+    t0, h_eff, n = _march_size(t_span, h, entries)
     return t0, h_eff, t0 + 0.5 * h_eff * np.arange(2 * n + 1)
 
 
-def _fundamental(samples: np.ndarray, h_eff: float) -> np.ndarray:
-    """Fundamental matrices Y_0 = E, ..., Y_n of y' = A(t) y, given A at t0, t0+h/2, ..., t0+nh.
+def _fundamental(samples: np.ndarray, t0: float, h_eff: float, *launches) -> list[np.ndarray]:
+    """[Y, Y c, ...]: fundamental matrices Y_0 = E, ..., Y_n of y' = A(t) y, given A at t0, t0+h/2, ..., t0+nh.
 
     One RK4 step is y <- M_k y, M_k = E + h/6 (K1 + 2K2 + 2K3 + K4), K1 = A0, K2 = Ah (E + h/2 K1),
-    K3 = Ah (E + h/2 K2), K4 = A1 (E + h K3), built _CHUNK steps at a time; non-finite values propagate.
+    K3 = Ah (E + h/2 K2), K4 = A1 (E + h K3), built _CHUNK steps at a time; IntegrationOverflowError
+    names the first step at which Y or any launch Y c is not finite.
     """
     n = (samples.shape[0] - 1) // 2
     eye = np.eye(samples.shape[-1])
@@ -91,12 +99,6 @@ def _fundamental(samples: np.ndarray, h_eff: float) -> np.ndarray:
             k4 = a1 @ (eye + h_eff * k3)
             for k, step in enumerate(eye + (h_eff / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4), lo):
                 np.matmul(step, fund[k], out=fund[k + 1])
-    return fund
-
-
-def _checked(t0: float, h_eff: float, fund: np.ndarray, *launches) -> list[np.ndarray]:
-    """[Y, Y c, ...] for Y = ``fund``, raising IntegrationOverflowError at the first non-finite step."""
-    with np.errstate(over="ignore", invalid="ignore"):
         states = [fund] + [fund @ c for c in launches]
     finite = np.logical_and.reduce([np.isfinite(s).reshape(len(s), -1).all(axis=1) for s in states])
     if not finite.all():
@@ -129,7 +131,7 @@ def _march(spec: SystemSpec, t_span: tuple[float, float], h: float, sides: tuple
 
     Each side launches ``trials`` states from the same c, drawn from ``default_rng(seed)``.
     """
-    t0, h_eff, half_ts = _half_grid(t_span, h)
+    t0, h_eff, half_ts = _half_grid(t_span, h, spec.m * max(spec.m, trials))
     ts, every = half_ts[::2], 2 if conjugacy else 1
     frames = frame_samples(spec, half_ts if conjugacy else ts)
     coeff = spec.coeff.eval_grid(half_ts)
@@ -137,11 +139,11 @@ def _march(spec: SystemSpec, t_span: tuple[float, float], h: float, sides: tuple
     proj = embedding @ chart
     c = np.random.default_rng(seed).standard_normal((spec.m, trials))
     launches = [proj[0] @ c if side == SIDE_MAIN else (np.eye(spec.m) - proj[0]) @ c for side in sides]
-    fund, *trajs = _checked(t0, h_eff, _fundamental(coeff, h_eff), *launches)
+    fund, *trajs = _fundamental(coeff, t0, h_eff, *launches)
     drifts = [_drift(ts, proj, traj, side) for side, traj in zip(sides, trajs)]
     if not conjugacy:
         return ts, drifts, None
-    (reduced,) = _checked(t0, h_eff, _fundamental(frames.reduced(coeff), h_eff))
+    (reduced,) = _fundamental(frames.reduced(coeff), t0, h_eff)
     with np.errstate(over="ignore", invalid="ignore"):
         lhs = fund @ embedding[0]       # (N+1, m, n)
         residuals = {
@@ -173,8 +175,8 @@ def integrate_states(
     y0 = np.asarray(y0, dtype=float)
     if y0.ndim not in (1, 2) or y0.shape[0] != coeff.rows:
         raise ShapeError(f"initial state has shape {y0.shape}, system is {coeff.rows}-dimensional")
-    start, h_eff, half_ts = _half_grid((t0, t1), h)
-    _, states = _checked(start, h_eff, _fundamental(coeff.eval_grid(half_ts), h_eff), y0)
+    start, h_eff, half_ts = _half_grid((t0, t1), h, coeff.rows * max(coeff.rows, y0[0].size))
+    _, states = _fundamental(coeff.eval_grid(half_ts), start, h_eff, y0)
     return FundamentalSolution(ts=half_ts[::2], matrices=states)
 
 

@@ -35,7 +35,7 @@ from .errors import (
     ShapeError,
     SingularMatrixError,
 )
-from .matexpr import MatrixFunction
+from .matexpr import MatrixFunction, _time_grid
 
 __all__ = [
     "DEFAULT_GRID",
@@ -85,7 +85,7 @@ class SystemSpec:
             raise ShapeError(
                 f"complementary chart is {self.comp_chart.shape}, expected {(m - n, m)}"
             )
-        grid = np.asarray(self.t_grid, dtype=float).reshape(-1)
+        grid = _time_grid(self.t_grid)
         if grid.size < 1:
             raise ValueError("t_grid must contain at least one point")
         if grid.size > 1 and not np.all(np.diff(grid) > 0):
@@ -147,7 +147,7 @@ def frame_samples(spec: SystemSpec, ts) -> FrameSamples:
     right inverse (Moore-Penrose or stacked) or its derivative past the
     float range is reported with the earliest offending time point.
     """
-    ts = np.asarray(ts, dtype=float)  # eval_grid refuses a grid that is not 1-D, as ShapeError
+    ts = _time_grid(ts)
     n = spec.n
     chart_g = spec.chart.eval_grid(ts)
     dchart_g = spec.chart.derivative().eval_grid(ts)

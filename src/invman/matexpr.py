@@ -502,6 +502,14 @@ def _fold_mul(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
     return Binary("*", a, b)
 
 
+def _time_grid(ts) -> np.ndarray:
+    """``ts`` as a float array, which must be one-dimensional: the one rule for every grid of times."""
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1:
+        raise ShapeError("time grid must be one-dimensional")
+    return ts
+
+
 @dataclass(frozen=True, slots=True)
 class MatrixFunction:
     """A rectangular grid of scalar expressions, evaluable at any t."""
@@ -579,9 +587,7 @@ class MatrixFunction:
         A pole raises :class:`EvaluationError` naming its earliest time and the first entry to reach it, a
         non-finite entry the earliest time, then the first entry in row order; ``index`` is that time's position.
         """
-        ts = np.asarray(ts, dtype=float)
-        if ts.ndim != 1:
-            raise ShapeError("time grid must be one-dimensional")
+        ts = _time_grid(ts)
         if self._tape is None:
             roots = [(e, (i, j)) for i, row in enumerate(self.entries) for j, e in enumerate(row)]
             object.__setattr__(self, "_tape", _compile(roots))

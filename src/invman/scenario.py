@@ -33,7 +33,7 @@ from .errors import FrameError, ScenarioError, ShapeError
 from .flow import DEFAULT_SEED, DEFAULT_STEP, DEFAULT_TRIALS
 from .invariance import DEFAULT_GRID, DEFAULT_VERDICT_TOL, SystemSpec
 from .linalg import frobenius
-from .matexpr import Binary, Const, MatrixFunction, ScalarExpr, T, Unary
+from .matexpr import Binary, Const, MatrixFunction, ScalarExpr, T, Unary, _time_grid
 
 __all__ = [
     "COUPLING_TOL",
@@ -152,7 +152,7 @@ class ScenarioSpec:
         ):
             if mf.shape != shape:
                 raise ShapeError(f"block {name} is {mf.shape}, expected {shape}")
-        grid = np.asarray(self.t_grid, dtype=float).reshape(-1)
+        grid = _time_grid(self.t_grid)
         if grid.size < 2:
             raise ValueError("scenario grid needs at least two points")
         object.__setattr__(self, "t_grid", grid)
@@ -327,7 +327,7 @@ def random_scenario(
     if not 0 < n < m:
         raise ShapeError(f"need 0 < n < m, got n={n}, m={m}")
     rng = np.random.default_rng(seed)
-    grid = DEFAULT_GRID() if t_grid is None else np.asarray(t_grid, dtype=float)
+    grid = DEFAULT_GRID() if t_grid is None else t_grid
     p = m - n
     frame = random_frame(m, n, rng)
     a = _random_block(rng, n, n, 0.6, wave=True)
@@ -342,10 +342,12 @@ def random_scenario(
 def to_config(s: ScenarioSpec, metadata: Optional[dict] = None) -> dict:
     """Serialize a scenario to the JSON config format the CLI consumes, with the default run options.
 
-    The expected verdicts ride along as metadata so a round-trip through the
-    public pipeline can confirm them.
+    The expected verdicts ride along as metadata so a round-trip through the public pipeline can confirm them;
+    a grid that ``np.linspace(start, end, count)`` does not give back bit for bit cannot be written: ValueError.
     """
-    grid = s.t_grid
+    grid = {"start": float(s.t_grid[0]), "end": float(s.t_grid[-1]), "count": int(s.t_grid.size)}
+    if np.linspace(grid["start"], grid["end"], grid["count"]).tobytes() != s.t_grid.tobytes():
+        raise ValueError(f"scenario grid is not np.linspace of its {grid}, bit for bit: to_config cannot write it")
     exp = expected_verdicts(s)
     coeff = coefficient_function(s)
     config = {
@@ -354,7 +356,7 @@ def to_config(s: ScenarioSpec, metadata: Optional[dict] = None) -> dict:
         "coeff": coeff.to_strings(),
         "chart": s.frame.chart.to_strings(),
         "comp_chart": s.frame.comp_chart.to_strings(),
-        "grid": {"start": float(grid[0]), "end": float(grid[-1]), "count": int(grid.size)},
+        "grid": grid,
         "tolerance": DEFAULT_VERDICT_TOL,
         "step": DEFAULT_STEP,
         "seed": DEFAULT_SEED,

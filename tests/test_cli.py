@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from invman import cli, errors
 from invman.cli import MAX_SAMPLED_ENTRIES, load_config, main
+from invman.flow import run_flow
 from invman.invariance import reduced_matrix
 
 from helpers import schema_paths
@@ -228,7 +229,34 @@ class TestCheck:
             tracemalloc.stop()
         assert peak < 2**20
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and str(MAX_SAMPLED_ENTRIES) in err
+        if "window" in option:  # a span past the float range: the march's finite-window rule refuses it first
+            assert err == "config error: step must be in (0, inf) over a finite window, got h=0.001, " \
+                          "window=(-1e+308, 1e+308)\n"
+        else:
+            assert err.startswith("config error:") and str(MAX_SAMPLED_ENTRIES) in err
+
+    @pytest.mark.parametrize("step, trials", [(1e-300, 1), (1e-9, 1), (1e-3, 10**6)])
+    def test_over_budget_march_is_refused_with_the_library_text(self, tmp_path, step, trials):
+        spec, _ = load_config(_write(tmp_path, NILPOTENT_CONFIG, "within.json"))
+        with pytest.raises(ValueError, match="MAX_SAMPLED_ENTRIES") as raised:
+            run_flow(spec, h=step, trials=trials, t_span=(0.0, 1.0))
+        past = dict(NILPOTENT_CONFIG, step=step, trials=trials, window=[0.0, 1.0])
+        with pytest.raises(errors.ConfigError) as refused:
+            load_config(_write(tmp_path, past))
+        assert str(refused.value) == str(raised.value)
+
+    def test_march_budget_is_checked_exactly_without_building_the_grid(self, tmp_path):
+        # m = 2, trials = 1: 16 777 215 half steps of 2 x 2 entries is just under 2^26, one step more is past it
+        within = dict(NILPOTENT_CONFIG, step=1.0, trials=1, window=[0.0, 8388607.0])
+        tracemalloc.start()
+        try:
+            _, opts = load_config(_write(tmp_path, within))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert opts.window == (0.0, 8388607.0) and peak < 2**20
+        with pytest.raises(errors.ConfigError, match="takes 1.678e\\+07 half steps x 4 entries, more than"):
+            load_config(_write(tmp_path, dict(within, window=[0.0, 8388608.0]), "past.json"))
 
     @pytest.mark.parametrize("entry, shown", [
         (None, " must be a finite number, got None"),

@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import re
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,10 +18,12 @@ from invman.errors import (
 )
 from invman.flow import (
     SIDE_COMPLEMENT,
+    MAX_SAMPLED_ENTRIES,
     SIDE_MAIN,
     _drift,
     _fundamental,
     _half_grid,
+    _march_size,
     conjugacy_check,
     integrate_fundamental,
     integrate_states,
@@ -324,6 +328,44 @@ class TestDriftPastTheSquareRange:
         assert info.value.index == 1
 
 
+class TestMarchBudget:
+    @pytest.mark.parametrize("h", [1e-300, 1e-9])
+    @pytest.mark.parametrize("march", [
+        lambda h: integrate_fundamental(NILPOTENT.coeff, 0.0, 1.0, h),
+        lambda h: integrate_states(NILPOTENT.coeff, [1.0, 0.0], 0.0, 1.0, h),
+        lambda h: manifold_drift(NILPOTENT, SIDE_MAIN, h=h, t_span=(0.0, 1.0)),
+        lambda h: conjugacy_check(NILPOTENT, h=h, t_span=(0.0, 1.0)),
+        lambda h: run_flow(NILPOTENT, h=h, t_span=(0.0, 1.0)),
+    ], ids=["integrate_fundamental", "integrate_states", "manifold_drift", "conjugacy_check", "run_flow"])
+    def test_every_march_refuses_past_the_bound_before_allocating(self, march, h):
+        message = rf"^step {h!r} over window \(0\.0, 1\.0\) takes 2e\+\d+ half steps x \d+ entries, " \
+                  rf"more than MAX_SAMPLED_ENTRIES = {MAX_SAMPLED_ENTRIES}$"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                march(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("march, entries", [
+        (lambda h: run_flow(NILPOTENT, h=h, trials=5, t_span=(0.0, 1.0)), 10),
+        (lambda h: manifold_drift(NILPOTENT, SIDE_MAIN, h=h, trials=1, t_span=(0.0, 1.0)), 4),
+        (lambda h: integrate_states(MatrixFunction.zeros(3, 3), np.zeros((3, 4)), 0.0, 1.0, h), 12),
+        (lambda h: integrate_states(MatrixFunction.zeros(3, 3), np.zeros(3), 0.0, 1.0, h), 9),
+    ], ids=["trials_past_m", "trials_under_m", "y0_columns_past_m", "y0_vector"])
+    def test_a_half_step_holds_m_by_max_m_columns_entries(self, march, entries):
+        with pytest.raises(ValueError, match=rf"takes 2e\+09 half steps x {entries} entries,"):
+            march(1e-9)
+
+    def test_the_bound_is_exact(self):
+        # 2n + 1 = 16 777 215 half steps of 4 entries is 4 short of 2^26; one more step is past it
+        assert _march_size((0.0, 8388607.0), 1.0, 4) == (0.0, 1.0, 8388607)
+        with pytest.raises(ValueError, match="takes 1.678e\\+07 half steps x 4 entries"):
+            _march_size((0.0, 8388608.0), 1.0, 4)
+
+
 def _step_grid_systems():
     configs = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
     shipped = [load_config(str(path))[0] for path in configs]
@@ -336,7 +378,7 @@ class TestStepGridFrames:
     def test_step_grid_frames_are_every_other_half_step_frame(self):
         # run_flow samples the step grid alone off an invariant subspace: its drift must not move.
         for spec in _step_grid_systems():
-            _, _, half_ts = _half_grid((0.0, 0.25), 1e-3)
+            _, _, half_ts = _half_grid((0.0, 0.25), 1e-3, spec.m * spec.m)
             want = frame_samples(spec, half_ts)
             for ts in (half_ts[::2], np.ascontiguousarray(half_ts[::2])):
                 got = frame_samples(spec, ts)
@@ -375,7 +417,7 @@ class TestStepMatrixMarch:
     def test_every_entry_point_matches_the_stage_by_stage_march(self, m, t_span):
         spec = to_system(random_scenario(Structure.UPPER_TRIANGULAR, m=m, n=m // 2, seed=3))
         h, trials, seed = 1e-3, 3, 7
-        _, h_eff, half_ts = _half_grid(t_span, h)
+        _, h_eff, half_ts = _half_grid(t_span, h, m * max(m, trials))
         coeff = spec.coeff.eval_grid(half_ts)
         frames = frame_samples(spec, half_ts[::2])
         proj, emb = frames.projector, frames.embedding
@@ -408,17 +450,27 @@ class TestStepMatrixMarch:
 
     def test_overflow_names_the_first_non_finite_step(self):
         coeff = MatrixFunction.build([["200"]])
-        _, h_eff, half_ts = _half_grid((0.0, 5.0), 1e-3)
-        fund = _fundamental(coeff.eval_grid(half_ts), h_eff)
-        first = int(np.argmin(np.isfinite(fund).all(axis=(1, 2))))
+        t0, h_eff, half_ts = _half_grid((0.0, 5.0), 1e-3, 1)
+        samples = coeff.eval_grid(half_ts)
         with pytest.raises(IntegrationOverflowError) as err:
             integrate_fundamental(coeff, 0.0, 5.0, 1e-3)
-        assert 0 < first < 5000
-        assert (err.value.step, err.value.t) == (first, first * h_eff)
+        first = err.value.step
+        assert err.value.t == first * h_eff
+        # Y_k = M^k for the RK4 factor M of z = 200 h, which leaves the float range near log(max) / log(M)
+        z = 200.0 * h_eff
+        assert abs(first - math.log(sys.float_info.max) / math.log(1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24)) < 1
+        # the steps before it march to finite states, and a march through it stops there
+        (head,) = _fundamental(samples[: 2 * first - 1], t0, h_eff)
+        assert np.isfinite(head).all()
+        with pytest.raises(IntegrationOverflowError) as err:
+            _fundamental(samples[: 2 * first + 1], t0, h_eff)
+        assert err.value.step == first
         # a launch Y_k c can leave the range before Y_k does
         with np.errstate(over="ignore"):
-            launch_first = int(np.argmin(np.isfinite(fund * 1e10).all(axis=(1, 2))))
-        assert launch_first < first
-        with pytest.raises(IntegrationOverflowError) as err:
-            integrate_states(coeff, [[1e10]], 0.0, 5.0, 1e-3)
-        assert err.value.step == launch_first
+            launch_first = int(np.argmin(np.isfinite(head * 1e10).all(axis=(1, 2))))
+        assert 0 < launch_first < first
+        for march in (lambda: integrate_states(coeff, [[1e10]], 0.0, 5.0, 1e-3),
+                      lambda: _fundamental(samples, t0, h_eff, np.array([[1e10]]))):
+            with pytest.raises(IntegrationOverflowError) as err:
+                march()
+            assert err.value.step == launch_first

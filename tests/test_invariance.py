@@ -204,6 +204,13 @@ class TestVerdicts:
         assert len(back["t"]) == spec.t_grid.size
 
 
+class TestSpecGrid:
+    @pytest.mark.parametrize("grid", [[[0.0, 1.0], [2.0, 3.0]], 0.5], ids=["2-D", "0-D"])
+    def test_a_grid_that_is_not_one_dimensional_is_refused(self, grid):
+        with pytest.raises(ShapeError, match="^time grid must be one-dimensional$"):
+            _spec([["0", "1"], ["0", "0"]], [["1", "0"]], grid=grid)
+
+
 class TestFrameFailures:
     """A failing frame names the earliest bad t of the grid, exactly."""
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from invman.errors import FrameError, ScenarioError
+from invman.errors import FrameError, ScenarioError, ShapeError
 from invman.flow import integrate_fundamental
 from invman.invariance import reduced_matrix, verdicts
 from invman.matexpr import MatrixFunction, parse_expr
@@ -233,6 +233,19 @@ class TestSerialization:
             True,
         )
         assert config["expected_verdicts"] == {"joint": False, "mn": False, "complement": True}
+
+    def test_a_grid_linspace_does_not_give_back_is_not_written(self):
+        s = random_scenario(Structure.FULL, m=3, n=2, seed=0, t_grid=[0.0, 1.0, 5.0])
+        with pytest.raises(ValueError, match="'start': 0.0, 'end': 5.0, 'count': 3}, bit for bit"):
+            to_config(s)
+        grid = np.linspace(0.0, 5.0, 3)
+        assert to_config(random_scenario(Structure.FULL, m=3, n=2, seed=0, t_grid=grid))["grid"] == {
+            "start": 0.0, "end": 5.0, "count": 3}
+
+    @pytest.mark.parametrize("grid", [[[0.0, 1.0], [2.0, 3.0]], 0.5], ids=["2-D", "0-D"])
+    def test_a_grid_that_is_not_one_dimensional_is_refused(self, grid):
+        with pytest.raises(ShapeError, match="^time grid must be one-dimensional$"):
+            random_scenario(Structure.FULL, m=3, n=2, seed=0, t_grid=grid)
 
     def test_symbolic_coefficient_matches_samples(self):
         s = random_scenario(Structure.FULL, m=3, n=1, seed=20)
