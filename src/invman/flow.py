@@ -56,7 +56,7 @@ SIDE_COMPLEMENT = "complement"
 DEFAULT_STEP = 1e-3
 DEFAULT_TRIALS = 5          # trajectories per drift side
 DEFAULT_SEED = 42
-_CHUNK = 256                # RK4 steps whose step matrices are built together
+_STEP_BYTES = 2**17         # step matrices of one RK4 chunk: about what stays in cache
 # Most floats (points x entries per point) one sampling may hold: a march's half steps, or the CLI's verdict grid.
 MAX_SAMPLED_ENTRIES = 2**26
 
@@ -83,22 +83,25 @@ def _fundamental(samples: np.ndarray, t0: float, h_eff: float, *launches) -> lis
     """[Y, Y c, ...]: fundamental matrices Y_0 = E, ..., Y_n of y' = A(t) y, given A at t0, t0+h/2, ..., t0+nh.
 
     One RK4 step is y <- M_k y, M_k = E + h/6 (K1 + 2K2 + 2K3 + K4), K1 = A0, K2 = Ah (E + h/2 K1),
-    K3 = Ah (E + h/2 K2), K4 = A1 (E + h K3), built _CHUNK steps at a time; IntegrationOverflowError
-    names the first step at which Y or any launch Y c is not finite.
+    K3 = Ah (E + h/2 K2), K4 = A1 (E + h K3), built for as many steps at a time as fill ``_STEP_BYTES``;
+    each Y_{k+1} = M_k Y_k is one ``dot`` into its slot.  IntegrationOverflowError names the first step
+    at which Y or any launch Y c is not finite.
     """
     n = (samples.shape[0] - 1) // 2
     eye = np.eye(samples.shape[-1])
     fund = np.empty((n + 1,) + eye.shape)
     fund[0] = eye
+    chunk = _STEP_BYTES // eye.nbytes or 1  # steps whose step matrices fill _STEP_BYTES
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, n, _CHUNK):
-            chunk = samples[2 * lo : 2 * (lo + _CHUNK) + 1]
-            a0, ah, a1 = chunk[:-1:2], chunk[1::2], chunk[2::2]
+        for lo in range(0, n, chunk):
+            part = samples[2 * lo : 2 * (lo + chunk) + 1]
+            a0, ah, a1 = part[:-1:2], part[1::2], part[2::2]
             k2 = ah @ (eye + 0.5 * h_eff * a0)
             k3 = ah @ (eye + 0.5 * h_eff * k2)
             k4 = a1 @ (eye + h_eff * k3)
-            for k, step in enumerate(eye + (h_eff / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4), lo):
-                np.matmul(step, fund[k], out=fund[k + 1])
+            steps = eye + (h_eff / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
+            for step, y, nxt in zip(steps, fund[lo:], fund[lo + 1 :]):
+                step.dot(y, out=nxt)
         states = [fund] + [fund @ c for c in launches]
     finite = np.logical_and.reduce([np.isfinite(s).reshape(len(s), -1).all(axis=1) for s in states])
     if not finite.all():

@@ -61,6 +61,14 @@ def DEFAULT_GRID() -> np.ndarray:
     return np.linspace(*DEFAULT_GRID_SPAN, DEFAULT_GRID_COUNT)
 
 
+def _increasing_grid(ts) -> np.ndarray:
+    """``ts`` as a 1-D float grid, which must be strictly increasing: the grid rule of a system and a scenario."""
+    grid = _time_grid(ts)
+    if grid.size > 1 and not np.all(np.diff(grid) > 0):
+        raise ValueError("t_grid must be strictly increasing")
+    return grid
+
+
 @dataclass(frozen=True, eq=False)
 class SystemSpec:
     """A linear time-varying system together with the chart of a candidate subspace."""
@@ -85,11 +93,9 @@ class SystemSpec:
             raise ShapeError(
                 f"complementary chart is {self.comp_chart.shape}, expected {(m - n, m)}"
             )
-        grid = _time_grid(self.t_grid)
+        grid = _increasing_grid(self.t_grid)
         if grid.size < 1:
             raise ValueError("t_grid must contain at least one point")
-        if grid.size > 1 and not np.all(np.diff(grid) > 0):
-            raise ValueError("t_grid must be strictly increasing")
         object.__setattr__(self, "t_grid", grid)
 
     @property

@@ -79,10 +79,12 @@ def invert(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     block's contiguous values, on the columns after the pivot's only (no
     later step reads an eliminated one).  Each matrix takes the first largest
     pivot candidate in its current row order, and each of its entries sees the
-    same operations as if it were inverted on its own.  A pivot at or below ``tol`` (0 < tol < inf) times its matrix's
-    largest entry magnitude marks the matrix as singular to tolerance; the
-    pivots are scanned after the elimination, and the error names the first
-    such matrix in its ``index`` with the message of its first failing column.
+    same operations as if it were inverted on its own; a column in which no
+    matrix of the block moves its pivot row swaps no rows.  A pivot at or
+    below ``tol`` (0 < tol < inf) times its matrix's largest entry magnitude
+    marks the matrix as singular to tolerance; the pivots are scanned after
+    the elimination, and the error names the first such matrix in its
+    ``index`` with the message of its first failing column.
     """
     if not 0 < tol < np.inf:  # a NaN limit would fail no pivot, an infinite one every pivot
         raise ValueError(f"invert: tolerance must be positive and finite, got {tol!r}")
@@ -111,8 +113,10 @@ def invert(a, tol: float = DEFAULT_TOL) -> np.ndarray:
             for col in range(k):
                 live = aug[col:]
                 p = col + abs(live[0, col:]).argmax(axis=0)
-                pivot_rows = live[:, p, stack]
-                live[:, p, stack] = live[:, col]
+                pivot_rows = live[:, col]  # a view: the pivot row is divided in place
+                if (p != col).any():  # some matrix's pivot row moves to row col: gather them, scatter row col
+                    pivot_rows = live[:, p, stack]
+                    live[:, p, stack] = live[:, col]
                 part_pivots[col] = pivot = pivot_rows[0]
                 np.divide(pivot_rows[1:], pivot, out=live[1:, col])
                 # Column col is dead from here on: it holds each row's factor, 0 in the pivot row.

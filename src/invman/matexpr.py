@@ -594,10 +594,10 @@ class MatrixFunction:
         t, points = (float(ts[0]), ()) if ts.size == 1 else (ts, ts.shape)
         with np.errstate(all="ignore"):
             values = _run(*self._tape, t)
-        out = np.empty(ts.shape + self.shape, dtype=float)
-        cells = out.reshape(points + (-1,))  # entry k of every point is cells[..., k]
+        entries = np.empty((len(values),) + points)  # entry-major: entry k of every point is the row entries[k]
         for k, value in enumerate(values):
-            cells[..., k] = value
+            entries[k] = value
+        out = np.ascontiguousarray(entries.T).reshape(ts.shape + self.shape)  # one transposed copy (none at one point)
         if not np.isfinite(out).all():
             k, i, j = map(int, np.argwhere(~np.isfinite(out))[0])
             raise EvaluationError(f"entry ({i},{j}) is not finite at t={float(ts[k])!r}", k)

@@ -31,9 +31,9 @@ import numpy as np
 
 from .errors import FrameError, ScenarioError, ShapeError
 from .flow import DEFAULT_SEED, DEFAULT_STEP, DEFAULT_TRIALS
-from .invariance import DEFAULT_GRID, DEFAULT_VERDICT_TOL, SystemSpec
+from .invariance import DEFAULT_GRID, DEFAULT_VERDICT_TOL, SystemSpec, _increasing_grid
 from .linalg import frobenius
-from .matexpr import Binary, Const, MatrixFunction, ScalarExpr, T, Unary, _time_grid
+from .matexpr import Binary, Const, MatrixFunction, ScalarExpr, T, Unary
 
 __all__ = [
     "COUPLING_TOL",
@@ -152,7 +152,7 @@ class ScenarioSpec:
         ):
             if mf.shape != shape:
                 raise ShapeError(f"block {name} is {mf.shape}, expected {shape}")
-        grid = _time_grid(self.t_grid)
+        grid = _increasing_grid(self.t_grid)
         if grid.size < 2:
             raise ValueError("scenario grid needs at least two points")
         object.__setattr__(self, "t_grid", grid)

@@ -20,6 +20,7 @@ from invman.flow import (
     SIDE_COMPLEMENT,
     MAX_SAMPLED_ENTRIES,
     SIDE_MAIN,
+    _STEP_BYTES,
     _drift,
     _fundamental,
     _half_grid,
@@ -447,6 +448,29 @@ class TestStepMatrixMarch:
                  + np.linalg.norm(emb, axis=(1, 2)) * np.linalg.norm(reduced, axis=(1, 2)))
         for got in (conj.embedding_residuals, flow.conjugacy_residuals):
             assert np.all(np.abs(got - want) <= _REL * scale)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 16])
+    @pytest.mark.parametrize("steps", ["none", "one", "chunk - 1", "chunk", "chunk + 1"])
+    def test_the_march_is_a_per_step_matmul_of_its_step_matrices_bit_for_bit(self, m, steps):
+        # A chunk is as many steps as fill _STEP_BYTES with step matrices; each step is built on its own here.
+        chunk = _STEP_BYTES // (8 * m * m)
+        n = {"none": 0, "one": 1, "chunk - 1": chunk - 1, "chunk": chunk, "chunk + 1": chunk + 1}[steps]
+        rng = np.random.default_rng(m)
+        samples, h, c = rng.standard_normal((2 * n + 1, m, m)), 1e-3, rng.standard_normal((m, 3))
+        eye = np.eye(m)
+        fund, states = np.empty((n + 1, m, m)), np.empty((n + 1, m, 3))
+        fund[0] = eye
+        for k in range(n):
+            a0, ah, a1 = samples[2 * k : 2 * k + 3]
+            k2 = np.matmul(ah, eye + 0.5 * h * a0)
+            k3 = np.matmul(ah, eye + 0.5 * h * k2)
+            k4 = np.matmul(a1, eye + h * k3)
+            fund[k + 1] = np.matmul(eye + (h / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4), fund[k])
+        for k in range(n + 1):
+            states[k] = np.matmul(fund[k], c)
+        got, got_states = _fundamental(samples, 0.0, h, c)
+        assert got.shape == fund.shape and got_states.shape == states.shape
+        assert got.tobytes() == fund.tobytes() and got_states.tobytes() == states.tobytes()
 
     def test_overflow_names_the_first_non_finite_step(self):
         coeff = MatrixFunction.build([["200"]])

@@ -96,6 +96,25 @@ class TestInvertStack:
         np.testing.assert_array_equal(got, np.stack([reference_invert(mat) for mat in stack]))
         np.testing.assert_array_equal(invert(stack[-1]), reference_invert(stack[-1]))
 
+    @pytest.mark.parametrize("k", [2, 3, 8, 16])
+    @pytest.mark.parametrize("moving", ["none", "every", "some"])
+    def test_a_column_whose_pivots_stay_or_move_inverts_like_the_reference(self, k, moving):
+        # A strictly column diagonally dominant matrix keeps its pivot in every column of the elimination;
+        # its rows reversed, every matrix moves its pivot in column 0; "some" alternates the two.
+        rng = np.random.default_rng(90 + k)
+        count = 40
+        stack = rng.standard_normal((count, k, k))
+        diag = abs(stack).sum(axis=1) + rng.random((count, k))
+        stack[:, range(k), range(k)] = diag * rng.choice([-1.0, 1.0], size=(count, k))
+        flip = {"none": [], "every": slice(None), "some": slice(None, None, 2)}[moving]
+        stack[flip] = stack[flip, ::-1]
+        moved = abs(stack[:, :, 0]).argmax(axis=1) != 0
+        assert {"none": not moved.any(), "every": moved.all(), "some": 0 < moved.sum() < count}[moving]
+        got = invert(stack)
+        assert got.tobytes() == np.array([reference_invert(mat) for mat in stack]).tobytes()
+        for mat in stack[[0, -1]]:
+            assert invert(mat).tobytes() == reference_invert(mat).tobytes()
+
     def test_relative_threshold_is_per_matrix(self):
         # diag(1, 1e-12) is singular to tolerance whatever its neighbours' scale
         stack = np.array([np.eye(2) * 1e15, np.diag([1.0, 1e-12]), np.eye(2) * 1e-15])

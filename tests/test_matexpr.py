@@ -293,6 +293,22 @@ class TestMatrixFunction:
             assert f.eval_grid([t])[0].tobytes() == grid[i].tobytes()
             assert f.eval(t).tobytes() == grid[i].tobytes()
 
+    @pytest.mark.parametrize("n", [1, 2, 501])
+    @pytest.mark.parametrize("rows", [
+        [["0", "-0", "2e-300"], ["-1.5", "3", "7"]],
+        [["t", "sin(t)", "t^2"], ["-t", "exp(-t)", "1/(t + 3)"]],
+        [["t", "-0", "cos(2*t)"], ["1.25", "t*t - 1", "-3"]],
+    ], ids=["constant", "all-t", "mixed"])
+    def test_eval_grid_is_the_memo_free_walk_bit_for_bit(self, rows, n):
+        # Entries are written row by row to an entry-major buffer, then copied transposed into the output.
+        f = MatrixFunction.build(rows)
+        ts = np.linspace(-1.5, 2.5, n)
+        got = f.eval_grid(ts)
+        assert got.shape == (n, 2, 3) and got.flags.c_contiguous
+        assert got.tobytes() == reference_matrix(f, ts).tobytes()
+        for t in (ts[0], ts[-1]):
+            assert f.eval(t).tobytes() == reference_matrix(f, float(t)).tobytes()
+
     def test_symbolic_matmul_matches_numeric(self):
         a = MatrixFunction.build([["t", "1"], ["0", "cos(t)"]])
         b = MatrixFunction.build([["2", "t"], ["sin(t)", "1"]])

@@ -3,7 +3,7 @@ import pytest
 
 from invman.errors import FrameError, ScenarioError, ShapeError
 from invman.flow import integrate_fundamental
-from invman.invariance import reduced_matrix, verdicts
+from invman.invariance import SystemSpec, reduced_matrix, verdicts
 from invman.matexpr import MatrixFunction, parse_expr
 from invman.scenario import (
     ExpectedVerdicts,
@@ -246,6 +246,15 @@ class TestSerialization:
     def test_a_grid_that_is_not_one_dimensional_is_refused(self, grid):
         with pytest.raises(ShapeError, match="^time grid must be one-dimensional$"):
             random_scenario(Structure.FULL, m=3, n=2, seed=0, t_grid=grid)
+
+    @pytest.mark.parametrize("grid", [np.linspace(5.0, 0.0, 11), [0.0, 1.0, 1.0], [0.0, np.nan, 2.0]],
+                             ids=["decreasing", "repeated", "nan"])
+    def test_a_grid_that_is_not_strictly_increasing_is_refused(self, grid):
+        # SystemSpec's rule and text: the spec never reaches a to_config that load_config would refuse.
+        with pytest.raises(ValueError, match="^t_grid must be strictly increasing$"):
+            random_scenario(Structure.FULL, m=3, n=2, seed=0, t_grid=grid)
+        with pytest.raises(ValueError, match="^t_grid must be strictly increasing$"):
+            SystemSpec(MatrixFunction.zeros(3, 3), MatrixFunction.build([["1", "0", "0"]]), t_grid=grid)
 
     def test_symbolic_coefficient_matches_samples(self):
         s = random_scenario(Structure.FULL, m=3, n=1, seed=20)
