@@ -10,8 +10,8 @@ Subcommands:
 Exit codes: 0 success / requested assertion holds; 1 assertion or
 precondition fails; 2 configuration problems; 3 numerical failures.
 With INVMAN_LOG=info or debug (any letter case), ``flow --csv`` prints
-``INFO:invman:wrote <path>`` to stderr.  The module only checks arguments and
-does I/O: the numerics, and their guards, live in the library.
+``INFO:invman:wrote <path>`` to stderr.  The module checks config form and does
+I/O; the numerics, their guards, option ranges and budgets live in the library.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, InputError, InvmanError, NumericalError, ParseError, PreconditionError, ShapeError
-from .flow import DEFAULT_SEED, DEFAULT_STEP, DEFAULT_TRIALS, MAX_SAMPLED_ENTRIES, _checked_conjugacy, _march_size
+from .flow import DEFAULT_SEED, DEFAULT_STEP, DEFAULT_TRIALS, _checked_conjugacy, _march_size, _require_launches
 from .flow import run_flow
-from .invariance import DEFAULT_GRID_COUNT, DEFAULT_GRID_SPAN, DEFAULT_VERDICT_TOL
+from .invariance import DEFAULT_GRID_COUNT, DEFAULT_GRID_SPAN, DEFAULT_VERDICT_TOL, _require_budget, _require_tolerance
 from .invariance import SystemSpec, _sampled_verdicts, verdicts
 # Unused here, but perfbench/test_perfbench.py checks that the tracer wraps this binding.
 from .invariance import reduced_matrix  # noqa: F401
@@ -138,14 +138,12 @@ def load_config(path: str) -> tuple[SystemSpec, RunOptions]:
     if not (isinstance(window_cfg, list) and len(window_cfg) == 2):
         raise ConfigError("window must be a [t0, t1] pair")
     window = (_finite(window_cfg[0], "window t0"), _finite(window_cfg[1], "window t1"))
-    if tolerance <= 0 or h <= 0 or trials < 1 or seed < 0:
-        raise ConfigError("tolerance and step must be positive, trials >= 1, seed >= 0")
-    if count * m * m > MAX_SAMPLED_ENTRIES:
-        raise ConfigError(f"grid count {count} would sample {count:.4g} points of {m}x{m} matrices, "
-                          f"more than {MAX_SAMPLED_ENTRIES} entries")
 
-    try:
-        _march_size(window, h, m * max(m, trials))  # the library's own refusal, with no grid built
+    try:  # the library's own refusals and texts, each before anything is sampled
+        _require_tolerance(tolerance)
+        _require_launches(trials, seed)
+        _march_size(window, h, m * max(m, trials))
+        _require_budget("t_grid", count, "points", m * m)
         spec = SystemSpec(
             coeff=coeff,
             chart=chart,
@@ -245,7 +243,7 @@ def cmd_reduce(args) -> int:
             "max_embedding_residual": conj.max_embedding_residual,
             "max_chart_residual": conj.max_chart_residual,
         },
-        "verdicts": report.to_dict()["verdicts"],
+        "verdicts": {field: getattr(report, field) for field in _ASSERTION_FIELDS.values()},
     }
     _emit_json(payload, args.json)
     print(
@@ -280,17 +278,10 @@ def cmd_flow(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    m, n = args.m, args.n
-    if not 0 < n < m:
-        raise ConfigError(f"generate needs 0 < n < m, got m={m}, n={n}")
-    if DEFAULT_GRID_COUNT * m * m > MAX_SAMPLED_ENTRIES:
-        raise ConfigError(
-            f"generate --m {m} would sample {DEFAULT_GRID_COUNT} points of {m}x{m} matrices, "
-            f"more than {MAX_SAMPLED_ENTRIES} entries"
-        )
-    if args.seed < 0:
-        raise ConfigError(f"generate needs a seed >= 0, got {args.seed}")
-    scenario = random_scenario(Structure(args.kind), m=m, n=n, seed=args.seed)
+    try:  # random_scenario refuses its arguments before it builds anything
+        scenario = random_scenario(Structure(args.kind), m=args.m, n=args.n, seed=args.seed)
+    except (ShapeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
     config = to_config(scenario, metadata={"kind": args.kind, "generator_seed": args.seed})
     Path(args.out).write_text(_json(config) + "\n")
     return EXIT_OK

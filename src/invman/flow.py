@@ -13,7 +13,8 @@ step grid (on the half steps only for the conjugacy check's reduced flow X,
 the same march of R(t)), one draw of the launch coefficients c and one march
 Y_{k+1} = M_k Y_k, every trajectory being Y_k c.  A drift or conjugacy
 residual, or a reduced matrix R, that is not finite raises EvaluationError
-at its first time.  ``_march_size`` refuses a march past MAX_SAMPLED_ENTRIES.
+at its first time.  ``_march_size`` sizes every march by the budget rule that
+every system and scenario grid keeps too, ``invariance._require_budget``.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .invariance import (
     DEFAULT_VERDICT_TOL,
     InvarianceReport,
     SystemSpec,
+    _require_budget,
     _require_finite,
     frame_samples,
     verdicts,
@@ -57,8 +59,6 @@ DEFAULT_STEP = 1e-3
 DEFAULT_TRIALS = 5          # trajectories per drift side
 DEFAULT_SEED = 42
 _STEP_BYTES = 2**17         # step matrices of one RK4 chunk: about what stays in cache
-# Most floats (points x entries per point) one sampling may hold: a march's half steps, or the CLI's verdict grid.
-MAX_SAMPLED_ENTRIES = 2**26
 
 
 def _march_size(t_span: tuple[float, float], h: float, entries: int) -> tuple[float, float, int]:
@@ -67,9 +67,7 @@ def _march_size(t_span: tuple[float, float], h: float, entries: int) -> tuple[fl
     if not (0 < h < np.inf and np.isfinite((t1 - t0) / h)):  # a finite step count over a finite window
         raise ValueError(f"step must be in (0, inf) over a finite window, got h={h!r}, window=({t0!r}, {t1!r})")
     n = max(1, round(abs(t1 - t0) / h)) if t1 != t0 else 0
-    if (2 * n + 1) * entries > MAX_SAMPLED_ENTRIES:
-        raise ValueError(f"step {h!r} over window ({t0!r}, {t1!r}) takes {2 * n + 1:.4g} half steps x {entries} "
-                         f"entries, more than MAX_SAMPLED_ENTRIES = {MAX_SAMPLED_ENTRIES}")
+    _require_budget(f"step {h!r} over window ({t0!r}, {t1!r})", 2 * n + 1, "half steps", entries)
     return t0, (t1 - t0) / n if n else 0.0, n
 
 

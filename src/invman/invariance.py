@@ -53,6 +53,7 @@ __all__ = [
 DEFAULT_VERDICT_TOL = 1e-8
 DEFAULT_GRID_SPAN = (0.0, 5.0)
 DEFAULT_GRID_COUNT = 201
+MAX_SAMPLED_ENTRIES = 2**26  # most floats one sampling may hold: a system's or scenario's grid, a march's half steps
 # The residual curves of an InvarianceReport, in report order.
 _CURVES = ("defect", "defect_main", "defect_complement", "defect_embedding")
 
@@ -61,9 +62,18 @@ def DEFAULT_GRID() -> np.ndarray:
     return np.linspace(*DEFAULT_GRID_SPAN, DEFAULT_GRID_COUNT)
 
 
-def _increasing_grid(ts) -> np.ndarray:
-    """``ts`` as a 1-D float grid, which must be strictly increasing: the grid rule of a system and a scenario."""
+def _require_budget(what: str, points: int, unit: str, entries: int) -> None:
+    """Refuse ``points`` of ``entries`` floats each past MAX_SAMPLED_ENTRIES, before any of them is sampled."""
+    if points * entries > MAX_SAMPLED_ENTRIES:
+        shown = points if points <= 1e308 else np.inf  # a count near or past the float range cannot format as a float
+        raise ValueError(f"{what} takes {shown:.4g} {unit} x {entries} entries, "
+                         f"more than MAX_SAMPLED_ENTRIES = {MAX_SAMPLED_ENTRIES}")
+
+
+def _increasing_grid(ts, entries: int) -> np.ndarray:
+    """``ts`` as a strictly increasing 1-D float grid within the budget: the grid rule of a system and a scenario."""
     grid = _time_grid(ts)
+    _require_budget("t_grid", grid.size, "points", entries)
     if grid.size > 1 and not np.all(np.diff(grid) > 0):
         raise ValueError("t_grid must be strictly increasing")
     return grid
@@ -93,7 +103,7 @@ class SystemSpec:
             raise ShapeError(
                 f"complementary chart is {self.comp_chart.shape}, expected {(m - n, m)}"
             )
-        grid = _increasing_grid(self.t_grid)
+        grid = _increasing_grid(self.t_grid, m * m)
         if grid.size < 1:
             raise ValueError("t_grid must contain at least one point")
         object.__setattr__(self, "t_grid", grid)
@@ -309,12 +319,16 @@ def verdicts(spec: SystemSpec, tol: float = DEFAULT_VERDICT_TOL) -> InvarianceRe
     return _sampled_verdicts(spec, tol)[0]
 
 
+def _require_tolerance(tol: float) -> None:
+    if not 0 < tol < np.inf:  # a NaN tolerance would fail every verdict, an infinite one pass it
+        raise ValueError(f"verdicts: tolerance must be positive and finite, got {tol!r}")
+
+
 def _sampled_verdicts(
     spec: SystemSpec, tol: float
 ) -> tuple[InvarianceReport, FrameSamples, np.ndarray]:
     """``verdicts`` plus the frames and A it sampled on the grid, for callers that reuse them."""
-    if not 0 < tol < np.inf:  # a NaN tolerance would fail every verdict, an infinite one pass it
-        raise ValueError(f"verdicts: tolerance must be positive and finite, got {tol!r}")
+    _require_tolerance(tol)
     grid = spec.t_grid
     fs = frame_samples(spec, grid)
     coeff_g = spec.coeff.eval_grid(grid)

@@ -152,7 +152,7 @@ class ScenarioSpec:
         ):
             if mf.shape != shape:
                 raise ShapeError(f"block {name} is {mf.shape}, expected {shape}")
-        grid = _increasing_grid(self.t_grid)
+        grid = _increasing_grid(self.t_grid, self.frame.m ** 2)
         if grid.size < 2:
             raise ValueError("scenario grid needs at least two points")
         object.__setattr__(self, "t_grid", grid)
@@ -322,12 +322,14 @@ def random_scenario(
     seed: int = 0,
     t_grid: Optional[np.ndarray] = None,
 ) -> ScenarioSpec:
-    """Deterministic-in-seed random scenario of the requested structure."""
+    """Deterministic-in-seed random scenario of the requested structure; its arguments and grid are checked first."""
     structure = Structure(structure)
     if not 0 < n < m:
         raise ShapeError(f"need 0 < n < m, got n={n}, m={m}")
+    if seed < 0:
+        raise ValueError(f"random_scenario: seed must be >= 0, got {seed!r}")
+    grid = _increasing_grid(DEFAULT_GRID() if t_grid is None else t_grid, m * m)
     rng = np.random.default_rng(seed)
-    grid = DEFAULT_GRID() if t_grid is None else t_grid
     p = m - n
     frame = random_frame(m, n, rng)
     a = _random_block(rng, n, n, 0.6, wave=True)

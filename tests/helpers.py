@@ -552,3 +552,12 @@ def random_well_conditioned_stack(rng: np.random.Generator, m: int, n: int):
     scale = np.diag(rng.uniform(0.8, 1.25, size=m))
     stack = scale @ shear @ q
     return stack[:n], stack[n:]
+
+
+class FrameBuilt(Exception):
+    """Raised by ``must_not_build_frame`` when a test reaches ``scenario.random_frame``."""
+
+
+def must_not_build_frame(m, n, rng):
+    """A stand-in for ``scenario.random_frame``, for tests that must be refused before a frame is built."""
+    raise FrameBuilt(f"random_frame called with m={m}, n={n}")

@@ -17,12 +17,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from invman import cli, errors
-from invman.cli import MAX_SAMPLED_ENTRIES, load_config, main
+from invman import cli, errors, scenario
+from invman.cli import load_config, main
 from invman.flow import run_flow
-from invman.invariance import reduced_matrix
+from invman.invariance import MAX_SAMPLED_ENTRIES, SystemSpec, reduced_matrix, verdicts
 
-from helpers import schema_paths
+from helpers import FrameBuilt, must_not_build_frame, schema_paths
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 DATA = Path(__file__).resolve().parent / "data"
@@ -244,6 +244,30 @@ class TestCheck:
         with pytest.raises(errors.ConfigError) as refused:
             load_config(_write(tmp_path, past))
         assert str(refused.value) == str(raised.value)
+
+    @pytest.mark.parametrize("option, refuse", [
+        ({"tolerance": -1}, lambda spec: verdicts(spec, -1.0)),
+        ({"trials": 0}, lambda spec: run_flow(spec, trials=0)),
+        ({"seed": -1}, lambda spec: run_flow(spec, seed=-1)),
+        ({"step": 0}, lambda spec: run_flow(spec, h=0.0, t_span=(0.0, 2.0))),
+        ({"grid": {"start": 0.0, "end": 1.0, "count": MAX_SAMPLED_ENTRIES // 4 + 1}},
+         lambda spec: SystemSpec(spec.coeff, spec.chart, t_grid=np.broadcast_to(0.0, MAX_SAMPLED_ENTRIES // 4 + 1))),
+    ], ids=["tolerance", "trials", "seed", "step", "grid_count"])
+    def test_run_option_is_refused_with_the_library_text(self, tmp_path, option, refuse):
+        spec, _ = load_config(_write(tmp_path, NILPOTENT_CONFIG, "within.json"))
+        with pytest.raises(ValueError) as raised:
+            refuse(spec)
+        with pytest.raises(errors.ConfigError) as refused:
+            load_config(_write(tmp_path, dict(NILPOTENT_CONFIG, **option)))
+        assert str(refused.value) == str(raised.value)
+
+    @pytest.mark.parametrize("option, message", [
+        ({"step": 1.0, "window": [0.0, 1e308]}, "step 1.0 over window (0.0, 1e+308) takes inf half steps x 10 entries"),
+        ({"grid": {"start": 0.0, "end": 1.0, "count": 10**400}}, "t_grid takes inf points x 4 entries"),
+    ], ids=["half_steps", "grid_count"])
+    def test_a_count_past_the_float_range_is_refused_as_inf(self, tmp_path, capsys, option, message):
+        assert main(["check", "--config", _write(tmp_path, dict(NILPOTENT_CONFIG, **option))]) == 2
+        assert capsys.readouterr().err == f"config error: {message}, more than MAX_SAMPLED_ENTRIES = 67108864\n"
 
     def test_march_budget_is_checked_exactly_without_building_the_grid(self, tmp_path):
         # m = 2, trials = 1: 16 777 215 half steps of 2 x 2 entries is just under 2^26, one step more is past it
@@ -524,14 +548,6 @@ def test_the_emitter_writes_what_json_dumps_writes(value):
     assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
-class _Built(Exception):
-    pass
-
-
-def _must_not_build(kind, m, n, seed):
-    raise _Built(f"random_scenario called with m={m}, n={n}")
-
-
 # The digest and size of every `generate` output of the benchmark's pool (see perfbench/pin_digests.py).
 PINNED_DIGESTS = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "generate_digests.json").read_text())
 
@@ -565,25 +581,26 @@ class TestGenerate:
         assert a.read_bytes() == b.read_bytes()
 
     @pytest.mark.parametrize("options, message", [
-        (["--m", "3", "--n", "5"], "generate needs 0 < n < m, got m=3, n=5"),
-        (["--m", "0"], "generate needs 0 < n < m, got m=0, n=2"),
-        (["--m", "-3"], "generate needs 0 < n < m, got m=-3, n=2"),
-        (["--m", "578"], "generate --m 578 would sample 201 points of 578x578 matrices, "
-                         f"more than {MAX_SAMPLED_ENTRIES} entries"),
-        (["--m", str(10**9)], f"generate --m {10**9} would sample 201 points of {10**9}x{10**9} matrices, "
-                              f"more than {MAX_SAMPLED_ENTRIES} entries"),
-        (["--seed", "-1"], "generate needs a seed >= 0, got -1"),
+        (["--m", "3", "--n", "5"], "need 0 < n < m, got n=5, m=3"),
+        (["--m", "0"], "need 0 < n < m, got n=2, m=0"),
+        (["--m", "-3"], "need 0 < n < m, got n=2, m=-3"),
+        (["--m", "578"], "t_grid takes 201 points x 334084 entries, "
+                         f"more than MAX_SAMPLED_ENTRIES = {MAX_SAMPLED_ENTRIES}"),
+        (["--m", str(10**9)], f"t_grid takes 201 points x {10**18} entries, "
+                              f"more than MAX_SAMPLED_ENTRIES = {MAX_SAMPLED_ENTRIES}"),
+        (["--seed", "-1"], "random_scenario: seed must be >= 0, got -1"),
     ], ids=["n_past_m", "m_zero", "m_negative", "m_past_bound", "m_huge", "seed_negative"])
     def test_bad_arguments_exit_2_before_building(self, tmp_path, capsys, monkeypatch, options, message):
-        monkeypatch.setattr(cli, "random_scenario", _must_not_build)
+        # The library's refusals and texts: random_scenario checks its arguments before it builds a frame.
+        monkeypatch.setattr(scenario, "random_frame", must_not_build_frame)
         out = tmp_path / "gen.json"
         assert main(["generate", "--kind", "full", "--out", str(out), *options]) == 2
         assert capsys.readouterr() == ("", f"config error: {message}\n")
         assert not out.exists()
 
     def test_largest_m_within_the_sampling_bound_is_built(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "random_scenario", _must_not_build)
-        with pytest.raises(_Built, match="m=577"):
+        monkeypatch.setattr(scenario, "random_frame", must_not_build_frame)
+        with pytest.raises(FrameBuilt, match="m=577"):
             main(["generate", "--kind", "full", "--m", "577", "--out", str(tmp_path / "gen.json")])
 
     @pytest.mark.parametrize("pool", sorted({key.rsplit("/", 1)[0] for key in PINNED_DIGESTS}))

@@ -18,7 +18,6 @@ from invman.errors import (
 )
 from invman.flow import (
     SIDE_COMPLEMENT,
-    MAX_SAMPLED_ENTRIES,
     SIDE_MAIN,
     _STEP_BYTES,
     _drift,
@@ -31,7 +30,7 @@ from invman.flow import (
     manifold_drift,
     run_flow,
 )
-from invman.invariance import SystemSpec, frame_samples
+from invman.invariance import MAX_SAMPLED_ENTRIES, SystemSpec, frame_samples
 from invman.matexpr import MatrixFunction
 from invman.scenario import Structure, random_scenario, to_system
 

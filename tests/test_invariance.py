@@ -210,6 +210,15 @@ class TestSpecGrid:
         with pytest.raises(ShapeError, match="^time grid must be one-dimensional$"):
             _spec([["0", "1"], ["0", "0"]], [["1", "0"]], grid=grid)
 
+    def test_the_sampling_budget_holds_at_its_exact_edge(self):
+        # m = 64: 16 384 points of 64 x 64 entries is MAX_SAMPLED_ENTRIES = 2^26 exactly, one point more is past it.
+        assert 16384 * 64 * 64 == invariance.MAX_SAMPLED_ENTRIES
+        coeff, chart = MatrixFunction.zeros(64, 64), MatrixFunction.zeros(32, 64)
+        assert SystemSpec(coeff, chart, t_grid=np.arange(16384.0)).t_grid.size == 16384
+        message = r"^t_grid takes 1\.638e\+04 points x 4096 entries, more than MAX_SAMPLED_ENTRIES = 67108864$"
+        with pytest.raises(ValueError, match=message):
+            SystemSpec(coeff, chart, t_grid=np.arange(16385.0))
+
 
 class TestFrameFailures:
     """A failing frame names the earliest bad t of the grid, exactly."""

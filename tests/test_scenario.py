@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from invman import scenario
 from invman.errors import FrameError, ScenarioError, ShapeError
 from invman.flow import integrate_fundamental
 from invman.invariance import SystemSpec, reduced_matrix, verdicts
@@ -20,6 +23,8 @@ from invman.scenario import (
     to_config,
     to_system,
 )
+
+from helpers import FrameBuilt, must_not_build_frame
 
 GRID = np.linspace(0.0, 5.0, 51)
 
@@ -262,3 +267,33 @@ class TestSerialization:
         redone = MatrixFunction.build(coeff.to_strings())
         for t in (0.0, 1.3, 4.9):
             np.testing.assert_allclose(redone.eval(t), coeff.eval(t), atol=1e-12)
+
+
+class TestSamplingBudget:
+    def test_a_spec_refuses_a_grid_past_the_budget_before_sampling(self):
+        # m = 64: 16 385 points of 64 x 64 entries is one point past MAX_SAMPLED_ENTRIES = 2^26.
+        zeros = MatrixFunction.zeros
+        with pytest.raises(ValueError, match=r"^t_grid takes 1\.638e\+04 points x 4096 entries, more than"):
+            ScenarioSpec(_identity_frame(64, 32), zeros(32, 32), zeros(32, 32), zeros(32, 32), zeros(32, 32),
+                         Structure.BLOCK_DIAGONAL, t_grid=np.arange(16385.0))
+
+    @pytest.mark.parametrize("args, message", [
+        ({"m": 578}, r"^t_grid takes 201 points x 334084 entries, more than MAX_SAMPLED_ENTRIES = 67108864$"),
+        ({"t_grid": np.linspace(5.0, 0.0, 11)}, "^t_grid must be strictly increasing$"),
+        ({"seed": -1}, "^random_scenario: seed must be >= 0, got -1$"),
+    ], ids=["m_past_budget", "decreasing_grid", "negative_seed"])
+    def test_random_scenario_refuses_before_building_a_frame(self, monkeypatch, args, message):
+        monkeypatch.setattr(scenario, "random_frame", must_not_build_frame)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                random_scenario(Structure.FULL, **{"m": 3, "n": 2, "seed": 0, **args})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_the_largest_m_within_the_budget_reaches_the_frame(self, monkeypatch):
+        monkeypatch.setattr(scenario, "random_frame", must_not_build_frame)
+        with pytest.raises(FrameBuilt, match="m=577"):
+            random_scenario(Structure.FULL, m=577, n=2, seed=0)
