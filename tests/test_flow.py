@@ -1,14 +1,19 @@
 import dataclasses
+import json
 import math
 import re
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from invman.cli import load_config
+from invman import flow
+from invman.cli import load_config, main
 from invman.errors import (
     EvaluationError,
     IntegrationOverflowError,
@@ -30,7 +35,7 @@ from invman.flow import (
     manifold_drift,
     run_flow,
 )
-from invman.invariance import MAX_SAMPLED_ENTRIES, SystemSpec, frame_samples
+from invman.invariance import MAX_SAMPLED_ENTRIES, SystemSpec, _right_inverse, frame_samples
 from invman.matexpr import MatrixFunction
 from invman.scenario import Structure, random_scenario, to_system
 
@@ -393,6 +398,61 @@ class TestStepGridFrames:
         result = run_flow(spec, h=0.1, trials=2, t_span=(0.0, 1.0))
         assert not result.main_invariant and result.conjugacy_residuals is None
         assert np.isfinite(result.drift_mn).all() and np.isfinite(result.drift_complement).all()
+
+
+class TestMarchFrames:
+    """The march samples the chart, dC/dt for the conjugacy check alone, and C+ alone."""
+
+    @settings(max_examples=3, deadline=None)
+    @given(seed=st.integers(0, 2**16 - 1))
+    @pytest.mark.parametrize("route", ["stacked", "moore_penrose"])
+    @pytest.mark.parametrize("m", [3, 8])
+    @pytest.mark.parametrize("structure", list(Structure))
+    def test_the_march_embedding_is_the_frame_samples_embedding_bit_for_bit(self, structure, m, route, seed):
+        spec = to_system(random_scenario(structure, m=m, n=m // 2, seed=seed))
+        if route == "moore_penrose":
+            spec = dataclasses.replace(spec, comp_chart=None)
+        marched = []
+
+        def recording(spec, ts, chart_g, dchart_g=None):
+            result = _right_inverse(spec, ts, chart_g, dchart_g)
+            marched.append((ts, chart_g, dchart_g, result))
+            return result
+
+        kwargs = dict(h=1e-2, t_span=(0.0, 0.3))
+        with mock.patch.object(flow, "_right_inverse", recording):
+            manifold_drift(spec, SIDE_MAIN, **kwargs)      # frames on the step grid
+            flow._march(spec, conjugacy=True, **kwargs)   # frames on the half steps, for R
+        _, _, half_ts = _half_grid(kwargs["t_span"], kwargs["h"], m * m)
+        assert [ts.tolist() for ts, *_ in marched] == [half_ts[::2].tolist(), half_ts.tolist()]
+        for ts, chart_g, dchart_g, result in marched:
+            want = frame_samples(spec, ts)
+            assert dchart_g is None and len(result) == 1
+            assert chart_g.tobytes() == want.chart.tobytes()
+            assert result[0].shape == want.embedding.shape
+            assert result[0].tobytes() == want.embedding.tobytes()
+
+    def test_a_derivative_of_c_plus_past_the_float_range_is_refused_on_the_verdict_grid_only(self, tmp_path, capsys):
+        # C+ = [1 / (1e-300 + t), 0]^T is finite on the window [0, 0.5], but dC+/dt = -(C+)^2 is not at t = 0.
+        # The verdict grid [1, 2] misses t = 0, and the march reads C+ alone, so neither command refuses it.
+        config = {"m": 2, "n": 1, "coeff": [["0", "1"], ["0", "0"]], "chart": [["1e-300 + t", "0"]],
+                  "grid": {"start": 1.0, "end": 2.0, "count": 2}, "window": [0.0, 0.5]}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        spec = load_config(str(path))[0]
+        with pytest.raises(EvaluationError, match=r"^right inverse of the chart is not finite at t=0\.0$"):
+            frame_samples(spec, [0.0])
+        huge = r"\d\.\d{3}e\+28\d"
+        assert main(["reduce", "--config", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert re.fullmatch(rf"reduce: conjugacy residuals {huge} / {huge} on \[0, 0\.5\]\n", err)
+        assert json.loads(out)["verdicts"]["main_invariant"] is True
+        assert main(["flow", "--config", str(path)]) == 0
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert err == "" and report["main_invariant"] is True
+        assert 1e280 < report["max"]["conjugacy_residual"] < math.inf
+        assert report["max"]["drift_complement"] < 1.0 and report["max"]["drift_mn"] < 1e-15
 
 
 # The step-matrix march and the stage-by-stage march differ only in rounding:

@@ -32,6 +32,24 @@ def _invertible(mats):
     return np.array(kept)
 
 
+def _narrowed(k: int, cols: str) -> int:
+    """The column count ``cols`` names for k x k matrices: one, half of them or all k."""
+    return {"one": 1, "half": max(1, k // 2), "all": k}[cols]
+
+
+def _assert_narrowed_is_a_slice(stack, cols: int):
+    """The elimination over [A | E[:, :cols]] gives ``invert``'s first cols columns bit for bit, or its error."""
+    try:
+        want = invert(stack)[..., :cols]
+    except SingularMatrixError as exc:
+        with pytest.raises(SingularMatrixError) as info:
+            linalg._inverse_columns(stack, cols)
+        assert (info.value.index, str(info.value)) == (exc.index, str(exc))
+        return
+    got = linalg._inverse_columns(stack, cols)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def _hadamard(k: int) -> np.ndarray:
     h = np.ones((1, 1))
     while h.shape[0] < k:
@@ -76,8 +94,9 @@ class TestInvert:
 class TestInvertStack:
     """A stack inverts bit for bit like the per-matrix reference, matrix by matrix."""
 
+    @pytest.mark.parametrize("cols", ["one", "half", "all"])
     @pytest.mark.parametrize("k", [1, 2, 3, 8, 16])
-    def test_equals_reference_slice_by_slice(self, k):
+    def test_equals_reference_slice_by_slice(self, k, cols):
         rng = np.random.default_rng(k)
         eye = np.eye(k)
         perms = [eye[rng.permutation(k)] * rng.choice([-1.0, 1.0], size=(k, 1)) for _ in range(20)]
@@ -95,10 +114,13 @@ class TestInvertStack:
         assert got.shape == stack.shape
         np.testing.assert_array_equal(got, np.stack([reference_invert(mat) for mat in stack]))
         np.testing.assert_array_equal(invert(stack[-1]), reference_invert(stack[-1]))
+        for part in (stack, stack[-1]):
+            _assert_narrowed_is_a_slice(part, _narrowed(k, cols))
 
+    @pytest.mark.parametrize("cols", ["one", "half", "all"])
     @pytest.mark.parametrize("k", [2, 3, 8, 16])
     @pytest.mark.parametrize("moving", ["none", "every", "some"])
-    def test_a_column_whose_pivots_stay_or_move_inverts_like_the_reference(self, k, moving):
+    def test_a_column_whose_pivots_stay_or_move_inverts_like_the_reference(self, k, moving, cols):
         # A strictly column diagonally dominant matrix keeps its pivot in every column of the elimination;
         # its rows reversed, every matrix moves its pivot in column 0; "some" alternates the two.
         rng = np.random.default_rng(90 + k)
@@ -114,6 +136,8 @@ class TestInvertStack:
         assert got.tobytes() == np.array([reference_invert(mat) for mat in stack]).tobytes()
         for mat in stack[[0, -1]]:
             assert invert(mat).tobytes() == reference_invert(mat).tobytes()
+        for part in (stack, stack[0], stack[-1]):
+            _assert_narrowed_is_a_slice(part, _narrowed(k, cols))
 
     def test_relative_threshold_is_per_matrix(self):
         # diag(1, 1e-12) is singular to tolerance whatever its neighbours' scale
@@ -138,8 +162,9 @@ class TestInvertStack:
             invert(stack[4:])
         assert info.value.index == 3
 
+    @pytest.mark.parametrize("cols", ["one", "half", "all"])
     @pytest.mark.parametrize("k", [1, 2, 3, 8, 16])
-    def test_failures_and_non_finite_entries_match_the_reference(self, k):
+    def test_failures_and_non_finite_entries_match_the_reference(self, k, cols):
         # NaN and +-inf entries, zero matrices and matrices singular to tolerance, planted at the
         # ends and in between.  A NaN matrix inverts to NaNs, an inf one fails in column 0.  The
         # stack before the first failure inverts bit for bit like the reference, with no warning.
@@ -178,11 +203,14 @@ class TestInvertStack:
                         invert(stack)
                     assert (info.value.index, str(info.value)) == (first, message)
                     got = invert(stack[:first])
+                for part in (stack, stack[:first]):
+                    _assert_narrowed_is_a_slice(part, _narrowed(k, cols))
             assert got.tobytes() == np.array(expected).reshape(got.shape).tobytes()
         assert min(failed_at) == 0 and max(failed_at) > 0
 
+    @pytest.mark.parametrize("cols", ["one", "half", "all"])
     @pytest.mark.parametrize("k, per_block", [(1, 7), (3, 7), (8, 1), (16, None)])
-    def test_a_stack_of_several_blocks_inverts_like_its_matrices(self, monkeypatch, k, per_block):
+    def test_a_stack_of_several_blocks_inverts_like_its_matrices(self, monkeypatch, k, per_block, cols):
         # per_block=None keeps the shipped block budget: 256 matrices of 16x16 per block.
         if per_block is not None:
             monkeypatch.setattr(linalg, "_BLOCK_BYTES", 16 * k * k * per_block)
@@ -193,6 +221,9 @@ class TestInvertStack:
         assert len(stack) == count
         got = invert(stack)
         assert got.tobytes() == np.array([reference_invert(mat) for mat in stack]).tobytes()
+        narrowed = _narrowed(k, cols)
+        assert count > linalg._BLOCK_BYTES // (8 * (k + narrowed) * k)  # its elimination takes several blocks too
+        _assert_narrowed_is_a_slice(stack, narrowed)
         late = count - per_block // 3 - 1  # in the last, partial block
         stack[late, -1] = stack[late, 0] if k > 1 else 0.0  # fails in the last column
         stack[late + 1 :] = 0.0  # fails at once, but later in the stack
@@ -201,6 +232,7 @@ class TestInvertStack:
         with pytest.raises(SingularMatrixError) as info:
             invert(stack)
         assert (info.value.index, str(info.value)) == (late, str(reference.value))
+        _assert_narrowed_is_a_slice(stack, narrowed)
 
     def test_empty_stack(self):
         assert invert(np.empty((0, 3, 3))).shape == (0, 3, 3)
