@@ -28,10 +28,10 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, InputError, InvmanError, NumericalError, ParseError, PreconditionError, ShapeError
-from .flow import DEFAULT_SEED, DEFAULT_STEP, DEFAULT_TRIALS, _checked_conjugacy, _march_size, _require_launches
-from .flow import run_flow
+from .flow import DEFAULT_SEED, DEFAULT_STEP, DEFAULT_TRIALS, _FLOW_CURVES, _checked_conjugacy, _march_size
+from .flow import _require_launches, run_flow
 from .invariance import DEFAULT_GRID_COUNT, DEFAULT_GRID_SPAN, DEFAULT_VERDICT_TOL, _require_budget, _require_tolerance
-from .invariance import SystemSpec, _sampled_verdicts, verdicts
+from .invariance import SystemSpec, _VERDICTS, _sampled_verdicts, verdicts
 # Unused here, but perfbench/test_perfbench.py checks that the tracer wraps this binding.
 from .invariance import reduced_matrix  # noqa: F401
 from .matexpr import MatrixFunction
@@ -41,12 +41,6 @@ EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-_ASSERTION_FIELDS = {
-    "joint": "joint_invariant",
-    "mn": "main_invariant",
-    "complement": "complement_kernel_condition",
-}
 
 
 @dataclass(frozen=True)
@@ -205,19 +199,15 @@ def cmd_check(args) -> int:
     lines = [
         f"grid: {opts.grid['count']} points on [{opts.grid['start']:g}, {opts.grid['end']:g}], "
         f"tolerance {opts.tolerance:g}",
-        f"max |defect|          {report.max_defect:.3e}   joint invariance        "
-        f"{'PASS' if report.joint_invariant else 'FAIL'}",
-        f"max |defect.P|        {report.max_defect_main:.3e}   subspace (mn) invariance "
-        f"{'PASS' if report.main_invariant else 'FAIL'}",
-        f"max |defect.(E-P)|    {report.max_defect_complement:.3e}   complement condition    "
-        f"{'PASS' if report.complement_kernel_condition else 'FAIL'}",
+        *(line.format(getattr(report, f"max_{curve}"), "PASS" if getattr(report, field) else "FAIL")
+          for _, field, curve, line in _VERDICTS),
     ]
     print("\n".join(lines))
     if args.json:
         _emit_json(payload, args.json)
 
     if args.assertion:
-        holds = getattr(report, _ASSERTION_FIELDS[args.assertion])
+        holds = {key: getattr(report, field) for key, field, _, _ in _VERDICTS}[args.assertion]
         return EXIT_OK if holds else EXIT_VERDICT
     return EXIT_OK
 
@@ -225,11 +215,7 @@ def cmd_check(args) -> int:
 def cmd_reduce(args) -> int:
     spec, opts = load_config(args.config)
     report, frames, coeff = _sampled_verdicts(spec, opts.tolerance)
-    try:
-        conj = _checked_conjugacy(spec, report, opts.h, opts.window)
-    except PreconditionError as exc:
-        print(f"reduce: {exc}", file=sys.stderr)
-        return EXIT_VERDICT
+    conj = _checked_conjugacy(spec, report, opts.h, opts.window)
     reduced = frames.reduced(coeff)
     payload = {
         "schema": "invman.reduce/1",
@@ -243,7 +229,7 @@ def cmd_reduce(args) -> int:
             "max_embedding_residual": conj.max_embedding_residual,
             "max_chart_residual": conj.max_chart_residual,
         },
-        "verdicts": {field: getattr(report, field) for field in _ASSERTION_FIELDS.values()},
+        "verdicts": report.to_dict()["verdicts"],
     }
     _emit_json(payload, args.json)
     print(
@@ -270,7 +256,7 @@ def cmd_flow(args) -> int:
         directory = Path(args.csv)
         directory.mkdir(parents=True, exist_ok=True)
         target = directory / "residuals.csv"
-        rows = [("t", "drift_mn", "drift_complement", "conjugacy_residual"), *result.csv_rows()]
+        rows = [("t", *_FLOW_CURVES), *result.csv_rows()]
         target.write_text("\r\n".join(map(",".join, rows)) + "\r\n", newline="")  # csv.writer's bytes
         if os.environ.get("INVMAN_LOG", "").lower() in ("debug", "info"):
             print(f"INFO:invman:wrote {target}", file=sys.stderr)
@@ -301,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--assert",
         dest="assertion",
-        choices=sorted(_ASSERTION_FIELDS),
+        choices=sorted(key for key, _, _, _ in _VERDICTS),
         default=None,
         help="exit 0 only if this verdict holds",
     )

@@ -68,6 +68,9 @@ DEFAULT_STEP = 1e-3
 DEFAULT_TRIALS = 5          # trajectories per drift side
 DEFAULT_SEED = 42
 _STEP_BYTES = 2**17         # step matrices of one RK4 chunk: about what stays in cache
+# Each curve of a flow report, by its JSON and CSV key, as the FlowResult field that holds it, in CSV column order.
+_FLOW_CURVES = {"drift_mn": "drift_mn", "drift_complement": "drift_complement",
+                "conjugacy_residual": "conjugacy_residuals"}
 
 
 def _march_size(t_span: tuple[float, float], h: float, entries: int) -> tuple[float, float, int]:
@@ -311,8 +314,12 @@ class FlowResult:
     trials: int
     window: tuple[float, float]
 
+    def _curves(self) -> dict:
+        return {key: getattr(self, field) for key, field in _FLOW_CURVES.items()}
+
     def to_dict(self) -> dict:
-        conj = self.conjugacy_residuals
+        """The report's values; a curve that was not formed, and its max, are None."""
+        curves = self._curves()
         return {
             "window": [self.window[0], self.window[1]],
             "h": self.h,
@@ -320,22 +327,14 @@ class FlowResult:
             "trials": self.trials,
             "main_invariant": self.main_invariant,
             "t": self.ts.tolist(),
-            "drift_mn": self.drift_mn.tolist(),
-            "drift_complement": self.drift_complement.tolist(),
-            "conjugacy_residual": None if conj is None else conj.tolist(),
-            "max": {
-                "drift_mn": float(np.max(self.drift_mn)),
-                "drift_complement": float(np.max(self.drift_complement)),
-                "conjugacy_residual": None if conj is None else float(np.max(conj)),
-            },
+            **{key: None if curve is None else curve.tolist() for key, curve in curves.items()},
+            "max": {key: None if curve is None else float(np.max(curve)) for key, curve in curves.items()},
         }
 
     def csv_rows(self):
-        """Rows of float reprs for the pinned CSV columns: t, drift_mn, drift_complement, conjugacy_residual."""
-        conj = self.conjugacy_residuals
-        if conj is None:
-            conj = np.full(self.ts.size, np.nan)
-        columns = (self.ts, self.drift_mn, self.drift_complement, conj)
+        """Rows of float reprs for the pinned CSV columns: t, then each curve, NaN for a curve not formed."""
+        nan = np.full(self.ts.size, np.nan)
+        columns = (self.ts, *(nan if curve is None else curve for curve in self._curves().values()))
         return zip(*(map(float.__repr__, column.tolist()) for column in columns))
 
 

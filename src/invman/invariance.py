@@ -58,6 +58,15 @@ DEFAULT_GRID_COUNT = 201
 MAX_SAMPLED_ENTRIES = 2**26  # most floats one sampling may hold: a system's or scenario's grid, a march's half steps
 # The residual curves of an InvarianceReport, in report order.
 _CURVES = ("defect", "defect_main", "defect_complement", "defect_embedding")
+# Each verdict, in ExpectedVerdicts order: its config and ``check --assert`` key, its InvarianceReport field, the
+# curve whose max over the grid it bounds, and ``check``'s text line of that max and PASS or FAIL.  The joint
+# verdict comes first and implies the other two.
+_VERDICTS = (
+    ("joint", "joint_invariant", "defect", "max |defect|          {:.3e}   joint invariance        {}"),
+    ("mn", "main_invariant", "defect_main", "max |defect.P|        {:.3e}   subspace (mn) invariance {}"),
+    ("complement", "complement_kernel_condition", "defect_complement",
+     "max |defect.(E-P)|    {:.3e}   complement condition    {}"),
+)
 
 
 def DEFAULT_GRID() -> np.ndarray:
@@ -319,11 +328,7 @@ class InvarianceReport:
             "t": self.t_grid.tolist(),
             "residuals": {name: getattr(self, name).tolist() for name in _CURVES},
             "max_residuals": {name: getattr(self, f"max_{name}") for name in _CURVES},
-            "verdicts": {
-                "joint_invariant": self.joint_invariant,
-                "main_invariant": self.main_invariant,
-                "complement_kernel_condition": self.complement_kernel_condition,
-            },
+            "verdicts": {field: getattr(self, field) for _, field, _, _ in _VERDICTS},
         }
 
 
@@ -362,12 +367,6 @@ def _sampled_verdicts(
     # A NaN compares False against tol and would read as FAIL: it is a numerical failure instead.
     _require_finite(grid, curves)
 
-    joint = bool(np.max(curves["defect"]) <= tol)
-    return InvarianceReport(
-        t_grid=grid,
-        **curves,
-        tolerance=float(tol),
-        joint_invariant=joint,
-        main_invariant=joint or bool(np.max(curves["defect_main"]) <= tol),
-        complement_kernel_condition=joint or bool(np.max(curves["defect_complement"]) <= tol),
-    ), fs, coeff_g
+    held = [bool(np.max(curves[curve]) <= tol) for _, _, curve, _ in _VERDICTS]
+    verdict_fields = {field: held[0] or holds for (_, field, _, _), holds in zip(_VERDICTS, held)}
+    return InvarianceReport(t_grid=grid, **curves, tolerance=float(tol), **verdict_fields), fs, coeff_g

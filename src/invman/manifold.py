@@ -191,16 +191,19 @@ class KernelIdentityReport:
         return self.max_residual <= self.tol
 
 
-def _max_row_norm(rows: np.ndarray) -> float:
-    return float(np.max(linalg.frobenius(rows[:, None, :])))
-
-
 def _sampled_residuals(frame: ProjectorFrame, fields: dict, samples: int, seed: int, caller: str) -> dict:
-    """For each report field, the max |R c| of its ``_RESIDUALS`` entry R over ``samples`` normal c."""
+    """For each report field, the max |R c| of its ``_RESIDUALS`` entry R over ``samples`` normal c.
+
+    Every R c is a 1 x m row matrix, zero-padded where R has fewer than m rows: one norm covers all fields.
+    """
     if samples < 1:
         raise ValueError(f"{caller}: samples must be >= 1")
     cs = np.random.default_rng(seed).standard_normal((samples, frame.m))
-    return {field: _max_row_norm(cs @ _RESIDUALS[name](frame).T) for field, name in fields.items()}
+    products = np.zeros((len(fields), samples, 1, frame.m))
+    for product, name in zip(products, fields.values()):
+        residual = _RESIDUALS[name](frame)
+        product[:, 0, : len(residual)] = cs @ residual.T
+    return dict(zip(fields, linalg.frobenius(products).max(axis=1).tolist()))
 
 
 def check_kernel_identities(

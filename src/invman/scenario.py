@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import FrameError, ScenarioError, ShapeError
 from .flow import DEFAULT_SEED, DEFAULT_STEP, DEFAULT_TRIALS
-from .invariance import DEFAULT_GRID, DEFAULT_VERDICT_TOL, SystemSpec, _increasing_grid
+from .invariance import DEFAULT_GRID, DEFAULT_VERDICT_TOL, SystemSpec, _VERDICTS, _increasing_grid
 from .linalg import frobenius
 from .matexpr import Binary, Const, MatrixFunction, ScalarExpr, T, Unary
 
@@ -350,7 +350,6 @@ def to_config(s: ScenarioSpec, metadata: Optional[dict] = None) -> dict:
     grid = {"start": float(s.t_grid[0]), "end": float(s.t_grid[-1]), "count": int(s.t_grid.size)}
     if np.linspace(grid["start"], grid["end"], grid["count"]).tobytes() != s.t_grid.tobytes():
         raise ValueError(f"scenario grid is not np.linspace of its {grid}, bit for bit: to_config cannot write it")
-    exp = expected_verdicts(s)
     coeff = coefficient_function(s)
     config = {
         "m": s.frame.m,
@@ -363,11 +362,7 @@ def to_config(s: ScenarioSpec, metadata: Optional[dict] = None) -> dict:
         "step": DEFAULT_STEP,
         "seed": DEFAULT_SEED,
         "trials": DEFAULT_TRIALS,
-        "expected_verdicts": {
-            "joint": exp.joint,
-            "mn": exp.main,
-            "complement": exp.complement_kernel,
-        },
+        "expected_verdicts": {key: held for (key, _, _, _), held in zip(_VERDICTS, expected_verdicts(s))},
     }
     if metadata:
         config["metadata"] = dict(metadata)

@@ -1,5 +1,7 @@
+import argparse
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -17,9 +19,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from invman import cli, errors, scenario
+from invman import cli, errors, flow, invariance, scenario
 from invman.cli import load_config, main
-from invman.flow import run_flow
+from invman.flow import FlowResult, run_flow
 from invman.invariance import MAX_SAMPLED_ENTRIES, SystemSpec, reduced_matrix, verdicts
 
 from helpers import FrameBuilt, must_not_build_frame, schema_paths
@@ -391,6 +393,12 @@ class TestReduce:
         err = capsys.readouterr().err
         assert rc == 1
         assert "not invariant" in err
+
+    def test_a_refused_reduce_is_reported_by_main_as_a_failed_precondition(self, capsys):
+        assert main(["reduce", "--config", str(CONFIGS / "full.json")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("precondition failed: conjugacy_check: the subspace is not invariant")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("name", ["nilpotent_shear", "upper_triangular"])
     def test_reduced_equals_pointwise_reduced_matrix(self, tmp_path, name):
@@ -867,3 +875,81 @@ class TestNoStateCarriesBetweenCalls:
         assert capsys.readouterr().out == ""
         assert main(["check", "--config", str(out), "--assert", "joint"]) == 0
         assert capsys.readouterr().out.startswith("grid: ")
+
+
+class TestOneVerdictTable:
+    """Every verdict the CLI reads or writes is a row of ``invariance._VERDICTS``: key, report field, curve."""
+
+    KEYS = [key for key, _, _, _ in invariance._VERDICTS]
+    FIELDS = [field for _, field, _, _ in invariance._VERDICTS]
+
+    def test_the_rows_follow_expected_verdicts_and_name_report_fields_and_curves(self):
+        assert len(invariance._VERDICTS) == len(scenario.ExpectedVerdicts._fields)
+        report_fields = {f.name for f in dataclasses.fields(invariance.InvarianceReport)}
+        for _, field, curve, _ in invariance._VERDICTS:
+            assert field in report_fields and curve in invariance._CURVES
+
+    def test_the_assert_choices_are_the_keys(self):
+        (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        (assertion,) = [a for a in subparsers.choices["check"]._actions if a.dest == "assertion"]
+        assert assertion.choices == sorted(self.KEYS)
+
+    def test_to_config_writes_the_keys_in_verdict_order(self):
+        s = scenario.random_scenario(scenario.Structure.UPPER_TRIANGULAR, seed=4)
+        expected = scenario.to_config(s)["expected_verdicts"]
+        assert list(expected) == self.KEYS
+        assert list(expected.values()) == list(scenario.expected_verdicts(s))
+
+    def test_the_report_writes_the_fields(self):
+        report = verdicts(load_config(str(CONFIGS / "upper_triangular.json"))[0])
+        assert list(report.to_dict()["verdicts"]) == self.FIELDS
+
+    def test_check_reads_each_field_and_the_max_of_its_curve(self, monkeypatch, capsys):
+        read = []
+
+        class Recording:
+            def __init__(self, report):
+                self._report = report
+
+            def __getattr__(self, name):
+                read.append(name)
+                return getattr(self._report, name)
+
+        monkeypatch.setattr(cli, "verdicts", lambda spec, tol: Recording(verdicts(spec, tol)))
+        assert main(["check", "--config", str(CONFIGS / "upper_triangular.json")]) == 0
+        lines = [[f"max_{curve}", field] for _, field, curve, _ in invariance._VERDICTS]
+        assert read == ["to_dict", *sum(lines, [])]  # the payload, then each line's max and verdict
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("key, code", [("joint", 1), ("mn", 0), ("complement", 1)])
+    def test_each_assertion_exits_by_its_own_verdict(self, key, code, capsys):
+        assert main(["check", "--config", str(CONFIGS / "upper_triangular.json"), "--assert", key]) == code
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1 + self.KEYS.index(key)].endswith("PASS" if code == 0 else "FAIL")
+
+
+class TestOneFlowCurveTable:
+    def _result(self, conjugacy):
+        ts = np.array([0.0, 0.5, 1.0])
+        return FlowResult(ts=ts, drift_mn=ts / 4, drift_complement=ts / 8, conjugacy_residuals=conjugacy,
+                          main_invariant=conjugacy is not None, seed=1, h=0.5, trials=1, window=(0.0, 1.0))
+
+    def test_a_missing_conjugacy_curve_is_null_in_json_and_nan_in_csv(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "run_flow", lambda spec, **kwargs: self._result(None))
+        out = tmp_path / "flow.json"
+        assert main(["flow", "--config", str(CONFIGS / "full.json"), "--json", str(out), "--csv", str(tmp_path)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["conjugacy_residual"] is None and payload["max"]["conjugacy_residual"] is None
+        assert payload["max"]["drift_mn"] == 0.25 and payload["drift_complement"] == [0.0, 0.0625, 0.125]
+        rows = list(csv.reader((tmp_path / "residuals.csv").read_text().splitlines()))
+        assert rows[0] == ["t", *flow._FLOW_CURVES]
+        assert [row[-1] for row in rows[1:]] == ["nan"] * 3
+
+    def test_every_curve_is_a_json_list_with_its_max_and_a_csv_column(self):
+        result = self._result(np.array([1e-9, 2e-9, 3e-9]))
+        payload, rows = result.to_dict(), list(result.csv_rows())
+        assert set(payload["max"]) == set(flow._FLOW_CURVES)
+        for column, (key, field) in enumerate(flow._FLOW_CURVES.items(), start=1):
+            curve = getattr(result, field)
+            assert payload[key] == curve.tolist() and payload["max"][key] == float(np.max(curve))
+            assert [float(row[column]) for row in rows] == curve.tolist()

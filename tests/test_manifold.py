@@ -215,7 +215,14 @@ class TestMembership:
         assert big.member and big.residual < 1e-14
 
     def test_row_norms_past_the_square_range_are_finite(self):
-        assert manifold._max_row_norm(np.array([[3.0, 4.0], [1.0, 0.0]]) * 2.0**700) == 5.0 * 2.0**700
+        # One field's products past the square range: scaled exactly, and the other fields keep their bits.
+        fr = build_frame(*IDENTITY, t=0.0)
+        small, big = (
+            check_kernel_identities(dataclasses.replace(fr, chart=np.array([[3.0, 4.0]]) * scale), samples=20)
+            for scale in (1.0, 2.0**700)
+        )
+        assert math.isfinite(big.max_chart_on_comp) and big.max_chart_on_comp == small.max_chart_on_comp * 2.0**700
+        assert dataclasses.replace(big, max_chart_on_comp=small.max_chart_on_comp) == small
 
 
 class TestKernelIdentities:

@@ -3,10 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from invman import scenario
+from invman import linalg, scenario
 from invman.errors import FrameError, ScenarioError, ShapeError
 from invman.flow import integrate_fundamental
-from invman.invariance import SystemSpec, reduced_matrix, verdicts
+from invman.invariance import SystemSpec, frame_samples, reduced_matrix, verdicts
+from invman.linalg import frobenius
 from invman.matexpr import MatrixFunction, parse_expr
 from invman.scenario import (
     ExpectedVerdicts,
@@ -205,6 +206,67 @@ class TestReductionRecovery:
         )
         spec = to_system(s)
         np.testing.assert_allclose(reduced_matrix(spec, 2.2), MatrixFunction.build(a).eval(2.2), atol=1e-10)
+
+
+class TestBlockDynamicsOracle:
+    """With F = frame.stack (S^-1), A = S' F + S K F gives back K = (F A + F') F^-1, since F' S = -F S'."""
+
+    @pytest.mark.parametrize("structure", list(Structure))
+    @pytest.mark.parametrize("m", [3, 8, 16])
+    def test_the_frame_conjugates_a_back_to_the_block_dynamics(self, structure, m):
+        eps = np.finfo(float).eps
+        for seed in range(3):
+            s = random_scenario(structure, m=m, n=m // 2, seed=seed)
+            grid = s.t_grid
+            stack, dstack = s.frame.stack.eval_grid(grid), s.frame.stack.derivative().eval_grid(grid)
+            inverse = linalg.invert(stack)
+            coeff = coefficient_function(s).eval_grid(grid)
+            pulled = stack @ coeff + dstack
+            blocks = MatrixFunction.block([[s.a, s.c], [s.d, s.b]]).eval_grid(grid)
+            # Rounding of the m-term products, F A + F' and its product with F^-1, each at the size of its terms,
+            # times cond(F) for the computed inverse.
+            bound = m * eps * frobenius(stack) * frobenius(inverse) * frobenius(pulled) * frobenius(inverse)
+            assert np.all(frobenius(pulled @ inverse - blocks) <= bound), (seed, structure)
+            reduced = frame_samples(to_system(s), grid).reduced(coeff)
+            assert np.all(frobenius(reduced - s.a.eval_grid(grid)) <= bound), (seed, structure)
+
+
+def _verdict_tuple(report):
+    return report.joint_invariant, report.main_invariant, report.complement_kernel_condition
+
+
+class TestGroupActions:
+    """Verdicts are properties of the subspace pair and of the system, not of their coordinates."""
+
+    SCENARIOS = [(structure, seed) for structure in Structure for seed in range(3)]
+
+    @pytest.mark.parametrize("structure, seed", SCENARIOS)
+    def test_a_chart_reparametrisation_keeps_the_verdicts_and_the_defects(self, structure, seed):
+        spec = to_system(random_scenario(structure, m=3, n=2, seed=seed))
+        g, _ = rotation_factor(2, 0, 1, parse_expr("0.3 + 0.7*t"))
+        g_shear, _ = shear_factor(2, 1, 0, parse_expr("0.5*sin(t)"))
+        h, _ = scale_factor(1, 0, parse_expr("1.5 + 0.3*cos(t)"))
+        # [G C; H C_comp]^-1 = F^-1 diag(G^-1, H^-1): C+ becomes C+ G^-1, and P = C+ C stays.
+        moved = SystemSpec(coeff=spec.coeff, chart=g_shear @ g @ spec.chart, comp_chart=h @ spec.comp_chart,
+                           t_grid=spec.t_grid)
+        ref, got = verdicts(spec), verdicts(moved)
+        assert _verdict_tuple(got) == _verdict_tuple(ref)
+        assert got.max_defect_main == pytest.approx(ref.max_defect_main, rel=1e-13, abs=1e-14)
+        assert got.max_defect == pytest.approx(ref.max_defect, rel=1e-13, abs=1e-14)
+
+    @pytest.mark.parametrize("structure, seed", SCENARIOS)
+    def test_a_change_of_variables_keeps_the_verdicts(self, structure, seed):
+        s = random_scenario(structure, m=3, n=2, seed=seed)
+        spec = to_system(s)
+        forward, backward = shear_factor(3, 0, 2, parse_expr("0.4 + 0.2*sin(t)"))
+        # y = T x: x' = ((T^-1)' T + T^-1 A T) x, and the charts of the same subspaces are C T and C_comp T.
+        moved = SystemSpec(
+            coeff=backward.derivative() @ forward + backward @ spec.coeff @ forward,
+            chart=spec.chart @ forward,
+            comp_chart=spec.comp_chart @ forward,
+            t_grid=spec.t_grid,
+        )
+        assert _verdict_tuple(verdicts(moved)) == _verdict_tuple(verdicts(spec)) == tuple(expected_verdicts(s))
 
 
 class TestConjugationConsistency:
