@@ -136,7 +136,7 @@ def load_config(path: str) -> tuple[SystemSpec, RunOptions]:
     try:  # the library's own refusals and texts, each before anything is sampled
         _require_tolerance(tolerance)
         _require_launches(trials, seed)
-        _march_size(window, h, m * max(m, trials))
+        _march_size(window, h, m, trials)
         _require_budget("t_grid", count, "points", m * m)
         spec = SystemSpec(
             coeff=coeff,

@@ -73,19 +73,20 @@ _FLOW_CURVES = {"drift_mn": "drift_mn", "drift_complement": "drift_complement",
                 "conjugacy_residual": "conjugacy_residuals"}
 
 
-def _march_size(t_span: tuple[float, float], h: float, entries: int) -> tuple[float, float, int]:
-    """Start, effective step and step count n (0 over a zero-length window) of a march of ``entries`` per half step."""
+def _march_size(t_span: tuple[float, float], h: float, m: int, columns: int) -> tuple[float, float, int]:
+    """Start, effective step and step count n (0 over a zero-length window) of a march of an m-dimensional system
+    that carries ``columns`` launched states: each half step holds m x max(m, columns) entries."""
     t0, t1, h = float(t_span[0]), float(t_span[1]), float(h)  # Python floats: an overflow here is inf, not a warning
     if not (0 < h < np.inf and np.isfinite((t1 - t0) / h)):  # a finite step count over a finite window
         raise ValueError(f"step must be in (0, inf) over a finite window, got h={h!r}, window=({t0!r}, {t1!r})")
     n = max(1, round(abs(t1 - t0) / h)) if t1 != t0 else 0
-    _require_budget(f"step {h!r} over window ({t0!r}, {t1!r})", 2 * n + 1, "half steps", entries)
+    _require_budget(f"step {h!r} over window ({t0!r}, {t1!r})", 2 * n + 1, "half steps", m * max(m, columns))
     return t0, (t1 - t0) / n if n else 0.0, n
 
 
-def _half_grid(t_span: tuple[float, float], h: float, entries: int) -> tuple[float, float, np.ndarray]:
+def _half_grid(t_span: tuple[float, float], h: float, m: int, columns: int) -> tuple[float, float, np.ndarray]:
     """Window start, effective step and the 2n+1 half-step times of an n-step march, sized by ``_march_size``."""
-    t0, h_eff, n = _march_size(t_span, h, entries)
+    t0, h_eff, n = _march_size(t_span, h, m, columns)
     return t0, h_eff, t0 + 0.5 * h_eff * np.arange(2 * n + 1)
 
 
@@ -144,7 +145,7 @@ def _march(spec: SystemSpec, t_span: tuple[float, float], h: float, sides: tuple
 
     Each side launches ``trials`` states from the same c, drawn from ``default_rng(seed)``.
     """
-    t0, h_eff, half_ts = _half_grid(t_span, h, spec.m * max(spec.m, trials))
+    t0, h_eff, half_ts = _half_grid(t_span, h, spec.m, trials)
     ts, every = half_ts[::2], 2 if conjugacy else 1
     frame_ts = half_ts if conjugacy else ts
     chart_g = spec.chart.eval_grid(frame_ts)
@@ -191,7 +192,7 @@ def integrate_states(
     y0 = np.asarray(y0, dtype=float)
     if y0.ndim not in (1, 2) or y0.shape[0] != coeff.rows:
         raise ShapeError(f"initial state has shape {y0.shape}, system is {coeff.rows}-dimensional")
-    start, h_eff, half_ts = _half_grid((t0, t1), h, coeff.rows * max(coeff.rows, y0[0].size))
+    start, h_eff, half_ts = _half_grid((t0, t1), h, coeff.rows, y0[0].size)
     _, states = _fundamental(coeff.eval_grid(half_ts), start, h_eff, y0)
     return FundamentalSolution(ts=half_ts[::2], matrices=states)
 

@@ -198,9 +198,7 @@ def _right_inverse(spec: SystemSpec, ts, chart_g: np.ndarray, dchart_g: Optional
     if spec.comp_chart is None:
         return _earliest_failure(
             "right inverse of the chart is not finite", "chart loses full row rank", ts,
-            lambda stop: linalg._pseudoinverse(
-                chart_g[:stop], linalg.DEFAULT_TOL, None if dchart_g is None else dchart_g[:stop]
-            ),
+            lambda stop: linalg._pseudoinverse(chart_g[:stop], None if dchart_g is None else dchart_g[:stop]),
         )
     frames = np.concatenate([chart_g, spec.comp_chart.eval_grid(ts)], axis=1)
     if dchart_g is None:

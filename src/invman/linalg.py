@@ -73,7 +73,7 @@ def frobenius(a):
             return np.ldexp(np.sqrt(np.sum(scaled * scaled, axis=(-2, -1))), exps[..., 0, 0])
 
 
-def invert(a, tol: float = DEFAULT_TOL) -> np.ndarray:
+def invert(a) -> np.ndarray:
     """Inverse of a square matrix, or of each matrix of an (N, k, k) stack, by
     Gauss-Jordan elimination with partial pivoting.
 
@@ -89,18 +89,16 @@ def invert(a, tol: float = DEFAULT_TOL) -> np.ndarray:
     matrix of the block moves its pivot row swaps no rows.  Each column on the
     right sees the same operations whatever their number, so fewer columns
     give ``invert(a)[..., :cols]`` bit for bit, and the same errors.  A pivot
-    at or below ``tol`` (0 < tol < inf) times its matrix's largest entry
-    magnitude marks the matrix as singular to tolerance; the pivots are
-    scanned after the elimination, and the error names the first such matrix
-    in its ``index`` with the message of its first failing column.
+    at or below ``DEFAULT_TOL`` times its matrix's largest entry magnitude
+    marks the matrix as singular to tolerance; the pivots are scanned after
+    the elimination, and the error names the first such matrix in its
+    ``index`` with the message of its first failing column.
     """
-    return _inverse_columns(a, None, tol)
+    return _inverse_columns(a, None)
 
 
-def _inverse_columns(a, cols: Optional[int], tol: float = DEFAULT_TOL) -> np.ndarray:
+def _inverse_columns(a, cols: Optional[int]) -> np.ndarray:
     """The first ``cols`` columns (all k for None) of the inverse of each matrix of ``a``, as ``invert`` computes them."""
-    if not 0 < tol < np.inf:  # a NaN limit would fail no pivot, an infinite one every pivot
-        raise ValueError(f"invert: tolerance must be positive and finite, got {tol!r}")
     mats = np.asarray(a, dtype=float)
     if single := mats.ndim == 2:
         mats = mats[None]
@@ -137,29 +135,27 @@ def _inverse_columns(a, cols: Optional[int], tol: float = DEFAULT_TOL) -> np.nda
                 live[0, col] = 0.0
                 live[1:] -= live[0] * live[1:, col, None]
             inv[lo : lo + block] = aug[k:].transpose(2, 1, 0)
-    bad = abs(pivots) <= tol * scale
+    bad = abs(pivots) <= DEFAULT_TOL * scale
     if np.count_nonzero(bad):
         first = int(bad.any(axis=0).argmax())
-        col, limit = int(bad[:, first].argmax()), tol * scale[first]
+        col, limit = int(bad[:, first].argmax()), DEFAULT_TOL * scale[first]
         raise SingularMatrixError("invert: zero matrix" if scale[first] == 0.0 else (
             f"invert: singular to tolerance (pivot {abs(pivots[col, first]):.3e} <= {limit:.3e} in column {col})"
         ), index=first)
     return inv[0] if single else inv
 
 
-def rank(a, tol: float = DEFAULT_TOL) -> int:
-    """Number of pivots above ``tol`` times the largest entry magnitude.
+def rank(a) -> int:
+    """Number of pivots above ``DEFAULT_TOL`` times the largest entry magnitude.
 
     Row elimination with partial pivoting; works for any rectangular matrix.
     """
-    if not 0 < tol < np.inf:  # a NaN limit would count every pivot, even a zero one; inf would count none
-        raise ValueError(f"rank: tolerance must be positive and finite, got {tol!r}")
     mat = _as_matrix(a, "rank").copy()
     n_rows, n_cols = mat.shape
     scale = float(abs(mat).max())
     if scale == 0.0:
         return 0
-    limit = tol * scale
+    limit = DEFAULT_TOL * scale
     found = 0
     row = 0
     for col in range(n_cols):
@@ -177,23 +173,23 @@ def rank(a, tol: float = DEFAULT_TOL) -> int:
     return found
 
 
-def _gram_inverse(mats: np.ndarray, tol: float) -> np.ndarray:
+def _gram_inverse(mats: np.ndarray) -> np.ndarray:
     """(A A^T)^-1 of each A of an (N, n, m) stack, in one ``invert`` call.
 
     This is the full-row-rank test of the Moore-Penrose route: an A loses
     rank exactly when its Gram matrix is singular to tolerance, and the
     error's ``index`` names the first such A.  Squaring makes the test
-    stricter than ``rank`` at the same tolerance: it fails once
-    sigma_min/sigma_max falls below about 3e-5, ``rank`` below about 1e-9,
-    and of 20 000 random near-deficient charts none failed ``rank`` alone.
+    stricter than ``rank``: it fails once sigma_min/sigma_max falls below
+    about 3e-5, ``rank`` below about 1e-9, and of 20 000 random
+    near-deficient charts none failed ``rank`` alone.
     """
     try:
-        return invert(mats @ np.swapaxes(mats, -1, -2), tol)
+        return invert(mats @ np.swapaxes(mats, -1, -2))
     except SingularMatrixError as exc:
         raise RankDeficiencyError(f"right_pseudoinverse: gram matrix is singular: {exc}", exc.index) from exc
 
 
-def _pseudoinverse(mats: np.ndarray, tol: float, dmats: Optional[np.ndarray] = None) -> tuple:
+def _pseudoinverse(mats: np.ndarray, dmats: Optional[np.ndarray] = None) -> tuple:
     """(A^+,) for each A of an (N, n, m) stack, or (A^+, its derivative along dA) given ``dmats``, from one Gram inverse.
 
     With G = A A^T:  A^+ = A^T G^-1  and  d(A^+) = dA^T G^-1 - A^T G^-1 (dA A^T + A dA^T) G^-1.
@@ -208,7 +204,7 @@ def _pseudoinverse(mats: np.ndarray, tol: float, dmats: Optional[np.ndarray] = N
     """
     exps = _exponents(mats)
     mats = np.ldexp(mats, -exps)
-    gram_inv = _gram_inverse(mats, tol)
+    gram_inv = _gram_inverse(mats)
     mats_t = np.swapaxes(mats, -1, -2)
     pinv = mats_t @ gram_inv
     with np.errstate(over="ignore", invalid="ignore"):
@@ -220,16 +216,16 @@ def _pseudoinverse(mats: np.ndarray, tol: float, dmats: Optional[np.ndarray] = N
         return np.ldexp(pinv, -exps), np.ldexp(dmats_t @ gram_inv - pinv @ dgram @ gram_inv, -exps)
 
 
-def right_pseudoinverse(mat, tol: float = DEFAULT_TOL) -> np.ndarray:
+def right_pseudoinverse(mat) -> np.ndarray:
     """Moore-Penrose right inverse A^T (A A^T)^-1 of a full-row-rank matrix."""
     mat = _as_matrix(mat, "right_pseudoinverse")
     n, m = mat.shape
     if n > m:
         raise ShapeError(f"right_pseudoinverse: matrix is {mat.shape}, needs rows <= cols")
-    return _pseudoinverse(mat[None], tol)[0][0]
+    return _pseudoinverse(mat[None])[0][0]
 
 
-def right_pseudoinverse_derivative(mat, dmat, tol: float = DEFAULT_TOL) -> np.ndarray:
+def right_pseudoinverse_derivative(mat, dmat) -> np.ndarray:
     """Derivative of the Moore-Penrose right inverse along d(mat)/dt = dmat."""
     mat = _as_matrix(mat, "right_pseudoinverse_derivative")
     dmat = _as_matrix(dmat, "right_pseudoinverse_derivative")
@@ -237,4 +233,4 @@ def right_pseudoinverse_derivative(mat, dmat, tol: float = DEFAULT_TOL) -> np.nd
         raise ShapeError(
             f"right_pseudoinverse_derivative: shapes differ, {mat.shape} vs {dmat.shape}"
         )
-    return _pseudoinverse(mat[None], tol, dmat[None])[1][0]
+    return _pseudoinverse(mat[None], dmat[None])[1][0]

@@ -87,18 +87,13 @@ class ProjectorFrame:
         return self.chart.shape[0]
 
 
-def build_frame(
-    chart: MatrixFunction,
-    comp_chart: MatrixFunction,
-    t: float,
-    tol: float = IDENTITY_TOL,
-) -> ProjectorFrame:
+def build_frame(chart: MatrixFunction, comp_chart: MatrixFunction, t: float) -> ProjectorFrame:
     """Evaluate both charts at ``t`` and build the projector pair.
 
     Construction fails loudly if the stacked inverse is not finite, if any
     projector identity (idempotency, mutual annihilation, complementarity)
-    leaves a Frobenius residual above ``tol`` or not finite, or if the
-    projector ranks are not n and p: that indicates a frame too
+    leaves a Frobenius residual above ``IDENTITY_TOL`` or not finite, or if
+    the projector ranks are not n and p: that indicates a frame too
     ill-conditioned to trust.
     """
     n, m = chart.shape
@@ -126,9 +121,9 @@ def build_frame(
         )
         residuals = linalg.frobenius([_RESIDUALS[name](frame) for name in _CONSTRUCTION])
     worst = int(residuals.argmax())
-    if not residuals[worst] <= tol:  # a NaN residual fails too
+    if not residuals[worst] <= IDENTITY_TOL:  # a NaN residual fails too
         raise FrameError(
-            f"build_frame: identity '{_CONSTRUCTION[worst]}' has residual {residuals[worst]:.3e} > {tol:g} "
+            f"build_frame: identity '{_CONSTRUCTION[worst]}' has residual {residuals[worst]:.3e} > {IDENTITY_TOL:g} "
             f"at t={float(t)!r}"
         )
     if linalg.rank(frame.projector) != n or linalg.rank(frame.comp_projector) != p:
@@ -142,11 +137,11 @@ class MembershipResult:
     residual: float  # relative to |y|; 0 for the zero vector
 
 
-def membership(y, frame: ProjectorFrame, kind: Subspace, tol: float = 1e-8) -> MembershipResult:
+def membership(y, frame: ProjectorFrame, kind: Subspace) -> MembershipResult:
     """Residual-based membership of ``y`` in one of the four subspaces.
 
     Exact set membership is not decidable in floating point, so the test is
-    ``residual <= tol`` with the residual scaled by the norm of ``y``.
+    ``residual <= 1e-8`` with the residual scaled by the norm of ``y``.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size != frame.m:
@@ -156,7 +151,7 @@ def membership(y, frame: ProjectorFrame, kind: Subspace, tol: float = 1e-8) -> M
     defect = y - image if kind in (Subspace.MAIN_RANGE, Subspace.COMP_RANGE) else image
     norm_y = linalg.frobenius(y[:, None])
     residual = linalg.frobenius(defect[:, None]) / norm_y if norm_y > 0.0 else 0.0
-    return MembershipResult(member=residual <= tol, residual=residual)
+    return MembershipResult(member=residual <= 1e-8, residual=residual)
 
 
 @dataclass(frozen=True)

@@ -128,6 +128,11 @@ class TestIntegrateFundamental:
             sol.final, [[math.exp(-1.0), 0.0], [0.0, 3.0 * math.exp(-2.0)]], atol=1e-9
         )
 
+    @pytest.mark.parametrize("shape", [(1, 2), (3, 2)])
+    def test_a_system_matrix_that_is_not_square_is_refused(self, shape):
+        with pytest.raises(ShapeError, match=rf"^system matrix must be square, got \({shape[0]}, 2\)$"):
+            integrate_states(MatrixFunction.zeros(*shape), np.ones(shape[0]), 0.0, 1.0, 1e-2)
+
     @pytest.mark.parametrize("y0", [5.0, np.ones((2, 2, 2)), np.ones(3), np.ones((1, 2))])
     def test_initial_state_that_is_not_a_vector_or_matrix_of_m_rows_is_refused(self, y0):
         coeff = MatrixFunction.build([["-1", "0"], ["0", "-2"]])
@@ -366,9 +371,9 @@ class TestMarchBudget:
 
     def test_the_bound_is_exact(self):
         # 2n + 1 = 16 777 215 half steps of 4 entries is 4 short of 2^26; one more step is past it
-        assert _march_size((0.0, 8388607.0), 1.0, 4) == (0.0, 1.0, 8388607)
+        assert _march_size((0.0, 8388607.0), 1.0, 2, 2) == (0.0, 1.0, 8388607)
         with pytest.raises(ValueError, match="takes 1.678e\\+07 half steps x 4 entries"):
-            _march_size((0.0, 8388608.0), 1.0, 4)
+            _march_size((0.0, 8388608.0), 1.0, 2, 2)
 
 
 def _step_grid_systems():
@@ -383,7 +388,7 @@ class TestStepGridFrames:
     def test_step_grid_frames_are_every_other_half_step_frame(self):
         # run_flow samples the step grid alone off an invariant subspace: its drift must not move.
         for spec in _step_grid_systems():
-            _, _, half_ts = _half_grid((0.0, 0.25), 1e-3, spec.m * spec.m)
+            _, _, half_ts = _half_grid((0.0, 0.25), 1e-3, spec.m, spec.m)
             want = frame_samples(spec, half_ts)
             for ts in (half_ts[::2], np.ascontiguousarray(half_ts[::2])):
                 got = frame_samples(spec, ts)
@@ -423,7 +428,7 @@ class TestMarchFrames:
         with mock.patch.object(flow, "_right_inverse", recording):
             manifold_drift(spec, SIDE_MAIN, **kwargs)      # frames on the step grid
             flow._march(spec, conjugacy=True, **kwargs)   # frames on the half steps, for R
-        _, _, half_ts = _half_grid(kwargs["t_span"], kwargs["h"], m * m)
+        _, _, half_ts = _half_grid(kwargs["t_span"], kwargs["h"], m, m)
         assert [ts.tolist() for ts, *_ in marched] == [half_ts[::2].tolist(), half_ts.tolist()]
         for ts, chart_g, dchart_g, result in marched:
             want = frame_samples(spec, ts)
@@ -477,7 +482,7 @@ class TestStepMatrixMarch:
     def test_every_entry_point_matches_the_stage_by_stage_march(self, m, t_span):
         spec = to_system(random_scenario(Structure.UPPER_TRIANGULAR, m=m, n=m // 2, seed=3))
         h, trials, seed = 1e-3, 3, 7
-        _, h_eff, half_ts = _half_grid(t_span, h, m * max(m, trials))
+        _, h_eff, half_ts = _half_grid(t_span, h, m, trials)
         coeff = spec.coeff.eval_grid(half_ts)
         frames = frame_samples(spec, half_ts[::2])
         proj, emb = frames.projector, frames.embedding
@@ -533,7 +538,7 @@ class TestStepMatrixMarch:
 
     def test_overflow_names_the_first_non_finite_step(self):
         coeff = MatrixFunction.build([["200"]])
-        t0, h_eff, half_ts = _half_grid((0.0, 5.0), 1e-3, 1)
+        t0, h_eff, half_ts = _half_grid((0.0, 5.0), 1e-3, 1, 1)
         samples = coeff.eval_grid(half_ts)
         with pytest.raises(IntegrationOverflowError) as err:
             integrate_fundamental(coeff, 0.0, 5.0, 1e-3)

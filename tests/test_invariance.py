@@ -204,6 +204,23 @@ class TestVerdicts:
         assert len(back["t"]) == spec.t_grid.size
 
 
+NILPOTENT_A = [["0", "1"], ["0", "0"]]
+
+
+@pytest.mark.parametrize("coeff, chart, comp, grid, error, message", [
+    ([["0", "1"]], [["1", "0"]], None, None, ShapeError, "system matrix must be square, got (1, 2)"),
+    (NILPOTENT_A, [["1", "0", "0"]], None, None, ShapeError, "chart is (1, 3), expected columns 2"),
+    (NILPOTENT_A, [["1", "0"], ["0", "1"]], None, None, ShapeError, "chart must have between 1 and 1 rows, got 2"),
+    (NILPOTENT_A, [["1", "0"]], [["0", "1"], ["1", "0"]], None, ShapeError,
+     "complementary chart is (2, 2), expected (1, 2)"),
+    (NILPOTENT_A, [["1", "0"]], [["0", "1", "0"]], None, ShapeError, "complementary chart is (1, 3), expected (1, 2)"),
+    (NILPOTENT_A, [["1", "0"]], None, [], ValueError, "t_grid must contain at least one point"),
+])
+def test_a_malformed_system_is_refused(coeff, chart, comp, grid, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        _spec(coeff, chart, comp, grid=grid)
+
+
 class TestSpecGrid:
     @pytest.mark.parametrize("grid", [[[0.0, 1.0], [2.0, 3.0]], 0.5], ids=["2-D", "0-D"])
     def test_a_grid_that_is_not_one_dimensional_is_refused(self, grid):

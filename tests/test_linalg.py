@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -293,26 +294,10 @@ class TestRank:
         a = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])
         assert rank(a) == 1
 
-    def test_tolerance_knob(self):
-        a = np.diag([1.0, 1e-6])
-        assert rank(a, tol=1e-9) == 2
-        assert rank(a, tol=1e-3) == 1
-        with pytest.raises(ValueError):  # under a NaN limit every pivot, even a zero one, would count
-            rank([[1.0, 0.0], [0.0, 0.0]], tol=math.nan)
-
-    def test_requires_positive_tol(self):
-        with pytest.raises(ValueError):
-            rank(np.eye(2), tol=0.0)
-
-    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf, -math.inf])
-    def test_requires_positive_finite_tol(self, tol):
-        # An infinite limit counted no pivot (rank(eye(2)) was 0) and, like a NaN one, gave the zero
-        # matrix an all-NaN "inverse"; a zero or negative one accepted the 1e-300 pivot.
-        with pytest.raises(ValueError, match="^rank: tolerance must be positive and finite"):
-            rank(np.eye(2), tol=tol)
-        for mat in (np.zeros((2, 2)), np.diag([1.0, 1e-300]), np.eye(3)[None]):
-            with pytest.raises(ValueError, match="^invert: tolerance must be positive and finite"):
-                invert(mat, tol=tol)
+    def test_pivot_threshold_is_default_tol(self):
+        # A pivot counts only above DEFAULT_TOL = 1e-9 times the largest entry magnitude.
+        assert rank(np.diag([1.0, 1e-6])) == 2
+        assert rank(np.diag([1.0, 1e-10])) == 1
 
 
 class TestRightPseudoinverse:
@@ -394,3 +379,17 @@ class TestRightPseudoinverseDerivative:
             sym = right_pseudoinverse_derivative(chart_at(t), dchart_at(t))
             fd = fd_matrix_derivative(lambda x: right_pseudoinverse(chart_at(x)), t, h=1e-6)
             np.testing.assert_allclose(sym, fd, atol=1e-7)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: rank(np.ones(3)), "rank: expected a 2-D matrix, got ndim=1"),
+    (lambda: right_pseudoinverse(np.ones((1, 1, 2))), "right_pseudoinverse: expected a 2-D matrix, got ndim=3"),
+    (lambda: invert(np.ones(3)), "invert: expected a matrix or a stack of matrices, got ndim=1"),
+    (lambda: invert(np.ones((1, 1, 2, 2))), "invert: expected a matrix or a stack of matrices, got ndim=4"),
+    (lambda: right_pseudoinverse(np.ones((3, 2))), "right_pseudoinverse: matrix is (3, 2), needs rows <= cols"),
+    (lambda: right_pseudoinverse_derivative(np.ones((1, 2)), np.ones((1, 3))),
+     "right_pseudoinverse_derivative: shapes differ, (1, 2) vs (1, 3)"),
+], ids=["rank_vector", "pinv_stack", "invert_vector", "invert_4d", "pinv_tall", "dpinv_shapes"])
+def test_a_shape_that_the_kernel_cannot_take_is_refused(call, message):
+    with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+        call()

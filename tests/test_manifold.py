@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -106,6 +107,20 @@ class TestBuildFrame:
         assert str(info.value) == f"build_frame: identity '{name}' has residual nan > 1e-09 at t=0.25"
         assert calls == [5]
 
+    def test_identity_residual_past_identity_tol_is_a_frame_error(self, monkeypatch):
+        # The threshold is manifold.IDENTITY_TOL = 1e-9: a residual at it holds, the next float up fails.
+        def frobenius_at(residual):
+            return lambda mats: np.array([0.0, 0.0, residual, 0.0, 0.0])
+
+        monkeypatch.setattr(linalg, "frobenius", frobenius_at(manifold.IDENTITY_TOL))
+        build_frame(*IDENTITY, t=0.5)
+        monkeypatch.setattr(linalg, "frobenius", frobenius_at(np.nextafter(manifold.IDENTITY_TOL, 1.0)))
+        with pytest.raises(FrameError) as info:
+            build_frame(*IDENTITY, t=0.5)
+        assert str(info.value) == (
+            "build_frame: identity 'annihilation (main*comp)' has residual 1.000e-09 > 1e-09 at t=0.5"
+        )
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             build_frame(MatrixFunction.build([["1", "0", "0"]]), MatrixFunction.build([["0", "1", "0"]]), t=0.0)
@@ -196,6 +211,14 @@ class TestMembership:
         y = 2.0 * np.array([math.cos(t), math.sin(t)])
         res = membership(y, fr, Subspace.MAIN_RANGE)
         assert res.member and res.residual < 1e-14
+
+    @pytest.mark.parametrize("residual, member", [(0.99e-8, True), (1.01e-8, False)])
+    def test_the_threshold_is_a_relative_residual_of_1e_8(self, residual, member):
+        fr = build_frame(*IDENTITY, t=0.0)
+        for scale in (1.0, 1e-30, 1e30):
+            y = scale * np.array([1.0, residual])
+            res = membership(y, fr, Subspace.MAIN_RANGE)
+            assert res.residual == pytest.approx(residual, rel=1e-12) and res.member is member
 
     def test_shape_check(self):
         fr = build_frame(*IDENTITY, t=0.0)
@@ -288,6 +311,13 @@ class TestEmbedding:
 
 
 class TestSampledSuites:
+    @pytest.mark.parametrize("samples", [0, -1])
+    @pytest.mark.parametrize("suite", [check_kernel_identities, check_embedding])
+    def test_fewer_than_one_sample_is_refused(self, suite, samples):
+        message = f"{suite.__name__}: samples must be >= 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            suite(build_frame(*IDENTITY, t=0.0), samples=samples)
+
     @pytest.mark.parametrize("seed", [4, 29])
     @pytest.mark.parametrize("perturbed", ["chart", "comp_chart", "embedding", "projector", "comp_projector"])
     def test_fields_are_the_sampled_products_of_range_vectors(self, perturbed, seed):

@@ -3,6 +3,7 @@ import gc
 import json
 import math
 import operator
+import re
 import sys
 import tracemalloc
 import warnings
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from invman import matexpr
-from invman.errors import EvaluationError, ParseError
+from invman.errors import EvaluationError, ParseError, ShapeError
 from invman.matexpr import (
     MAX_DEPTH,
     Binary,
@@ -119,6 +120,33 @@ class TestParse:
             evaluate(parse_expr("1/t"), 0.0)
         with pytest.raises(EvaluationError):
             evaluate(parse_expr("t^-1"), 0.0)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Const(math.inf), ValueError, "constant must be finite, got inf"),
+    (lambda: Const(math.nan), ValueError, "constant must be finite, got nan"),
+    (lambda: Unary("tan", T), ValueError, "unknown unary operator 'tan'"),
+    (lambda: Binary("^", T, T), ValueError, "unknown binary operator '^'"),
+    (lambda: Power(T, 2.0), TypeError, "exponent must be an integer"),
+    (lambda: Power(T, True), TypeError, "exponent must be an integer"),
+    (lambda: evaluate("t", 0.0), TypeError, "not an expression node: 't'"),
+    (lambda: differentiate("t"), TypeError, "not an expression node: 't'"),
+    (lambda: to_string("t"), TypeError, "not an expression node: 't'"),
+    (lambda: parse_expr("sin t"), ParseError, "expected '(' (offset 4)"),
+    (lambda: MatrixFunction(((T, "t"),)), TypeError, "entry is not a scalar expression: 't'"),
+    (lambda: MatrixFunction.identity(2).row_block(1, 1), ShapeError, "row block [1:1] out of range for 2 rows"),
+    (lambda: MatrixFunction.identity(2).row_block(0, 3), ShapeError, "row block [0:3] out of range for 2 rows"),
+    (lambda: MatrixFunction.identity(2) + MatrixFunction.identity(3), ShapeError, "cannot add (2, 2) and (3, 3)"),
+    (lambda: MatrixFunction.zeros(2, 3) @ MatrixFunction.zeros(2, 3), ShapeError,
+     "cannot multiply (2, 3) by (2, 3)"),
+    (lambda: MatrixFunction.block([[MatrixFunction.zeros(1, 2), MatrixFunction.zeros(2, 2)]]), ShapeError,
+     "blocks in one block-row differ in height"),
+    (lambda: MatrixFunction.block([[MatrixFunction.zeros(1, 2)], [MatrixFunction.zeros(1, 3)]]), ShapeError,
+     "block rows differ in total width"),
+])
+def test_a_malformed_expression_or_matrix_is_refused(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestDifferentiate:

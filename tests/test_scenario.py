@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -141,6 +142,28 @@ class TestExpectedVerdicts:
                 MatrixFunction.zeros(1, 1),
                 Structure.BLOCK_DIAGONAL,
             )
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: FramePair(MatrixFunction.identity(2), MatrixFunction.identity(3), n=1), ShapeError,
+     "frame pair must be square and matching, got (2, 2) and (3, 3)"),
+    (lambda: FramePair(MatrixFunction.zeros(2, 3), MatrixFunction.zeros(2, 3), n=1), ShapeError,
+     "frame pair must be square and matching, got (2, 3) and (2, 3)"),
+    (lambda: _identity_frame(2, 0), ShapeError, "frame split n=0 must lie strictly inside 0..2"),
+    (lambda: _identity_frame(2, 2), ShapeError, "frame split n=2 must lie strictly inside 0..2"),
+    (lambda: _scenario(_identity_frame(3, 1), [["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]],
+                       [["0", "0"]], [["0"], ["0"]], Structure.BLOCK_DIAGONAL), ShapeError,
+     "block a is (2, 2), expected (1, 1)"),
+    (lambda: _scenario(_identity_frame(2, 1), [["0"]], [["0"]], [["0"]], [["0", "0"]], Structure.BLOCK_DIAGONAL),
+     ShapeError, "block d is (1, 2), expected (1, 1)"),
+    (lambda: _scenario(_identity_frame(2, 1), [["0"]], [["0"]], [["0"]], [["0"]], Structure.BLOCK_DIAGONAL,
+                       grid=[0.0]), ValueError, "scenario grid needs at least two points"),
+    (lambda: rotation_factor(3, 1, 1, parse_expr("t")), ValueError, "rotation needs two distinct coordinates"),
+    (lambda: shear_factor(3, 2, 2, parse_expr("t")), ValueError, "shear needs two distinct coordinates"),
+])
+def test_a_malformed_frame_scenario_or_factor_is_refused(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestElementaryFactors:
