@@ -10,8 +10,8 @@ Subcommands:
 Exit codes: 0 success / requested assertion holds; 1 assertion or
 precondition fails; 2 configuration problems; 3 numerical failures.
 With INVMAN_LOG=info or debug (any letter case), ``flow --csv`` prints
-``INFO:invman:wrote <path>`` to stderr.  The module checks config form and does
-I/O; the numerics, their guards, option ranges and budgets live in the library.
+``INFO:invman:wrote <path>`` to stderr.  The module checks config form, 0 < n < m and the grid's
+count, order and span, and does I/O; numerics, guards, other ranges and budgets live in the library.
 """
 
 from __future__ import annotations
@@ -51,6 +51,15 @@ class RunOptions:
     trials: int
     window: tuple[float, float]
     grid: dict
+
+
+# The keys load_config reads, then the two to_config writes for the record: any other key is a misspelling.
+_CONFIG_KEYS = "m n coeff chart comp_chart grid tolerance step seed trials window expected_verdicts metadata".split()
+
+
+def _refuse_unknown(config: dict, known) -> None:
+    if unknown := [key for key in config if key not in known]:
+        raise ConfigError(f"unknown config key {unknown[0]!r}")
 
 
 def _require(config: dict, key: str):
@@ -100,6 +109,7 @@ def load_config(path: str) -> tuple[SystemSpec, RunOptions]:
         raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError(f"config {path!r} must be a JSON object")
+    _refuse_unknown(config, _CONFIG_KEYS)
 
     m = _integer(_require(config, "m"), "m")
     n = _integer(_require(config, "n"), "n")
@@ -116,6 +126,7 @@ def load_config(path: str) -> tuple[SystemSpec, RunOptions]:
     grid_cfg = config.get("grid", default_grid)
     if not (isinstance(grid_cfg, dict) and {"start", "end", "count"} <= grid_cfg.keys()):
         raise ConfigError("grid must provide numeric start/end/count")
+    _refuse_unknown(grid_cfg, ("start", "end", "count"))
     start = _finite(grid_cfg["start"], "grid start")
     end = _finite(grid_cfg["end"], "grid end")
     count = _integer(grid_cfg["count"], "grid count")

@@ -37,8 +37,10 @@ __all__ = [
     "check_embedding",
 ]
 
-# Loud-failure threshold for the construction identities of a frame.
+# Loud-failure threshold for the construction identities of a frame, and the pass threshold of both sampled suites.
 IDENTITY_TOL = 1e-9
+# How many standard-normal vectors the sampled suites draw from their seed.
+_SAMPLES = 100
 # Each projector identity, by name, as the matrix R that vanishes when it
 # holds (P = C+C, P_comp = C_comp+C_comp, E the identity matrix).  The first
 # five are the construction identities, in the order build_frame checks them;
@@ -156,19 +158,17 @@ def membership(y, frame: ProjectorFrame, kind: Subspace) -> MembershipResult:
 
 @dataclass(frozen=True)
 class KernelIdentityReport:
-    """Max residuals of the kernel identities over random subspace samples.
+    """Max residuals of the kernel identities over ``_SAMPLES`` random subspace samples.
 
     Vectors in the main range must be annihilated by the complementary chart
     and projector; vectors in the complementary range must be annihilated by
     the chart and be fixed points of the complementary projector.
     """
 
-    samples: int
     max_comp_chart_on_main: float      # |comp_chart @ y| for y in range(P_main)
     max_comp_projector_on_main: float  # |P_comp @ y|
     max_chart_on_comp: float           # |chart @ y| for y in range(P_comp)
     max_comp_range_defect: float       # |y - P_comp y|
-    tol: float
 
     @property
     def max_residual(self) -> float:
@@ -183,27 +183,23 @@ class KernelIdentityReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_residual <= self.tol
+        return self.max_residual <= IDENTITY_TOL
 
 
-def _sampled_residuals(frame: ProjectorFrame, fields: dict, samples: int, seed: int, caller: str) -> dict:
-    """For each report field, the max |R c| of its ``_RESIDUALS`` entry R over ``samples`` normal c.
+def _sampled_residuals(frame: ProjectorFrame, fields: dict, seed: int) -> dict:
+    """For each report field, the max |R c| of its ``_RESIDUALS`` entry R over ``_SAMPLES`` normal c.
 
     Every R c is a 1 x m row matrix, zero-padded where R has fewer than m rows: one norm covers all fields.
     """
-    if samples < 1:
-        raise ValueError(f"{caller}: samples must be >= 1")
-    cs = np.random.default_rng(seed).standard_normal((samples, frame.m))
-    products = np.zeros((len(fields), samples, 1, frame.m))
+    cs = np.random.default_rng(seed).standard_normal((_SAMPLES, frame.m))
+    products = np.zeros((len(fields), _SAMPLES, 1, frame.m))
     for product, name in zip(products, fields.values()):
         residual = _RESIDUALS[name](frame)
         product[:, 0, : len(residual)] = cs @ residual.T
     return dict(zip(fields, linalg.frobenius(products).max(axis=1).tolist()))
 
 
-def check_kernel_identities(
-    frame: ProjectorFrame, samples: int = 100, tol: float = 1e-9, seed: int = 0
-) -> KernelIdentityReport:
+def check_kernel_identities(frame: ProjectorFrame, seed: int = 0) -> KernelIdentityReport:
     """Sample each subspace by projecting standard-normal vectors and test the identities."""
     fields = {
         "max_comp_chart_on_main": "comp chart on main",
@@ -211,8 +207,7 @@ def check_kernel_identities(
         "max_chart_on_comp": "chart on comp",
         "max_comp_range_defect": "idempotency (comp)",
     }
-    maxima = _sampled_residuals(frame, fields, samples, seed, "check_kernel_identities")
-    return KernelIdentityReport(samples=samples, tol=tol, **maxima)
+    return KernelIdentityReport(**_sampled_residuals(frame, fields, seed))
 
 
 @dataclass(frozen=True)
@@ -222,23 +217,16 @@ class EmbeddingReport:
     injective: bool            # embedding has full column rank
     image_residual: float      # |P_main @ embedding - embedding|
     max_retraction_defect: float  # |y - embedding @ (chart @ y)| over sampled y in the range
-    samples: int
-    tol: float
 
     @property
     def passed(self) -> bool:
-        return self.injective and self.image_residual <= self.tol and self.max_retraction_defect <= self.tol
+        return self.injective and self.image_residual <= IDENTITY_TOL and self.max_retraction_defect <= IDENTITY_TOL
 
 
-def check_embedding(
-    frame: ProjectorFrame, samples: int = 100, tol: float = 1e-9, seed: int = 0
-) -> EmbeddingReport:
+def check_embedding(frame: ProjectorFrame, seed: int = 0) -> EmbeddingReport:
     """Injectivity, image containment, and surjectivity of the embedding map."""
-    maxima = _sampled_residuals(frame, {"max_retraction_defect": "retraction"}, samples, seed, "check_embedding")
     return EmbeddingReport(
         injective=linalg.rank(frame.embedding) == frame.n,
         image_residual=linalg.frobenius(_RESIDUALS["image"](frame)),
-        samples=samples,
-        tol=tol,
-        **maxima,
+        **_sampled_residuals(frame, {"max_retraction_defect": "retraction"}, seed),
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 
@@ -561,3 +562,27 @@ class FrameBuilt(Exception):
 def must_not_build_frame(m, n, rng):
     """A stand-in for ``scenario.random_frame``, for tests that must be refused before a frame is built."""
     raise FrameBuilt(f"random_frame called with m={m}, n={n}")
+
+
+def spiked_scenario(structure, m: int, n: int, seed: int):
+    """``random_scenario`` with a Gaussian spike between two grid nodes in the coupling that must vanish.
+
+    Entry (0, 0) of coupling d, which ``upper_triangular`` and
+    ``block_diagonal`` zero, becomes exp(-((t - t*)/w)^2) with t* the
+    midpoint of a grid cell drawn from ``seed`` and w a 25th of the cell.
+    Every grid node is at least 12.5 widths from t*, where the spike reads
+    about e^-156: the grid certifies the structure's verdicts, and the flow
+    through t* leaks off the subspace.  Returns the scenario and t*.
+    """
+    from invman.matexpr import MatrixFunction
+    from invman.scenario import random_scenario
+
+    spec = random_scenario(structure, m=m, n=n, seed=seed)
+    grid = spec.t_grid
+    cell = float(grid[1] - grid[0])
+    t_star = float(grid[np.random.default_rng(seed).integers(0, grid.size - 1)]) + cell / 2
+    offset = Power(Binary("/", Binary("-", T, Const(t_star)), Const(cell / 25)), 2)
+    rows = [list(row) for row in spec.d.entries]
+    rows[0][0] = Unary("exp", Unary("neg", offset))
+    spiked = MatrixFunction(tuple(map(tuple, rows)))
+    return dataclasses.replace(spec, d=spiked), t_star

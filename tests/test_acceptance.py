@@ -68,9 +68,9 @@ def test_criterion_2_kernel_and_embedding_suites():
     started = time.perf_counter()
     for i, (top, bottom) in enumerate(_fifty_stacks()):
         fr = build_frame(MatrixFunction.constant(top), MatrixFunction.constant(bottom), t=0.0)
-        kernel = check_kernel_identities(fr, samples=100, tol=1e-9, seed=i)
+        kernel = check_kernel_identities(fr, seed=i)
         assert kernel.passed, kernel
-        embed = check_embedding(fr, samples=100, tol=1e-9, seed=i)
+        embed = check_embedding(fr, seed=i)
         assert embed.passed, embed
     _report(2, "kernel identities and embedding checks", time.perf_counter() - started, 2.0)
 

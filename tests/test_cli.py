@@ -98,6 +98,26 @@ class TestCheck:
             "config error: config key 'coeff': entry (0,0): unknown identifier 'x' (offset 2)\n"
         )
 
+    @pytest.mark.parametrize("changes, key", [
+        ({"tolerence": 1e-12}, "tolerence"),
+        ({"grid": dict(NILPOTENT_CONFIG["grid"], extra=1)}, "extra"),
+    ], ids=["top_level", "grid"])
+    def test_a_key_load_config_does_not_read_exits_2(self, tmp_path, capsys, changes, key):
+        # A misspelt key is refused, not ignored: "tolerence" would otherwise judge at the default tolerance.
+        assert main(["check", "--config", _write(tmp_path, dict(NILPOTENT_CONFIG, **changes))]) == 2
+        assert capsys.readouterr() == ("", f"config error: unknown config key {key!r}\n")
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda path: path.stem)
+    def test_every_shipped_config_loads(self, path):
+        load_config(str(path))
+
+    @pytest.mark.parametrize("structure", list(scenario.Structure))
+    def test_every_generated_config_key_is_read(self, tmp_path, structure):
+        # The keys to_config writes, and the run window a config may add.
+        config = scenario.to_config(scenario.random_scenario(structure), metadata={"kind": structure.value})
+        assert set(config) == set(cli._CONFIG_KEYS) - {"window"}
+        load_config(_write(tmp_path, dict(config, window=[0.0, 1.0])))
+
     @pytest.mark.parametrize("scale", ["1e-150", "1e-160", "1e-200", "1e-300", "1e300"])
     def test_moore_penrose_chart_scale_leaves_the_report_unchanged(self, tmp_path, capsys, scale):
         # Unscaled, the Gram matrix C C^T of these charts underflows or overflows.

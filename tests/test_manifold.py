@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import re
 
 import numpy as np
 import pytest
@@ -241,7 +240,7 @@ class TestMembership:
         # One field's products past the square range: scaled exactly, and the other fields keep their bits.
         fr = build_frame(*IDENTITY, t=0.0)
         small, big = (
-            check_kernel_identities(dataclasses.replace(fr, chart=np.array([[3.0, 4.0]]) * scale), samples=20)
+            check_kernel_identities(dataclasses.replace(fr, chart=np.array([[3.0, 4.0]]) * scale))
             for scale in (1.0, 2.0**700)
         )
         assert math.isfinite(big.max_chart_on_comp) and big.max_chart_on_comp == small.max_chart_on_comp * 2.0**700
@@ -250,19 +249,19 @@ class TestMembership:
 
 class TestKernelIdentities:
     def test_identity_stack_exact(self):
-        report = check_kernel_identities(build_frame(*IDENTITY, t=0.0), samples=20)
+        report = check_kernel_identities(build_frame(*IDENTITY, t=0.0))
         assert report.max_residual == 0.0
         assert report.passed
 
     def test_rotation_stack(self):
-        report = check_kernel_identities(build_frame(*ROTATION, t=0.7), samples=50, tol=1e-12)
-        assert report.max_residual < 1e-12
+        report = check_kernel_identities(build_frame(*ROTATION, t=0.7))
+        assert report.max_residual <= 1e-12
         assert report.passed
 
     def test_shear_stack(self):
         # ker of the comp chart [0,1] is span{(1,0)}, which the main projector hits
-        report = check_kernel_identities(build_frame(*SHEAR, t=0.0), samples=50, tol=1e-12)
-        assert report.max_residual < 1e-12
+        report = check_kernel_identities(build_frame(*SHEAR, t=0.0))
+        assert report.max_residual <= 1e-12
 
     def test_shipped_scenario_frames(self):
         import json
@@ -275,20 +274,22 @@ class TestKernelIdentities:
             chart = MatrixFunction.build(cfg["chart"])
             comp = MatrixFunction.build(cfg["comp_chart"])
             for t in rng.uniform(cfg["grid"]["start"], cfg["grid"]["end"], size=3):
-                report = check_kernel_identities(build_frame(chart, comp, t), samples=100, tol=1e-9)
+                report = check_kernel_identities(build_frame(chart, comp, t))
                 assert report.passed, (path.name, t, report)
 
 
 class TestEmbedding:
     def test_identity_stack_exact(self):
-        report = check_embedding(build_frame(*IDENTITY, t=0.0), samples=20)
+        report = check_embedding(build_frame(*IDENTITY, t=0.0))
         assert report.injective
         assert report.image_residual == 0.0
         assert report.max_retraction_defect == 0.0
 
     def test_rotation_stack(self):
-        report = check_embedding(build_frame(*ROTATION, t=0.9), samples=50, tol=1e-12)
-        assert report.passed
+        report = check_embedding(build_frame(*ROTATION, t=0.9))
+        assert report.injective
+        assert report.image_residual <= 1e-12
+        assert report.max_retraction_defect <= 1e-12
 
     def test_random_polynomial_stack(self):
         top = MatrixFunction.build(
@@ -304,20 +305,13 @@ class TestEmbedding:
                 ["0.1*t", "0", "0", "0", "1"],
             ]
         )
-        report = check_embedding(build_frame(top, bottom, t=1.0), samples=100, tol=1e-9)
+        report = check_embedding(build_frame(top, bottom, t=1.0))
         assert report.injective
         assert report.image_residual < 1e-9
         assert report.max_retraction_defect < 1e-9
 
 
 class TestSampledSuites:
-    @pytest.mark.parametrize("samples", [0, -1])
-    @pytest.mark.parametrize("suite", [check_kernel_identities, check_embedding])
-    def test_fewer_than_one_sample_is_refused(self, suite, samples):
-        message = f"{suite.__name__}: samples must be >= 1"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            suite(build_frame(*IDENTITY, t=0.0), samples=samples)
-
     @pytest.mark.parametrize("seed", [4, 29])
     @pytest.mark.parametrize("perturbed", ["chart", "comp_chart", "embedding", "projector", "comp_projector"])
     def test_fields_are_the_sampled_products_of_range_vectors(self, perturbed, seed):
@@ -328,10 +322,10 @@ class TestSampledSuites:
         # A hand-built frame off by about 1e-3 in one matrix: its residuals are far from rounding.
         matrix = getattr(fr, perturbed)
         fr = dataclasses.replace(fr, **{perturbed: matrix + 1e-3 * rng.standard_normal(matrix.shape)})
-        kernel = check_kernel_identities(fr, samples=40, seed=seed)
-        embedding = check_embedding(fr, samples=40, seed=seed)
+        kernel = check_kernel_identities(fr, seed=seed)
+        embedding = check_embedding(fr, seed=seed)
         got = {**dataclasses.asdict(kernel), **dataclasses.asdict(embedding)}
-        want = reference_identity_samples(fr, samples=40, seed=seed)
+        want = reference_identity_samples(fr, samples=100, seed=seed)
         assert max(want.values()) > 1e-5
         for field, value in want.items():
             # A residual is a difference of unit-scale terms: the absolute part covers their rounding,
@@ -344,7 +338,7 @@ class TestSampledSuites:
     ])
     def test_a_nan_residual_fails_its_suite(self, suite, field):
         fr = dataclasses.replace(build_frame(*IDENTITY, t=0.0), chart=np.array([[math.nan, 0.0]]))
-        report = suite(fr, samples=10)
+        report = suite(fr)
         assert math.isnan(getattr(report, field))
         assert report.passed is False
 
@@ -352,11 +346,33 @@ class TestSampledSuites:
     def test_a_nan_in_any_kernel_field_is_the_max_residual(self, position):
         fields = [0.0, 0.0, 0.0, 0.0]
         fields[position] = math.nan
-        report = KernelIdentityReport(10, *fields, tol=1e-9)
+        report = KernelIdentityReport(*fields)
         assert math.isnan(report.max_residual)
         assert report.passed is False
 
     @pytest.mark.parametrize("image, retraction", [(math.nan, 0.0), (0.0, math.nan)])
     def test_a_nan_embedding_residual_fails(self, image, retraction):
-        report = EmbeddingReport(True, image, retraction, samples=10, tol=1e-9)
+        report = EmbeddingReport(True, image, retraction)
         assert report.passed is False
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_a_kernel_residual_passes_up_to_identity_tol(self, position):
+        # Both suites pass at manifold.IDENTITY_TOL, as build_frame does, and fail at the next float up.
+        for residual, passed in ((manifold.IDENTITY_TOL, True), (np.nextafter(manifold.IDENTITY_TOL, 1.0), False)):
+            fields = [0.0, 0.0, 0.0, 0.0]
+            fields[position] = float(residual)
+            assert KernelIdentityReport(*fields).passed is passed
+
+    @pytest.mark.parametrize("field", ["image_residual", "max_retraction_defect"])
+    def test_an_embedding_residual_passes_up_to_identity_tol(self, field):
+        for residual, passed in ((manifold.IDENTITY_TOL, True), (np.nextafter(manifold.IDENTITY_TOL, 1.0), False)):
+            fields = {"image_residual": 0.0, "max_retraction_defect": 0.0, field: float(residual)}
+            assert EmbeddingReport(True, **fields).passed is passed
+
+    @pytest.mark.parametrize("suite", [check_kernel_identities, check_embedding])
+    @pytest.mark.parametrize("knob", ["samples", "tol"])
+    def test_the_suites_take_no_samples_or_tol(self, suite, knob):
+        frame = build_frame(*IDENTITY, t=0.0)
+        with pytest.raises(TypeError):
+            suite(frame, **{knob: 100})
+        assert knob not in {field.name for field in dataclasses.fields(suite(frame))}

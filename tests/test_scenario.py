@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -6,7 +7,7 @@ import pytest
 
 from invman import linalg, scenario
 from invman.errors import FrameError, ScenarioError, ShapeError
-from invman.flow import integrate_fundamental
+from invman.flow import SIDE_MAIN, integrate_fundamental, manifold_drift
 from invman.invariance import SystemSpec, frame_samples, reduced_matrix, verdicts
 from invman.linalg import frobenius
 from invman.matexpr import MatrixFunction, parse_expr
@@ -26,7 +27,7 @@ from invman.scenario import (
     to_system,
 )
 
-from helpers import FrameBuilt, must_not_build_frame
+from helpers import FrameBuilt, must_not_build_frame, spiked_scenario
 
 GRID = np.linspace(0.0, 5.0, 51)
 
@@ -382,3 +383,28 @@ class TestSamplingBudget:
         monkeypatch.setattr(scenario, "random_frame", must_not_build_frame)
         with pytest.raises(FrameBuilt, match="m=577"):
             random_scenario(Structure.FULL, m=577, n=2, seed=0)
+
+
+@pytest.mark.parametrize("structure", [Structure.UPPER_TRIANGULAR, Structure.BLOCK_DIAGONAL])
+@pytest.mark.parametrize("m, n, seed", [(3, 1, 0), (4, 2, 1), (8, 4, 0), (16, 8, 0)])
+class TestSpikeBetweenGridNodes:
+    """A coupling that vanishes on every grid node but not between them: the grid certifies what the flow breaks.
+
+    This pins the documented limit of ``verdicts``: nothing is certified between grid points.
+    """
+
+    def test_the_spike_is_invisible_on_the_grid_and_1_at_its_centre(self, structure, m, n, seed):
+        spec, t_star = spiked_scenario(structure, m, n, seed)
+        assert np.max(spec.d.eval_grid(spec.t_grid)[:, 0, 0]) <= math.exp(-150.0)
+        assert spec.d.eval(t_star)[0, 0] == 1.0
+
+    def test_the_grid_verdicts_are_the_structures(self, structure, m, n, seed):
+        spec, _ = spiked_scenario(structure, m, n, seed)
+        report = verdicts(to_system(spec))
+        assert _verdict_tuple(report) == expected_verdicts(spec)
+        assert report.max_defect_main <= 1e-12
+
+    def test_the_flow_through_the_spike_leaves_the_subspace(self, structure, m, n, seed):
+        spec, t_star = spiked_scenario(structure, m, n, seed)
+        drift = manifold_drift(to_system(spec), SIDE_MAIN, t_span=(t_star - 0.1, t_star + 0.1))
+        assert drift.max_residual > 1e-4
