@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -169,28 +170,47 @@ def load_config(path: str) -> tuple[SystemSpec, RunOptions]:
     return spec, options
 
 
-# The text of each item of a list whose first item is of this type; it refuses any other type, bool and int too.
-_ITEM_TEXT = {float: float.__repr__, str: encode_basestring_ascii}
+class _Reprs(list):
+    """A list of numbers as their float reprs, rendered once: ``_json`` writes it as a list of those numbers."""
+
+
+def _numbers(reprs: list, shape: tuple, indent: str) -> str:
+    """``json.dumps`` text, under ``indent``, of a float array of ``shape`` whose item reprs in C order are
+    ``reprs``: one join per innermost row, then per row of rows, from the shape alone."""
+    for depth in reversed(range(len(shape))):
+        inner, size = indent + "  " * (depth + 1), shape[depth]
+        if not size:  # an empty axis: each of its rows is []
+            reprs = ["[]"] * math.prod(shape[:depth])
+            continue
+        sep, close = ",\n" + inner, "\n" + inner[:-2] + "]"
+        reprs = ["[\n" + inner + sep.join(reprs[i : i + size]) + close for i in range(0, len(reprs), size)]
+    text = reprs[0]
+    # NaN and the infinities are the only floats whose repr holds an "n"; json spells them NaN and Infinity.
+    return text.replace("nan", "NaN").replace("inf", "Infinity") if "n" in text else text
 
 
 def _json(value, indent: str = "") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` of a JSON value whose keys are strings, byte for byte, for a
-    value at the nesting ``indent``.  Under ``indent`` json encodes item by item in Python; this joins each list
-    of floats or of strings in one call."""
+    value at the nesting ``indent``; a float ndarray is written as its nested lists, and a ``_Reprs`` as its
+    numbers.  Under ``indent`` json encodes item by item in Python; this joins each list or array of floats, and
+    each list of strings, in one pass."""
     inner = indent + "  "
+    if isinstance(value, np.ndarray):
+        return _numbers(list(map(float.__repr__, value.ravel().tolist())), value.shape, indent)
+    if isinstance(value, _Reprs):
+        return _numbers(value, (len(value),), indent)
     if isinstance(value, dict) and value:
         items = [f"{encode_basestring_ascii(key)}: {_json(value[key], inner)}" for key in sorted(value)]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
     if isinstance(value, (list, tuple)) and value:
-        item_text = _ITEM_TEXT.get(type(value[0]))
-        try:  # a list of floats or of strings is one join
-            text = None if item_text is None else (",\n" + inner).join(map(item_text, value))
+        try:  # a list of floats or of strings is one join; float.__repr__ refuses any other type, bool and int too
+            if type(value[0]) is float:
+                return _numbers(list(map(float.__repr__, value)), (len(value),), indent)
+            if type(value[0]) is str:
+                return "[\n" + inner + (",\n" + inner).join(map(encode_basestring_ascii, value)) + "\n" + indent + "]"
         except TypeError:
-            text = None
-        # NaN and the infinities are the only floats whose repr holds an "n".
-        if text is None or item_text is float.__repr__ and "n" in text:
-            text = (",\n" + inner).join([_json(item, inner) for item in value])
-        return "[\n" + inner + text + "\n" + indent + "]"
+            pass
+        return "[\n" + inner + (",\n" + inner).join([_json(item, inner) for item in value]) + "\n" + indent + "]"
     return json.dumps(value)  # a scalar, {} or []: json's own spelling, NaN and Infinity included
 
 
@@ -232,8 +252,8 @@ def cmd_reduce(args) -> int:
         "schema": "invman.reduce/1",
         "grid": opts.grid,
         "tolerance": opts.tolerance,
-        "t": spec.t_grid.tolist(),
-        "reduced": reduced.tolist(),
+        "t": spec.t_grid,
+        "reduced": reduced,
         "conjugacy": {
             "window": [opts.window[0], opts.window[1]],
             "h": opts.h,
@@ -261,7 +281,9 @@ def cmd_flow(args) -> int:
         t_span=opts.window,
         tol=opts.tolerance,
     )
-    payload = {"schema": "invman.flow/1", **result.to_dict()}
+    # The JSON number lists and the CSV cells are the same float reprs, each rendered once.
+    reprs = {key: _Reprs(column) for key, column in result._reprs.items() if column is not None}
+    payload = {"schema": "invman.flow/1", **result.to_dict(), **reprs}
     _emit_json(payload, args.json)
     if args.csv:
         directory = Path(args.csv)

@@ -26,6 +26,7 @@ keeps too, ``invariance._require_budget``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -154,8 +155,10 @@ def _march(spec: SystemSpec, t_span: tuple[float, float], h: float, sides: tuple
     coeff = spec.coeff.eval_grid(half_ts)
     chart, embedding = chart_g[::every], embedding_g[::every]
     proj = embedding @ chart
-    c = np.random.default_rng(seed).standard_normal((spec.m, trials))
-    launches = [proj[0] @ c if side == SIDE_MAIN else (np.eye(spec.m) - proj[0]) @ c for side in sides]
+    launches = []
+    if sides:  # the conjugacy-only march draws nothing, so it leaves numpy.random unimported
+        c = np.random.default_rng(seed).standard_normal((spec.m, trials))
+        launches = [proj[0] @ c if side == SIDE_MAIN else (np.eye(spec.m) - proj[0]) @ c for side in sides]
     fund, *trajs = _fundamental(coeff, t0, h_eff, *launches)
     drifts = [_drift(ts, proj, traj, side) for side, traj in zip(sides, trajs)]
     if not conjugacy:
@@ -332,11 +335,19 @@ class FlowResult:
             "max": {key: None if curve is None else float(np.max(curve)) for key, curve in curves.items()},
         }
 
+    @cached_property
+    def _reprs(self) -> dict:
+        """The float reprs of each column, rendered once: "t", then each curve by its key, None for one not formed.
+
+        ``csv_rows`` and the CLI's JSON lists read these same strings."""
+        columns = {"t": self.ts, **self._curves()}
+        return {key: None if column is None else list(map(float.__repr__, column.tolist()))
+                for key, column in columns.items()}
+
     def csv_rows(self):
-        """Rows of float reprs for the pinned CSV columns: t, then each curve, NaN for a curve not formed."""
-        nan = np.full(self.ts.size, np.nan)
-        columns = (self.ts, *(nan if curve is None else curve for curve in self._curves().values()))
-        return zip(*(map(float.__repr__, column.tolist()) for column in columns))
+        """Rows of float reprs for the pinned CSV columns: t, then each curve, nan for a curve not formed."""
+        nan = ["nan"] * self.ts.size
+        return zip(*(nan if column is None else column for column in self._reprs.values()))
 
 
 def run_flow(

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from invman import cli, errors, flow, invariance, scenario
 from invman.cli import load_config, main
@@ -536,16 +537,21 @@ class TestFlow:
         golden = (DATA / "flow_schema.golden").read_text().splitlines()
         assert paths == golden
 
-    @pytest.mark.parametrize("name, invariant", [("block_diagonal", True), ("lower_triangular", False)])
-    def test_csv_bytes_are_what_csv_writer_writes(self, tmp_path, name, invariant):
-        config = dict(json.loads((CONFIGS / f"{name}.json").read_text()), window=[0.0, 0.5], step=1e-2)
+    @pytest.mark.parametrize("name, invariant, window", [
+        ("block_diagonal", True, [0.0, 0.5]),
+        ("lower_triangular", False, [0.0, 0.5]),  # the conjugacy curve is not formed: a nan column
+        ("block_diagonal", True, [0.25, 0.25]),  # a zero-length window: one row, the start alone
+    ])
+    def test_csv_bytes_are_what_csv_writer_writes(self, tmp_path, name, invariant, window):
+        config = dict(json.loads((CONFIGS / f"{name}.json").read_text()), window=window, step=1e-2)
         out, csv_dir = tmp_path / "flow.json", tmp_path / "csv"
         assert main(["flow", "--config", _write(tmp_path, config), "--json", str(out), "--csv", str(csv_dir)]) == 0
         payload = json.loads(out.read_text())
         assert payload["main_invariant"] is invariant
         conjugacy = payload["conjugacy_residual"] or [math.nan] * len(payload["t"])
+        assert len(payload["t"]) == (1 if window[0] == window[1] else 51)
         want = io.StringIO(newline="")
-        writer = csv.writer(want)
+        writer = csv.writer(want, lineterminator="\r\n")
         writer.writerow(["t", "drift_mn", "drift_complement", "conjugacy_residual"])
         for row in zip(payload["t"], payload["drift_mn"], payload["drift_complement"], conjugacy):
             writer.writerow([repr(x) for x in row])
@@ -574,6 +580,78 @@ _JSON_VALUES = st.recursive(
 @example(value=[[1.5, 2], [True, 1.0], [None, "\u00e9"], [[]], [{}], 1e16, -math.inf])
 def test_the_emitter_writes_what_json_dumps_writes(value):
     assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+# Each stack shape the reports write: a curve or grid (N,), a stack of 1 x 1 or n x n matrices, and size 0.
+_EDGE_FLOATS = st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def _stacks(draw):
+    points, n = draw(st.integers(0, 6)), draw(st.integers(0, 3))
+    shape = draw(st.sampled_from([(points,), (points, 1, 1), (points, n, n)]))
+    return draw(arrays(np.float64, shape, elements=st.one_of(_EDGE_FLOATS, st.floats())))
+
+
+@settings(max_examples=200, deadline=None)
+@given(stack=_stacks())
+@example(stack=np.array([-0.0, 5e-324, 1.7976931348623157e308, math.nan, math.inf, -math.inf]))
+@example(stack=np.zeros((0, 2, 2)))
+@example(stack=np.zeros((2, 0, 0)))
+def test_a_stack_is_written_as_json_dumps_writes_its_nested_lists(stack):
+    nested = stack.tolist()
+    assert cli._json(stack) == json.dumps(nested, indent=2, sort_keys=True)
+    assert cli._json({"reduced": stack}) == json.dumps({"reduced": nested}, indent=2, sort_keys=True)
+    flat = stack.ravel().tolist()
+    assert cli._json(cli._Reprs(map(float.__repr__, flat))) == json.dumps(flat, indent=2)
+
+
+class TestOneRenderingPerNumber:
+    """A flow report's JSON numbers and its CSV cells are the same float reprs, rendered once."""
+
+    def _flow(self, tmp_path, monkeypatch, config, result=None):
+        """The FlowResult that ``flow`` wrote (``result`` if given, else run_flow's), its JSON text and CSV bytes."""
+        run, results = cli.run_flow, []
+
+        def capture(spec, **kwargs):
+            results.append(run(spec, **kwargs) if result is None else result)
+            return results[0]
+
+        monkeypatch.setattr(cli, "run_flow", capture)
+        out, csv_dir = tmp_path / "flow.json", tmp_path / "csv"
+        assert main(["flow", "--config", _write(tmp_path, config), "--json", str(out), "--csv", str(csv_dir)]) == 0
+        return results[0], out.read_text(), (csv_dir / "residuals.csv").read_bytes()
+
+    def test_csv_rows_are_the_cli_csv_rows_and_the_json_number_texts(self, tmp_path, monkeypatch):
+        result, text, got = self._flow(tmp_path, monkeypatch, dict(NILPOTENT_CONFIG, window=[0.0, 0.5], step=1e-2))
+        header, *rows = csv.reader(io.StringIO(got.decode(), newline=""))
+        assert rows == [list(row) for row in result.csv_rows()]
+        payload = json.loads(text, parse_float=str)
+        assert [list(row) for row in zip(*(payload[key] or ["nan"] * len(rows) for key in header))] == rows
+
+    def test_non_finite_values_are_json_constants_and_csv_reprs(self, tmp_path, monkeypatch):
+        ts = np.array([0.0, 0.5, 1.0])
+        result = FlowResult(ts=ts, drift_mn=np.array([math.nan, math.inf, -math.inf]), drift_complement=ts / 8,
+                            conjugacy_residuals=None, main_invariant=False, seed=1, h=0.5, trials=1,
+                            window=(0.0, 1.0))
+        _, text, got = self._flow(tmp_path, monkeypatch, NILPOTENT_CONFIG, result)
+        assert '"drift_mn": [\n    NaN,\n    Infinity,\n    -Infinity\n  ]' in text
+        assert got.split(b"\r\n")[1:4] == [b"0.0,nan,0.0,nan", b"0.5,inf,0.0625,nan", b"1.0,-inf,0.125,nan"]
+
+
+def test_a_standalone_reduce_leaves_numpy_random_unimported(monkeypatch):
+    # Run as its own process: the conjugacy march launches no state, so it draws no coefficients.
+    monkeypatch.setenv("PYTHONPATH", str(Path(cli.__file__).resolve().parents[1]))
+    script = (
+        "import contextlib, io, sys\n"
+        "from invman import cli\n"
+        f"argv = ['reduce', '--config', {str(CONFIGS / 'block_diagonal.json')!r}]\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    code = cli.main(argv)\n"
+        "print(code, 'numpy.random' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "0 False\n", "")
 
 
 # The digest and size of every `generate` output of the benchmark's pool (see perfbench/pin_digests.py).
