@@ -33,12 +33,9 @@ from .linalg import (
     right_pseudoinverse_derivative,
 )
 from .manifold import (
-    ProjectorFrame,
-    Subspace,
     build_frame,
     check_embedding,
     check_kernel_identities,
-    membership,
 )
 from .invariance import (
     InvarianceReport,

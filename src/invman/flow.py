@@ -12,8 +12,8 @@ are the step grid bit for bit (0.5*h*2k == h*k exactly), the frames on the
 step grid (on the half steps only for the conjugacy check's reduced flow X,
 the same march of R(t)), one draw of the launch coefficients c and one march
 Y_{k+1} = M_k Y_k, every trajectory being Y_k c.  Of the frames the march
-samples only what it reads: C and C+ (``invariance._right_inverse`` without
-dC/dt, the elimination over [F | E_n] on the stacked route), and dC/dt for
+samples only what it reads: C and C+ (``invariance._right_inverse``, the
+elimination over [F | E_n] on the stacked route), and dC/dt for
 R = (dC/dt + C A) C+ alone.  A C+ that is not finite or a singular stacked
 frame F raises at its first time with ``frame_samples``' texts; dC+/dt and
 the complement columns of F^-1 are not formed, so only the verdict grid

@@ -26,6 +26,7 @@ complementary chart routes C+ through the stacked block inverse instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -130,17 +131,36 @@ class SystemSpec:
 
 @dataclass(frozen=True, eq=False)
 class FrameSamples:
-    """Chart, embedding, and their derivatives sampled over a time grid."""
+    """Both charts, the column blocks of their right inverse, and the derivatives, sampled over a time grid.
 
-    ts: np.ndarray           # (N,)
-    chart: np.ndarray        # (N, n, m)
-    dchart: np.ndarray       # (N, n, m)
-    embedding: np.ndarray    # (N, m, n)
-    dembedding: np.ndarray   # (N, m, n)
+    On the Moore-Penrose route (no complementary chart) ``comp_chart`` and ``comp_embedding`` are None;
+    ``dchart`` and ``dembedding`` are None where they were not sampled.  ``manifold.build_frame`` gives the
+    one-point slice: every field without the grid axis.
+    """
+
+    ts: np.ndarray                        # (N,)
+    chart: np.ndarray                     # (N, n, m)
+    dchart: Optional[np.ndarray]          # (N, n, m)
+    embedding: np.ndarray                 # (N, m, n)
+    dembedding: Optional[np.ndarray]      # (N, m, n)
+    comp_chart: Optional[np.ndarray]      # (N, p, m)
+    comp_embedding: Optional[np.ndarray]  # (N, m, p)
 
     @property
+    def m(self) -> int:
+        return self.chart.shape[-1]
+
+    @property
+    def n(self) -> int:
+        return self.chart.shape[-2]
+
+    @cached_property
     def projector(self) -> np.ndarray:
         return self.embedding @ self.chart
+
+    @cached_property
+    def comp_projector(self) -> Optional[np.ndarray]:
+        return None if self.comp_chart is None else self.comp_embedding @ self.comp_chart
 
     @property
     def dprojector(self) -> np.ndarray:
@@ -170,7 +190,7 @@ def _reduced(ts, chart: np.ndarray, dchart: np.ndarray, embedding: np.ndarray, c
 
 
 def frame_samples(spec: SystemSpec, ts) -> FrameSamples:
-    """Sample the chart and its embedding (with exact derivatives) over ``ts``.
+    """Sample both charts and their embeddings (with exact derivatives) over ``ts``.
 
     The whole grid goes through one ``linalg.invert`` call: the stacked
     frames [C; C_comp] on the stacked route, the Gram matrices C C^T on the
@@ -178,34 +198,49 @@ def frame_samples(spec: SystemSpec, ts) -> FrameSamples:
     loss.  Rank loss of the chart, singularity of the stacked frame, or a
     right inverse (Moore-Penrose, or all of the stacked inverse) or its
     derivative past the float range is reported with the earliest offending
-    time point.  The flow's march samples less, through ``_right_inverse``
-    without dC/dt: C+ alone, which it refuses the same way.
+    time point.  ``manifold.build_frame`` samples one point through the same
+    builder, without derivatives.
     """
+    return FrameSamples(**_frames(spec.chart, spec.comp_chart, ts, derivatives=True))
+
+
+def _frames(chart: MatrixFunction, comp_chart: Optional[MatrixFunction], ts, derivatives: bool) -> dict:
+    """The fields of the FrameSamples of (chart, comp_chart) over ``ts``, the derivatives only if ``derivatives``."""
     ts = _time_grid(ts)
-    chart_g = spec.chart.eval_grid(ts)
-    dchart_g = spec.chart.derivative().eval_grid(ts)
-    embed_g, dembed_g = _right_inverse(spec, ts, chart_g, dchart_g)
-    return FrameSamples(ts=ts, chart=chart_g, dchart=dchart_g, embedding=embed_g, dembedding=dembed_g)
+    chart_g = chart.eval_grid(ts)
+    dchart_g = chart.derivative().eval_grid(ts) if derivatives else None
+    if comp_chart is None:
+        comp_g = None
+        inverse, *derivative = _moore_penrose(ts, chart_g, dchart_g)
+    else:
+        comp_g, dframes = comp_chart.eval_grid(ts), None
+        if derivatives:
+            dframes = np.concatenate([dchart_g, comp_chart.derivative().eval_grid(ts)], axis=1)
+        inverse, *derivative = _stacked_inverse(np.concatenate([chart_g, comp_g], axis=1), ts, dframes)
+    n = chart.rows
+    return dict(ts=ts, chart=chart_g, dchart=dchart_g, embedding=inverse[..., :n],
+                dembedding=derivative[0][..., :n] if derivative else None,
+                comp_chart=comp_g, comp_embedding=None if comp_g is None else inverse[..., n:])
 
 
-def _right_inverse(spec: SystemSpec, ts, chart_g: np.ndarray, dchart_g: Optional[np.ndarray] = None) -> tuple:
-    """(C+, dC+/dt) over ``ts``, given the chart and dC/dt sampled there, or (C+,) given the chart alone.
+def _right_inverse(spec: SystemSpec, ts, chart_g: np.ndarray) -> tuple:
+    """(C+,) over ``ts``, given the chart sampled there: all the march reads of a right inverse.
 
-    Without dC/dt, the stacked route eliminates [F | E_n] alone, F = [C; C_comp]: C+ is the first n
-    columns of F^-1 bit for bit, and neither C_comp's derivative nor F^-1's other columns are formed.
+    The stacked route eliminates [F | E_n] alone, F = [C; C_comp]: C+ is the first n columns of F^-1 bit
+    for bit, and F^-1's other columns are not formed.
     """
-    n = spec.n
     if spec.comp_chart is None:
-        return _earliest_failure(
-            "right inverse of the chart is not finite", "chart loses full row rank", ts,
-            lambda stop: linalg._pseudoinverse(chart_g[:stop], None if dchart_g is None else dchart_g[:stop]),
-        )
+        return _moore_penrose(ts, chart_g)
     frames = np.concatenate([chart_g, spec.comp_chart.eval_grid(ts)], axis=1)
-    if dchart_g is None:
-        return _stacked_inverse(frames, ts, cols=n)
-    dframes = np.concatenate([dchart_g, spec.comp_chart.derivative().eval_grid(ts)], axis=1)
-    inverse, derivative = _stacked_inverse(frames, ts, dframes)
-    return inverse[:, :, :n], derivative[:, :, :n]
+    return _stacked_inverse(frames, ts, cols=spec.n)
+
+
+def _moore_penrose(ts, chart_g: np.ndarray, dchart_g: Optional[np.ndarray] = None) -> tuple:
+    """(C+,) for each sampled chart C, or (C+, dC+/dt) given dC/dt, by the Moore-Penrose formula."""
+    return _earliest_failure(
+        "right inverse of the chart is not finite", "chart loses full row rank", ts,
+        lambda stop: linalg._pseudoinverse(chart_g[:stop], None if dchart_g is None else dchart_g[:stop]),
+    )
 
 
 def _stacked_inverse(frames: np.ndarray, ts, dframes: Optional[np.ndarray] = None, cols: Optional[int] = None) -> tuple:

@@ -419,9 +419,9 @@ class TestMarchFrames:
             spec = dataclasses.replace(spec, comp_chart=None)
         marched = []
 
-        def recording(spec, ts, chart_g, dchart_g=None):
-            result = _right_inverse(spec, ts, chart_g, dchart_g)
-            marched.append((ts, chart_g, dchart_g, result))
+        def recording(spec, ts, chart_g):
+            result = _right_inverse(spec, ts, chart_g)
+            marched.append((ts, chart_g, result))
             return result
 
         kwargs = dict(h=1e-2, t_span=(0.0, 0.3))
@@ -430,9 +430,9 @@ class TestMarchFrames:
             flow._march(spec, conjugacy=True, **kwargs)   # frames on the half steps, for R
         _, _, half_ts = _half_grid(kwargs["t_span"], kwargs["h"], m, m)
         assert [ts.tolist() for ts, *_ in marched] == [half_ts[::2].tolist(), half_ts.tolist()]
-        for ts, chart_g, dchart_g, result in marched:
+        for ts, chart_g, result in marched:
             want = frame_samples(spec, ts)
-            assert dchart_g is None and len(result) == 1
+            assert len(result) == 1
             assert chart_g.tobytes() == want.chart.tobytes()
             assert result[0].shape == want.embedding.shape
             assert result[0].tobytes() == want.embedding.tobytes()

@@ -1,23 +1,24 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from invman import linalg, manifold
+from invman.cli import load_config
 from invman.errors import EvaluationError, FrameError, InvmanError, ShapeError, SingularMatrixError
 from invman.invariance import SystemSpec, frame_samples
 from invman.linalg import frobenius, right_pseudoinverse
 from invman.manifold import (
     EmbeddingReport,
     KernelIdentityReport,
-    Subspace,
     build_frame,
     check_embedding,
     check_kernel_identities,
-    membership,
 )
 from invman.matexpr import MatrixFunction
+from invman.scenario import Structure, random_scenario, to_system
 
 from helpers import random_well_conditioned_stack, reference_identity_samples
 
@@ -27,6 +28,7 @@ ROTATION = (
     MatrixFunction.build([["-sin(t)", "cos(t)"]]),
 )
 SHEAR = MatrixFunction.build([["1", "1"]]), MatrixFunction.build([["0", "1"]])
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
 
 def _orthogonal_complement_stack(rng: np.random.Generator, m: int, n: int):
@@ -136,6 +138,7 @@ class TestBuildFrame:
     @pytest.mark.parametrize("chart, comp", [
         ([["1", "0"]], [["2", "0"]]),            # singular stack
         ([["1e-320", "0"]], [["0", "1e-320"]]),  # inverse past the float range
+        ([["exp(1000 + t)", "0"]], [["0", "1"]]),  # a chart past the float range
     ])
     def test_failure_is_the_one_point_frame_samples_failure(self, chart, comp, t):
         chart, comp = MatrixFunction.build(chart), MatrixFunction.build(comp)
@@ -146,6 +149,18 @@ class TestBuildFrame:
             build_frame(chart, comp, t=t)
         assert type(at_point.value) is type(on_grid.value)
         assert str(at_point.value) == f"build_frame: {on_grid.value}"
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.stem)
+    def test_success_is_the_one_point_frame_samples_slice(self, path):
+        spec = load_config(str(path))[0]
+        grid = spec.t_grid
+        for t in (grid[0], grid[len(grid) // 3], 0.5 * (grid[1] + grid[2]), grid[-1]):
+            frame = build_frame(spec.chart, spec.comp_chart, t)
+            want = frame_samples(spec, [t])
+            assert frame.dchart is None and frame.dembedding is None  # no derivative is sampled
+            for name in ("chart", "embedding", "comp_chart", "comp_embedding", "projector", "comp_projector"):
+                got, expected = getattr(frame, name), getattr(want, name)[0]
+                assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), (name, t)
 
     @pytest.mark.parametrize("seed", [5, 61])
     def test_embeddings_are_the_column_blocks_of_invert_bit_for_bit(self, seed):
@@ -189,64 +204,6 @@ class TestBuildFrame:
             assert np.linalg.norm(y - recombined) <= 1e-11 * np.linalg.norm(y)
 
 
-class TestMembership:
-    def test_zero_vector_in_all_four(self):
-        fr = build_frame(*ROTATION, t=1.1)
-        for kind in Subspace:
-            res = membership(np.zeros(2), fr, kind)
-            assert res.member and res.residual == 0.0
-
-    def test_diagonal_frame(self):
-        fr = build_frame(*IDENTITY, t=0.0)
-        y = np.array([3.0, 0.0])
-        assert membership(y, fr, Subspace.MAIN_RANGE).member
-        assert not membership(y, fr, Subspace.MAIN_KERNEL).member
-        assert membership(y, fr, Subspace.COMP_KERNEL).member
-        assert not membership(y, fr, Subspace.COMP_RANGE).member
-
-    def test_rotation_frame_member_on_main(self):
-        t = 0.5
-        fr = build_frame(*ROTATION, t=t)
-        y = 2.0 * np.array([math.cos(t), math.sin(t)])
-        res = membership(y, fr, Subspace.MAIN_RANGE)
-        assert res.member and res.residual < 1e-14
-
-    @pytest.mark.parametrize("residual, member", [(0.99e-8, True), (1.01e-8, False)])
-    def test_the_threshold_is_a_relative_residual_of_1e_8(self, residual, member):
-        fr = build_frame(*IDENTITY, t=0.0)
-        for scale in (1.0, 1e-30, 1e30):
-            y = scale * np.array([1.0, residual])
-            res = membership(y, fr, Subspace.MAIN_RANGE)
-            assert res.residual == pytest.approx(residual, rel=1e-12) and res.member is member
-
-    def test_shape_check(self):
-        fr = build_frame(*IDENTITY, t=0.0)
-        with pytest.raises(ShapeError):
-            membership(np.zeros(3), fr, Subspace.MAIN_RANGE)
-
-    def test_a_vector_past_the_square_range_is_as_member_as_its_unit(self):
-        fr = build_frame(*ROTATION, t=0.5)
-        y = fr.embedding[:, 0]
-        for kind in Subspace:
-            unit = membership(y, fr, kind)
-            # A power of two scales every step exactly: the same residual, bit for bit.
-            assert membership(2.0**700 * y, fr, kind) == unit
-            big = membership(1e200 * y, fr, kind)
-            assert big.member == unit.member and big.residual == pytest.approx(unit.residual, rel=1e-12, abs=1e-15)
-        big = membership(1e200 * y, fr, Subspace.MAIN_RANGE)
-        assert big.member and big.residual < 1e-14
-
-    def test_row_norms_past_the_square_range_are_finite(self):
-        # One field's products past the square range: scaled exactly, and the other fields keep their bits.
-        fr = build_frame(*IDENTITY, t=0.0)
-        small, big = (
-            check_kernel_identities(dataclasses.replace(fr, chart=np.array([[3.0, 4.0]]) * scale))
-            for scale in (1.0, 2.0**700)
-        )
-        assert math.isfinite(big.max_chart_on_comp) and big.max_chart_on_comp == small.max_chart_on_comp * 2.0**700
-        assert dataclasses.replace(big, max_chart_on_comp=small.max_chart_on_comp) == small
-
-
 class TestKernelIdentities:
     def test_identity_stack_exact(self):
         report = check_kernel_identities(build_frame(*IDENTITY, t=0.0))
@@ -265,17 +222,50 @@ class TestKernelIdentities:
 
     def test_shipped_scenario_frames(self):
         import json
-        from pathlib import Path
 
-        configs = Path(__file__).resolve().parent.parent / "configs"
         rng = np.random.default_rng(0)
-        for path in sorted(configs.glob("*.json")):
+        for path in CONFIGS:
             cfg = json.loads(path.read_text())
             chart = MatrixFunction.build(cfg["chart"])
             comp = MatrixFunction.build(cfg["comp_chart"])
             for t in rng.uniform(cfg["grid"]["start"], cfg["grid"]["end"], size=3):
                 report = check_kernel_identities(build_frame(chart, comp, t))
                 assert report.passed, (path.name, t, report)
+
+    def test_row_norms_past_the_square_range_are_finite(self):
+        # One field's products past the square range: scaled exactly, and the other fields keep their bits.
+        fr = build_frame(*IDENTITY, t=0.0)
+        small, big = (
+            check_kernel_identities(dataclasses.replace(fr, chart=np.array([[3.0, 4.0]]) * scale))
+            for scale in (1.0, 2.0**700)
+        )
+        assert math.isfinite(big.max_chart_on_comp) and big.max_chart_on_comp == small.max_chart_on_comp * 2.0**700
+        assert dataclasses.replace(big, max_chart_on_comp=small.max_chart_on_comp) == small
+
+
+class TestIdentitiesOnTheVerdictGrid:
+    """The identities build_frame checks at one point hold at every point of a verdict grid."""
+
+    SHIPPED = {path.stem: path for path in CONFIGS}
+    GENERATED = {f"{structure.value}-{m}": (structure, m) for structure in Structure for m in (3, 8, 16)}
+
+    @pytest.mark.parametrize("system", [*SHIPPED, *GENERATED])
+    def test_every_residual_is_within_identity_tol(self, system):
+        if system in self.SHIPPED:
+            spec = load_config(str(self.SHIPPED[system]))[0]
+        else:
+            structure, m = self.GENERATED[system]
+            spec = to_system(random_scenario(structure, m=m, n=m // 2, seed=m))
+        routes = [
+            (spec, manifold._CONSTRUCTION),
+            (dataclasses.replace(spec, comp_chart=None), ("idempotency (main)", "image", "retraction")),
+        ]
+        for route, names in routes:
+            frames = frame_samples(route, route.t_grid)
+            for name in names:
+                residuals = frobenius(manifold._RESIDUALS[name](frames))
+                assert residuals.shape == route.t_grid.shape, name
+                assert residuals.max() <= manifold.IDENTITY_TOL, (name, residuals.max())
 
 
 class TestEmbedding:
@@ -313,7 +303,7 @@ class TestEmbedding:
 
 class TestSampledSuites:
     @pytest.mark.parametrize("seed", [4, 29])
-    @pytest.mark.parametrize("perturbed", ["chart", "comp_chart", "embedding", "projector", "comp_projector"])
+    @pytest.mark.parametrize("perturbed", ["chart", "comp_chart", "embedding", "comp_embedding"])
     def test_fields_are_the_sampled_products_of_range_vectors(self, perturbed, seed):
         rng = np.random.default_rng(seed)
         m = int(rng.integers(3, 7))
