@@ -99,7 +99,7 @@ class SystemSpec:
     chart: MatrixFunction                       # n x m, full row rank on the grid
     comp_chart: Optional[MatrixFunction] = None  # p x m with p = m - n
     t_grid: np.ndarray = field(default_factory=DEFAULT_GRID)
-    # Memo of _one_point: (bits of t, frames at [t], A at [t] or None), one point at a time.
+    # Memo of _one_point: (bits of t, A at [t]), one point at a time; the frames' memo is the chart's.
     _point: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -204,23 +204,45 @@ def frame_samples(spec: SystemSpec, ts) -> FrameSamples:
     return FrameSamples(**_frames(spec.chart, spec.comp_chart, ts, derivatives=True))
 
 
-def _frames(chart: MatrixFunction, comp_chart: Optional[MatrixFunction], ts, derivatives: bool) -> dict:
-    """The fields of the FrameSamples of (chart, comp_chart) over ``ts``, the derivatives only if ``derivatives``."""
+def _frames(chart: MatrixFunction, comp_chart: Optional[MatrixFunction], ts, derivatives: bool,
+            known: Optional[dict] = None) -> dict:
+    """The fields of the FrameSamples of (chart, comp_chart) over ``ts``, the derivatives only if ``derivatives``;
+    given ``known``, those fields without derivatives, its charts and F^-1 = [C+, C_comp+] are not sampled again."""
     ts = _time_grid(ts)
-    chart_g = chart.eval_grid(ts)
+    chart_g = chart.eval_grid(ts) if known is None else known["chart"]
     dchart_g = chart.derivative().eval_grid(ts) if derivatives else None
     if comp_chart is None:
         comp_g = None
         inverse, *derivative = _moore_penrose(ts, chart_g, dchart_g)
     else:
-        comp_g, dframes = comp_chart.eval_grid(ts), None
+        comp_g, dframes = comp_chart.eval_grid(ts) if known is None else known["comp_chart"], None
         if derivatives:
             dframes = np.concatenate([dchart_g, comp_chart.derivative().eval_grid(ts)], axis=1)
-        inverse, *derivative = _stacked_inverse(np.concatenate([chart_g, comp_g], axis=1), ts, dframes)
+        if known is None:
+            inverse, *derivative = _stacked_inverse(np.concatenate([chart_g, comp_g], axis=1), ts, dframes)
+        else:
+            inverse = np.concatenate([known["embedding"], known["comp_embedding"]], axis=-1)
+            inverse, *derivative = _stacked_inverse(None, ts, dframes, inverse=inverse)
     n = chart.rows
     return dict(ts=ts, chart=chart_g, dchart=dchart_g, embedding=inverse[..., :n],
                 dembedding=derivative[0][..., :n] if derivative else None,
                 comp_chart=comp_g, comp_embedding=None if comp_g is None else inverse[..., n:])
+
+
+def _point_frames(chart: MatrixFunction, comp_chart: Optional[MatrixFunction], t, derivatives: bool) -> dict:
+    """``_frames`` at [t], memoised on ``chart`` for one point, keyed by the identity of ``comp_chart`` and the bits
+    of t.  Derivatives join the entry when first asked for; a failed sampling stores nothing.  The arrays are the
+    memo's own: a caller returns and writes to none of them."""
+    ts = np.array([t], dtype=float)
+    if ts.ndim != 1:
+        raise ShapeError(f"t must be a scalar, got shape {ts.shape[1:]}")
+    key = ts.tobytes()  # 0.0 and -0.0 differ: sin(-0.0) is -0.0
+    point = chart._point
+    known = point[2] if point is not None and point[0] is comp_chart and point[1] == key else None
+    if known is None or derivatives and known["dchart"] is None:
+        known = _frames(chart, comp_chart, ts, derivatives, known)
+        object.__setattr__(chart, "_point", (comp_chart, key, known))
+    return known
 
 
 def _right_inverse(spec: SystemSpec, ts, chart_g: np.ndarray) -> tuple:
@@ -243,12 +265,15 @@ def _moore_penrose(ts, chart_g: np.ndarray, dchart_g: Optional[np.ndarray] = Non
     )
 
 
-def _stacked_inverse(frames: np.ndarray, ts, dframes: Optional[np.ndarray] = None, cols: Optional[int] = None) -> tuple:
+def _stacked_inverse(frames: Optional[np.ndarray], ts, dframes: Optional[np.ndarray] = None,
+                     cols: Optional[int] = None, inverse: Optional[np.ndarray] = None) -> tuple:
     """(F^-1,) for each stacked frame F = [C; C_comp], (F^-1, -F^-1 dF F^-1) given ``dframes``,
-    or (F^-1[:, :, :cols],) given ``cols``, from the elimination over [F | E[:, :cols]] alone."""
+    or (F^-1[:, :, :cols],) given ``cols``, from the elimination over [F | E[:, :cols]] alone.
+    Given ``inverse``, a finite F^-1 computed before, ``frames`` is not read and nothing is eliminated."""
     def inverses(stop):
         with np.errstate(over="ignore", invalid="ignore"):
-            inv = linalg.invert(frames[:stop]) if cols is None else linalg._inverse_columns(frames[:stop], cols)
+            inv = inverse if inverse is not None else (
+                linalg.invert(frames[:stop]) if cols is None else linalg._inverse_columns(frames[:stop], cols))
             return (inv,) if dframes is None else (inv, -inv @ dframes[:stop] @ inv)
 
     return _earliest_failure("inverse of the stacked frame is not finite", "stacked frame is singular", ts, inverses)
@@ -261,9 +286,8 @@ def _earliest_failure(not_finite: str, failure: str, ts, inverses) -> tuple:
     except (RankDeficiencyError, SingularMatrixError) as exc:
         # Every point before the first failing one inverts: a non-finite result there comes first.
         results, error = inverses(exc.index), exc
-    finite = np.logical_and.reduce([np.isfinite(stack).all(axis=(1, 2)) for stack in results])
-    if not finite.all():
-        k = int(finite.argmin())
+    if not all(np.isfinite(stack).all() for stack in results):
+        k = int(np.logical_and.reduce([np.isfinite(stack).all(axis=(1, 2)) for stack in results]).argmin())
         raise EvaluationError(f"{not_finite} at t={float(ts[k])!r}", k)
     if error is not None:
         raise type(error)(f"{failure} at t={float(ts[error.index])!r}: {error}", error.index) from error
@@ -280,29 +304,22 @@ def _require_finite(ts, curves: dict, what: str = "residual") -> None:
 
 
 def _one_point(spec: SystemSpec, t, with_coeff: bool) -> tuple[FrameSamples, Optional[np.ndarray]]:
-    """The frames at [t], and A at [t] when ``with_coeff``, memoised on ``spec`` for the last t (by its bits).
-
-    Frames are sampled before A, and an entry is stored only once all it holds was sampled.
-    """
-    if np.ndim(t) != 0:
-        raise ShapeError(f"t must be a scalar, got shape {np.shape(t)}")
-    ts = np.array([t], dtype=float)
-    key = ts.tobytes()  # 0.0 and -0.0 differ: sin(-0.0) is -0.0
-    point = spec._point
-    if point is None or point[0] != key:
-        point = (key, frame_samples(spec, ts), None)
-    if with_coeff and point[2] is None:
-        point = point[:2] + (spec.coeff.eval_grid(ts),)
-    object.__setattr__(spec, "_point", point)
-    return point[1:]
+    """The frames at [t] with derivatives (``_point_frames``), and A at [t] when ``with_coeff``: A is sampled after
+    the frames and memoised on ``spec`` for the last t, by its bits."""
+    fs = FrameSamples(**_point_frames(spec.chart, spec.comp_chart, t, True))
+    key = fs.ts.tobytes()
+    if with_coeff and (spec._point is None or spec._point[0] != key):
+        object.__setattr__(spec, "_point", (key, spec.coeff.eval_grid(fs.ts)))
+    return fs, spec._point[1] if with_coeff else None
 
 
 def projector_derivative(spec: SystemSpec, t: float) -> np.ndarray:
     """Exact dP/dt at scalar ``t`` via symbolic chart derivatives and the closed-form
     derivative of the pseudoinverse (Moore-Penrose or stacked-inverse route).
 
-    The three one-point functions share the frames and A they sample at ``t``
-    through a one-point memo on ``spec``; each returns a freshly computed array.
+    The three one-point functions and ``manifold.build_frame`` sample the frames
+    at ``t`` once, in a one-point memo on the chart; the two that need A share
+    it through a one-point memo on ``spec``.  Each returns a freshly computed array.
     """
     return _one_point(spec, t, False)[0].dprojector[0]
 

@@ -165,7 +165,7 @@ def rank(a) -> int:
         if abs(mat[p, col]) <= limit:
             continue
         if p != row:
-            mat[[row, p]] = mat[[p, row]]
+            mat[row], mat[p] = mat[p], mat[row].copy()
         factors = mat[row + 1:, col] / mat[row, col]
         mat[row + 1:] -= factors[:, None] * mat[row]
         found += 1

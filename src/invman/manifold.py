@@ -21,7 +21,7 @@ import numpy as np
 
 from . import linalg
 from .errors import EvaluationError, FrameError, ShapeError, SingularMatrixError
-from .invariance import FrameSamples, _frames
+from .invariance import FrameSamples, _point_frames
 from .matexpr import MatrixFunction
 
 __all__ = [
@@ -58,7 +58,9 @@ _CONSTRUCTION = tuple(_RESIDUALS)[:5]
 def build_frame(chart: MatrixFunction, comp_chart: MatrixFunction, t: float) -> FrameSamples:
     """The frame of both charts at ``t``: the one-point slice of their ``FrameSamples``, without derivatives.
 
-    A chart that cannot be sampled at ``t``, a singular stacked frame or an
+    The charts are sampled once per ``t`` for this and the one-point functions
+    of ``invariance``, in a memo on ``chart``; the frame holds copies.  A chart
+    that cannot be sampled at ``t``, a singular stacked frame or an
     inverse past the float range raises as ``frame_samples`` at [t] does, with
     ``build_frame: `` in front.  Construction also fails loudly if any
     projector identity (idempotency, mutual annihilation, complementarity)
@@ -70,10 +72,11 @@ def build_frame(chart: MatrixFunction, comp_chart: MatrixFunction, t: float) -> 
     if comp_chart.shape != (m - n, m):
         raise ShapeError(f"build_frame: charts {chart.shape} and {comp_chart.shape} do not stack to {m}x{m}")
     try:
-        fields = _frames(chart, comp_chart, [t], derivatives=False)
+        fields = _point_frames(chart, comp_chart, t, derivatives=False)
     except (SingularMatrixError, EvaluationError) as exc:
         raise type(exc)(f"build_frame: {exc}", exc.index) from exc
-    frame = FrameSamples(**{name: None if value is None else value[0] for name, value in fields.items()})
+    frame = FrameSamples(dchart=None, dembedding=None, **{  # copies: the memo's arrays stay its own
+        name: fields[name][0].copy() for name in ("ts", "chart", "embedding", "comp_chart", "comp_embedding")})
     with np.errstate(over="ignore", invalid="ignore"):
         residuals = linalg.frobenius([_RESIDUALS[name](frame) for name in _CONSTRUCTION])
     worst = int(residuals.argmax())

@@ -519,6 +519,8 @@ class MatrixFunction:
     _derivative: Optional["MatrixFunction"] = field(default=None, init=False, repr=False, compare=False)
     # Memo of the entries' tape (see _compile), built by the first eval_grid.
     _tape: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    # Memo of the one-point frames this matrix is the chart of (see invariance._point_frames): one point at a time.
+    _point: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.entries or not self.entries[0]:

@@ -22,6 +22,7 @@ from invman.invariance import (
     verdicts,
 )
 from invman.linalg import frobenius, rank
+from invman.manifold import build_frame
 from invman.matexpr import MatrixFunction
 from invman.scenario import Structure, random_scenario, to_system
 
@@ -401,15 +402,24 @@ def test_one_point_results_past_the_float_range_raise_without_a_warning(call, me
 
 
 ONE_POINT = (projector_derivative, invariance_defect, reduced_matrix)
+FRAME_FIELDS = ("chart", "embedding", "comp_chart", "comp_embedding")
+
+
+def _frame_arrays(spec, t):
+    """build_frame on the spec's charts at ``t``, its arrays raveled into one."""
+    frame = build_frame(spec.chart, spec.comp_chart, t)
+    return np.concatenate([getattr(frame, name).ravel() for name in FRAME_FIELDS])
 
 
 def _fresh(spec):
-    """A copy of ``spec`` with an empty one-point memo."""
-    return dataclasses.replace(spec)
+    """A copy of ``spec`` with new chart objects: its one-point memos, the spec's and the chart's, start empty."""
+    renew = lambda chart: None if chart is None else MatrixFunction(chart.entries)  # noqa: E731
+    return dataclasses.replace(spec, chart=renew(spec.chart), comp_chart=renew(spec.comp_chart))
 
 
 class TestOnePointMemo:
-    """The three one-point functions share one memoised sample of the frames and A per spec."""
+    """build_frame and the three one-point functions share one sampling of the frames per point, on the chart;
+    the two that need A share one sampling of it per point, on the spec."""
 
     SPECS = [
         ROTATION_SPEC,
@@ -419,15 +429,20 @@ class TestOnePointMemo:
 
     @pytest.fixture
     def samples(self, monkeypatch):
-        """The times frame_samples is called at, in call order."""
+        """(bits of the times, with derivatives, onto a stored point) of every frame sampling, in call order."""
         seen = []
+        frames = invariance._frames
 
-        def counting(spec, ts):
-            seen.append(np.array(ts, dtype=float).tobytes())
-            return frame_samples(spec, ts)
+        def counting(chart, comp_chart, ts, derivatives, known=None):
+            seen.append((np.array(ts, dtype=float).tobytes(), derivatives, known is not None))
+            return frames(chart, comp_chart, ts, derivatives, known)
 
-        monkeypatch.setattr(invariance, "frame_samples", counting)
+        monkeypatch.setattr(invariance, "_frames", counting)
         return seen
+
+    @staticmethod
+    def _calls(spec):
+        return ONE_POINT + ((_frame_arrays,) if spec.comp_chart is not None else ())
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_hits_give_the_bits_of_a_fresh_spec(self, spec, samples):
@@ -439,6 +454,33 @@ class TestOnePointMemo:
         # Once per time for spec itself, once per call for its fresh copies.
         assert len(samples) == 2 * (1 + len(ONE_POINT))
 
+    @pytest.mark.parametrize("spec", [SPECS[0], SPECS[2]])
+    def test_build_frame_first_leaves_only_the_derivatives_to_sample(self, spec, samples):
+        spec = _fresh(spec)
+        for t in (0.3, 1.7):
+            _frame_arrays(spec, t)
+            for call in ONE_POINT + (_frame_arrays,):
+                call(spec, t)
+        key = lambda t: np.array([t]).tobytes()  # noqa: E731
+        assert samples == [(key(0.3), False, False), (key(0.3), True, True), (key(1.7), False, False),
+                           (key(1.7), True, True)]
+
+    def test_another_comp_chart_is_a_miss(self, samples):
+        spec = _fresh(ROTATION_SPEC)
+        want = [call(_fresh(spec), 0.4).tobytes() for call in self._calls(spec)]
+        projector_derivative(spec, 0.4)
+        # The same entries in another object, then another complement: each is sampled, and gives its own frame.
+        twin = MatrixFunction(spec.comp_chart.entries)
+        for comp in (twin, MatrixFunction.build([["0", "1"]])):
+            fresh = build_frame(MatrixFunction(spec.chart.entries), comp, 0.4)
+            frame = build_frame(spec.chart, comp, 0.4)
+            assert [getattr(frame, name).tobytes() for name in FRAME_FIELDS] == [
+                getattr(fresh, name).tobytes() for name in FRAME_FIELDS]
+            assert spec.chart._point[0] is comp
+        assert [call(spec, 0.4).tobytes() for call in self._calls(spec)] == want
+        # want (one per fresh spec), spec, the twin and the other complement (fresh and on spec), spec again.
+        assert len(samples) == 4 + 1 + 2 * 2 + 1
+
     def test_results_are_fresh_arrays(self):
         spec = _fresh(self.SPECS[2])
         for call in ONE_POINT:
@@ -446,12 +488,20 @@ class TestOnePointMemo:
             want = first.copy()
             first[...] = np.nan
             np.testing.assert_array_equal(call(spec, 0.9), want)
+        # build_frame's arrays are not the memo's: writing NaN into them changes no later call at that t, whether
+        # build_frame stored the point (1.3) or found it stored with derivatives (0.9).
+        for t in (0.9, 1.3):
+            want = [call(_fresh(spec), t).tobytes() for call in self._calls(spec)]
+            frame = build_frame(spec.chart, spec.comp_chart, t)
+            for name in FRAME_FIELDS:
+                getattr(frame, name)[...] = np.nan
+            assert [call(spec, t).tobytes() for call in self._calls(spec)] == want
 
     def test_zero_and_negative_zero_are_sampled_separately(self, samples):
         spec = _fresh(NILPOTENT)
         for t in (0.0, 0.0, -0.0, -0.0, 0.0):
             reduced_matrix(spec, t)
-        assert samples == [np.array([t]).tobytes() for t in (0.0, -0.0, 0.0)]
+        assert samples == [(np.array([t]).tobytes(), True, False) for t in (0.0, -0.0, 0.0)]
         # The message names the time of the sample it came from.
         spec = _spec([["1e308", "1e308"], ["1e308", "1e308"]], [["1", "10"]], [["0", "1"]])
         for t in (0.0, -0.0):
@@ -460,56 +510,93 @@ class TestOnePointMemo:
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_alternating_times_give_correct_results(self, spec):
+        # Forward, the one-point functions sample first; reversed, build_frame does (on the stacked route).
         spec = _fresh(spec)
+        calls = self._calls(spec)
         ts = [0.3, 1.7, 0.3, -0.4, 1.7, 1.7, 0.3]
-        want = {t: [call(_fresh(spec), t).tobytes() for call in ONE_POINT] for t in set(ts)}
+        want = {t: [call(_fresh(spec), t).tobytes() for call in calls] for t in set(ts)}
         for k, t in enumerate(ts):
-            order = ONE_POINT if k % 2 else ONE_POINT[::-1]
+            order = calls if k % 2 else calls[::-1]
             got = {call: call(spec, t).tobytes() for call in order}
-            assert [got[call] for call in ONE_POINT] == want[t]
+            assert [got[call] for call in calls] == want[t]
 
-    @pytest.mark.parametrize("coeff, chart, message", [
+    @pytest.mark.parametrize("coeff, chart, message, frames_sample", [
         # A pole of the chart: the frames fail.
-        ([["0", "0"], ["0", "0"]], [["1", "1/(t - 0.5)"]], "entry (0,1) at t=0.5: division by zero"),
+        ([["0", "0"], ["0", "0"]], [["1", "1/(t - 0.5)"]], "entry (0,1) at t=0.5: division by zero", False),
         # A pole of A: the frames are sampled, then A fails.
-        ([["1/(t - 0.5)", "0"], ["0", "0"]], [["1", "0"]], "entry (0,0) at t=0.5: division by zero"),
+        ([["1/(t - 0.5)", "0"], ["0", "0"]], [["1", "0"]], "entry (0,0) at t=0.5: division by zero", True),
         # A past the float range.
-        ([["exp(2000*t)", "0"], ["0", "0"]], [["1", "0"]], "entry (0,0) is not finite at t=0.5"),
+        ([["exp(2000*t)", "0"], ["0", "0"]], [["1", "0"]], "entry (0,0) is not finite at t=0.5", True),
     ])
-    def test_a_failed_sampling_raises_the_same_error_and_stores_nothing(self, coeff, chart, message):
+    def test_a_failed_sampling_raises_the_same_error_and_stores_nothing(self, coeff, chart, message, frames_sample):
         spec = _spec(coeff, chart, [["0", "1"]])
-        projector_derivative(spec, 0.25)
-        stored = spec._point
+        reduced_matrix(spec, 0.25)
+        stored, frames = spec._point, spec.chart._point
         for call in (invariance_defect, reduced_matrix, invariance_defect):
             with pytest.raises(EvaluationError, match=re.escape(message)):
                 call(spec, 0.5)
             assert spec._point is stored
+        # Frames that sampled are stored, whatever A then does.
+        assert (spec.chart._point is frames) is not frames_sample
 
-    def test_replace_starts_with_an_empty_memo(self):
+    @pytest.mark.parametrize("chart, comp, t, message", [
+        # dC/dt has a pole where C is finite: its denominator (1e-170*t)^2 underflows to 0.
+        ([["1", "(1e-170*t)/(1e-170*t)"]], [["0", "1"]], 1.0, "entry (0,1) at t=1.0: division by zero"),
+        # F^-1 is finite (1e160), -F^-1 dF F^-1 is not.
+        ([["1e-160 + (t - 0.5)", "0"]], [["0", "1e-160"]], 0.5, "inverse of the stacked frame is not finite at t=0.5"),
+    ])
+    def test_derivatives_that_fail_on_a_stored_point_raise_the_fresh_error(self, chart, comp, t, message):
+        spec = _spec([["0", "0"], ["0", "0"]], chart, comp)
+        for fresh in (functools.partial(frame_samples, _fresh(spec), [t]), functools.partial(
+                projector_derivative, _fresh(spec), t)):
+            with pytest.raises(EvaluationError) as info:
+                fresh()
+            assert (str(info.value), info.value.index) == (message, 0)
+        build_frame(spec.chart, spec.comp_chart, t)
+        stored = spec.chart._point
+        for call in ONE_POINT:
+            with pytest.raises(EvaluationError) as info:
+                call(spec, t)
+            assert (type(info.value), str(info.value), info.value.index) == (EvaluationError, message, 0)
+            assert spec.chart._point is stored
+
+    def test_replace_shares_the_frames_and_starts_without_a(self, samples):
         spec = _fresh(DIAG)
         reduced_matrix(spec, 1.0)
         assert spec._point is not None
-        assert dataclasses.replace(spec, t_grid=np.linspace(0.0, 1.0, 3))._point is None
-        assert dataclasses.replace(spec)._point is None
+        for copy in (dataclasses.replace(spec, t_grid=np.linspace(0.0, 1.0, 3)), dataclasses.replace(spec)):
+            assert copy._point is None
+            assert reduced_matrix(copy, 1.0).tobytes() == reduced_matrix(spec, 1.0).tobytes()
+        assert len(samples) == 1  # the frames live on the chart, which the copies share
 
     def test_the_memo_holds_one_point(self):
         spec = _fresh(self.SPECS[1])
         ts = np.linspace(-2.0, 2.0, 1000)
         for k, t in enumerate(ts):
             ONE_POINT[-1 - k % 3](spec, t)
-        key, fs, coeff = spec._point
-        assert key == ts[-1:].tobytes()
-        assert fs.ts.shape == (1,) and coeff.shape == (1, 2, 2)
+        comp, key, fields = spec.chart._point
+        assert comp is None and key == ts[-1:].tobytes()
+        assert fields["ts"].shape == (1,) and fields["dchart"].shape == (1, 1, 2)
+        key, coeff = spec._point
+        assert key == ts[-1:].tobytes() and coeff.shape == (1, 2, 2)
+
+    def test_build_frame_stores_no_derivatives(self):
+        spec = _fresh(ROTATION_SPEC)
+        build_frame(spec.chart, spec.comp_chart, 0.7)
+        comp, key, fields = spec.chart._point
+        assert comp is spec.comp_chart and key == np.array([0.7]).tobytes()
+        assert fields["dchart"] is None and fields["dembedding"] is None
+        assert spec._point is None
 
 
-@pytest.mark.parametrize("call", ONE_POINT)
+@pytest.mark.parametrize("call", ONE_POINT + (_frame_arrays,))
 @pytest.mark.parametrize("shape", [(2,), (1,), (1, 1)])
 def test_one_point_functions_refuse_a_t_that_is_not_a_scalar(call, shape, monkeypatch):
     spec = _fresh(DIAG)
-    monkeypatch.setattr(invariance, "frame_samples", None)  # nothing may be sampled
+    monkeypatch.setattr(invariance, "_frames", None)  # nothing may be sampled
     with pytest.raises(ShapeError, match=re.escape(f"t must be a scalar, got shape {shape}")):
         call(spec, np.full(shape, 0.5))
-    assert spec._point is None
+    assert spec._point is None and spec.chart._point is None
 
 
 @pytest.mark.parametrize("ts", [[[0.1, 0.2], [0.3, 0.4]], [[0.5]], 0.5], ids=["2x2", "1x1", "scalar"])
