@@ -12,15 +12,15 @@ are the step grid bit for bit (0.5*h*2k == h*k exactly), the frames on the
 step grid (on the half steps only for the conjugacy check's reduced flow X,
 the same march of R(t)), one draw of the launch coefficients c and one march
 Y_{k+1} = M_k Y_k, every trajectory being Y_k c.  Of the frames the march
-samples only what it reads: C and C+ (``invariance._right_inverse``, the
-elimination over [F | E_n] on the stacked route), and dC/dt for
-R = (dC/dt + C A) C+ alone.  A C+ that is not finite or a singular stacked
-frame F raises at its first time with ``frame_samples``' texts; dC+/dt and
-the complement columns of F^-1 are not formed, so only the verdict grid
-refuses them.  A drift or conjugacy residual, or a reduced matrix R, that
-is not finite raises EvaluationError at its first time.  ``_march_size``
-sizes every march by the budget rule that every system and scenario grid
-keeps too, ``invariance._require_budget``.
+samples only what it reads, as one ``FrameSamples`` from
+``invariance._march_frames``: C and C+ (the elimination over [F | E_n] on
+the stacked route), and dC/dt for R = (dC/dt + C A) C+ alone.  A C+ that
+is not finite or a singular stacked frame F raises at its first time with
+``frame_samples``' texts; dC+/dt and the complement columns of F^-1 are
+not formed, so only the verdict grid refuses them.  A drift or conjugacy
+residual, or a reduced matrix R, that is not finite raises EvaluationError
+at its first time.  ``_march_size`` sizes every march by the budget rule
+that every system and scenario grid keeps too, ``invariance._require_budget``.
 """
 
 from __future__ import annotations
@@ -38,15 +38,14 @@ from .invariance import (
     DEFAULT_VERDICT_TOL,
     InvarianceReport,
     SystemSpec,
-    _reduced,
+    _march_frames,
     _require_budget,
     _require_finite,
-    _right_inverse,
     verdicts,
 )
 # Unused here since the march samples C+ alone, but perfbench/test_perfbench.py checks that the tracer wraps this binding.
 from .invariance import frame_samples  # noqa: F401
-from .matexpr import MatrixFunction
+from .matexpr import MatrixFunction, _first_non_finite
 
 __all__ = [
     "SIDE_MAIN",
@@ -115,9 +114,7 @@ def _fundamental(samples: np.ndarray, t0: float, h_eff: float, *launches) -> lis
             for step, y, nxt in zip(steps, fund[lo:], fund[lo + 1 :]):
                 step.dot(y, out=nxt)
         states = [fund] + [fund @ c for c in launches]
-    finite = np.logical_and.reduce([np.isfinite(s).reshape(len(s), -1).all(axis=1) for s in states])
-    if not finite.all():
-        step = int(np.argmin(finite))
+    if (step := _first_non_finite(*states)) is not None:
         raise IntegrationOverflowError(step=step, t=t0 + step * h_eff)
     return states
 
@@ -149,11 +146,9 @@ def _march(spec: SystemSpec, t_span: tuple[float, float], h: float, sides: tuple
     t0, h_eff, half_ts = _half_grid(t_span, h, spec.m, trials)
     ts, every = half_ts[::2], 2 if conjugacy else 1
     frame_ts = half_ts if conjugacy else ts
-    chart_g = spec.chart.eval_grid(frame_ts)
-    dchart_g = spec.chart.derivative().eval_grid(frame_ts) if conjugacy else None
-    (embedding_g,) = _right_inverse(spec, frame_ts, chart_g)
+    frames = _march_frames(spec, frame_ts, conjugacy)
     coeff = spec.coeff.eval_grid(half_ts)
-    chart, embedding = chart_g[::every], embedding_g[::every]
+    chart, embedding = frames.chart[::every], frames.embedding[::every]
     proj = embedding @ chart
     launches = []
     if sides:  # the conjugacy-only march draws nothing, so it leaves numpy.random unimported
@@ -163,7 +158,7 @@ def _march(spec: SystemSpec, t_span: tuple[float, float], h: float, sides: tuple
     drifts = [_drift(ts, proj, traj, side) for side, traj in zip(sides, trajs)]
     if not conjugacy:
         return ts, drifts, None
-    (reduced,) = _fundamental(_reduced(frame_ts, chart_g, dchart_g, embedding_g, coeff), t0, h_eff)
+    (reduced,) = _fundamental(frames.reduced(coeff), t0, h_eff)
     with np.errstate(over="ignore", invalid="ignore"):
         lhs = fund @ embedding[0]       # (N+1, m, n)
         residuals = {
@@ -214,12 +209,8 @@ class DriftResult:
     divided by the trajectory norm (so growth or decay does not mask it).
     """
 
-    side: str
     ts: np.ndarray
     residuals: np.ndarray
-    seed: int
-    h: float
-    trials: int
 
     @property
     def max_residual(self) -> float:
@@ -243,7 +234,7 @@ def manifold_drift(
         raise ValueError(f"side must be {SIDE_MAIN!r} or {SIDE_COMPLEMENT!r}, got {side!r}")
     _require_launches(trials, seed)
     ts, (drift,), _ = _march(spec, t_span, h, (side,), trials, seed)
-    return DriftResult(side=side, ts=ts, residuals=drift, seed=seed, h=h, trials=trials)
+    return DriftResult(ts=ts, residuals=drift)
 
 
 @dataclass(frozen=True, eq=False)

@@ -38,7 +38,7 @@ from .errors import (
     ShapeError,
     SingularMatrixError,
 )
-from .matexpr import MatrixFunction, _time_grid
+from .matexpr import MatrixFunction, _first_non_finite, _time_grid
 
 __all__ = [
     "DEFAULT_GRID",
@@ -133,7 +133,8 @@ class SystemSpec:
 class FrameSamples:
     """Both charts, the column blocks of their right inverse, and the derivatives, sampled over a time grid.
 
-    On the Moore-Penrose route (no complementary chart) ``comp_chart`` and ``comp_embedding`` are None;
+    The one form of sampled frames: the verdict grid's, the march's and the one-point memo's.  On the Moore-Penrose
+    route (no complementary chart), and in the march's frames, ``comp_chart`` and ``comp_embedding`` are None;
     ``dchart`` and ``dembedding`` are None where they were not sampled.  ``manifold.build_frame`` gives the
     one-point slice: every field without the grid axis.
     """
@@ -171,22 +172,15 @@ class FrameSamples:
         proj = self.projector
         with np.errstate(over="ignore", invalid="ignore"):
             defect = self.dprojector + proj @ coeff - coeff @ proj
-        if not np.isfinite(defect).all():
-            _require_finite(self.ts, {"defect": defect})
+        _require_finite(self.ts, {"defect": defect})
         return defect
 
     def reduced(self, coeff: np.ndarray) -> np.ndarray:
         """The reduced coefficient R = (dC/dt + C A) C+ per sample, given A on the same grid; it must be finite."""
-        return _reduced(self.ts, self.chart, self.dchart, self.embedding, coeff)
-
-
-def _reduced(ts, chart: np.ndarray, dchart: np.ndarray, embedding: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    """R = (dC/dt + C A) C+ per sample of ``ts``, from the chart, dC/dt, C+ and A sampled there; it must be finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        reduced = (dchart + chart @ coeff) @ embedding
-    if not np.isfinite(reduced).all():
-        _require_finite(ts, {"R": reduced}, "reduced matrix")
-    return reduced
+        with np.errstate(over="ignore", invalid="ignore"):
+            reduced = (self.dchart + self.chart @ coeff) @ self.embedding
+        _require_finite(self.ts, {"R": reduced}, "reduced matrix")
+        return reduced
 
 
 def frame_samples(spec: SystemSpec, ts) -> FrameSamples:
@@ -201,35 +195,35 @@ def frame_samples(spec: SystemSpec, ts) -> FrameSamples:
     time point.  ``manifold.build_frame`` samples one point through the same
     builder, without derivatives.
     """
-    return FrameSamples(**_frames(spec.chart, spec.comp_chart, ts, derivatives=True))
+    return _frames(spec.chart, spec.comp_chart, ts, derivatives=True)
 
 
 def _frames(chart: MatrixFunction, comp_chart: Optional[MatrixFunction], ts, derivatives: bool,
-            known: Optional[dict] = None) -> dict:
-    """The fields of the FrameSamples of (chart, comp_chart) over ``ts``, the derivatives only if ``derivatives``;
-    given ``known``, those fields without derivatives, its charts and F^-1 = [C+, C_comp+] are not sampled again."""
+            known: Optional[FrameSamples] = None) -> FrameSamples:
+    """The FrameSamples of (chart, comp_chart) over ``ts``, the derivatives only if ``derivatives``; given ``known``,
+    those frames without derivatives, its charts and F^-1 = [C+, C_comp+] are not sampled again."""
     ts = _time_grid(ts)
-    chart_g = chart.eval_grid(ts) if known is None else known["chart"]
+    chart_g = chart.eval_grid(ts) if known is None else known.chart
     dchart_g = chart.derivative().eval_grid(ts) if derivatives else None
     if comp_chart is None:
         comp_g = None
         inverse, *derivative = _moore_penrose(ts, chart_g, dchart_g)
     else:
-        comp_g, dframes = comp_chart.eval_grid(ts) if known is None else known["comp_chart"], None
+        comp_g, dframes = comp_chart.eval_grid(ts) if known is None else known.comp_chart, None
         if derivatives:
             dframes = np.concatenate([dchart_g, comp_chart.derivative().eval_grid(ts)], axis=1)
         if known is None:
             inverse, *derivative = _stacked_inverse(np.concatenate([chart_g, comp_g], axis=1), ts, dframes)
         else:
-            inverse = np.concatenate([known["embedding"], known["comp_embedding"]], axis=-1)
+            inverse = np.concatenate([known.embedding, known.comp_embedding], axis=-1)
             inverse, *derivative = _stacked_inverse(None, ts, dframes, inverse=inverse)
     n = chart.rows
-    return dict(ts=ts, chart=chart_g, dchart=dchart_g, embedding=inverse[..., :n],
-                dembedding=derivative[0][..., :n] if derivative else None,
-                comp_chart=comp_g, comp_embedding=None if comp_g is None else inverse[..., n:])
+    return FrameSamples(ts=ts, chart=chart_g, dchart=dchart_g, embedding=inverse[..., :n],
+                        dembedding=derivative[0][..., :n] if derivative else None,
+                        comp_chart=comp_g, comp_embedding=None if comp_g is None else inverse[..., n:])
 
 
-def _point_frames(chart: MatrixFunction, comp_chart: Optional[MatrixFunction], t, derivatives: bool) -> dict:
+def _point_frames(chart: MatrixFunction, comp_chart: Optional[MatrixFunction], t, derivatives: bool) -> FrameSamples:
     """``_frames`` at [t], memoised on ``chart`` for one point, keyed by the identity of ``comp_chart`` and the bits
     of t.  Derivatives join the entry when first asked for; a failed sampling stores nothing.  The arrays are the
     memo's own: a caller returns and writes to none of them."""
@@ -239,22 +233,27 @@ def _point_frames(chart: MatrixFunction, comp_chart: Optional[MatrixFunction], t
     key = ts.tobytes()  # 0.0 and -0.0 differ: sin(-0.0) is -0.0
     point = chart._point
     known = point[2] if point is not None and point[0] is comp_chart and point[1] == key else None
-    if known is None or derivatives and known["dchart"] is None:
+    if known is None or derivatives and known.dchart is None:
         known = _frames(chart, comp_chart, ts, derivatives, known)
         object.__setattr__(chart, "_point", (comp_chart, key, known))
     return known
 
 
-def _right_inverse(spec: SystemSpec, ts, chart_g: np.ndarray) -> tuple:
-    """(C+,) over ``ts``, given the chart sampled there: all the march reads of a right inverse.
+def _march_frames(spec: SystemSpec, ts: np.ndarray, derivative: bool) -> FrameSamples:
+    """C, dC/dt if ``derivative``, and C+ over ``ts``: all the march reads of the frames, without complement fields.
 
     The stacked route eliminates [F | E_n] alone, F = [C; C_comp]: C+ is the first n columns of F^-1 bit
     for bit, and F^-1's other columns are not formed.
     """
+    chart = spec.chart.eval_grid(ts)
+    dchart = spec.chart.derivative().eval_grid(ts) if derivative else None
     if spec.comp_chart is None:
-        return _moore_penrose(ts, chart_g)
-    frames = np.concatenate([chart_g, spec.comp_chart.eval_grid(ts)], axis=1)
-    return _stacked_inverse(frames, ts, cols=spec.n)
+        (embedding,) = _moore_penrose(ts, chart)
+    else:
+        frames = np.concatenate([chart, spec.comp_chart.eval_grid(ts)], axis=1)
+        (embedding,) = _stacked_inverse(frames, ts, cols=spec.n)
+    return FrameSamples(ts=ts, chart=chart, dchart=dchart, embedding=embedding, dembedding=None,
+                        comp_chart=None, comp_embedding=None)
 
 
 def _moore_penrose(ts, chart_g: np.ndarray, dchart_g: Optional[np.ndarray] = None) -> tuple:
@@ -286,8 +285,7 @@ def _earliest_failure(not_finite: str, failure: str, ts, inverses) -> tuple:
     except (RankDeficiencyError, SingularMatrixError) as exc:
         # Every point before the first failing one inverts: a non-finite result there comes first.
         results, error = inverses(exc.index), exc
-    if not all(np.isfinite(stack).all() for stack in results):
-        k = int(np.logical_and.reduce([np.isfinite(stack).all(axis=(1, 2)) for stack in results]).argmin())
+    if (k := _first_non_finite(*results)) is not None:
         raise EvaluationError(f"{not_finite} at t={float(ts[k])!r}", k)
     if error is not None:
         raise type(error)(f"{failure} at t={float(ts[error.index])!r}: {error}", error.index) from error
@@ -296,17 +294,15 @@ def _earliest_failure(not_finite: str, failure: str, ts, inverses) -> tuple:
 
 def _require_finite(ts, curves: dict, what: str = "residual") -> None:
     """EvaluationError "<what> '<name>' is not finite at t=<t>" at the earliest such t, the first such curve."""
-    bad = np.array([~np.isfinite(curve).reshape(len(ts), -1).all(axis=1) for curve in curves.values()])
-    if bad.any():
-        k = int(bad.any(axis=0).argmax())
-        name = list(curves)[int(bad[:, k].argmax())]
+    if (k := _first_non_finite(*curves.values())) is not None:
+        name = next(name for name, curve in curves.items() if not np.isfinite(curve[k]).all())
         raise EvaluationError(f"{what} {name!r} is not finite at t={float(ts[k])!r}", k)
 
 
 def _one_point(spec: SystemSpec, t, with_coeff: bool) -> tuple[FrameSamples, Optional[np.ndarray]]:
     """The frames at [t] with derivatives (``_point_frames``), and A at [t] when ``with_coeff``: A is sampled after
     the frames and memoised on ``spec`` for the last t, by its bits."""
-    fs = FrameSamples(**_point_frames(spec.chart, spec.comp_chart, t, True))
+    fs = _point_frames(spec.chart, spec.comp_chart, t, True)
     key = fs.ts.tobytes()
     if with_coeff and (spec._point is None or spec._point[0] != key):
         object.__setattr__(spec, "_point", (key, spec.coeff.eval_grid(fs.ts)))

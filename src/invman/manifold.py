@@ -14,7 +14,6 @@ unchanged to a whole sampled grid.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,11 +71,12 @@ def build_frame(chart: MatrixFunction, comp_chart: MatrixFunction, t: float) -> 
     if comp_chart.shape != (m - n, m):
         raise ShapeError(f"build_frame: charts {chart.shape} and {comp_chart.shape} do not stack to {m}x{m}")
     try:
-        fields = _point_frames(chart, comp_chart, t, derivatives=False)
+        point = _point_frames(chart, comp_chart, t, derivatives=False)
     except (SingularMatrixError, EvaluationError) as exc:
         raise type(exc)(f"build_frame: {exc}", exc.index) from exc
-    frame = FrameSamples(dchart=None, dembedding=None, **{  # copies: the memo's arrays stay its own
-        name: fields[name][0].copy() for name in ("ts", "chart", "embedding", "comp_chart", "comp_embedding")})
+    frame = FrameSamples(  # copies: the memo's arrays stay its own
+        ts=point.ts[0].copy(), chart=point.chart[0].copy(), dchart=None, embedding=point.embedding[0].copy(),
+        dembedding=None, comp_chart=point.comp_chart[0].copy(), comp_embedding=point.comp_embedding[0].copy())
     with np.errstate(over="ignore", invalid="ignore"):
         residuals = linalg.frobenius([_RESIDUALS[name](frame) for name in _CONSTRUCTION])
     worst = int(residuals.argmax())
@@ -106,14 +106,12 @@ class KernelIdentityReport:
 
     @property
     def max_residual(self) -> float:
-        residuals = (
+        return float(np.max((
             self.max_comp_chart_on_main,
             self.max_comp_projector_on_main,
             self.max_chart_on_comp,
             self.max_comp_range_defect,
-        )
-        # NaN if any is NaN: max drops a NaN that is not its first argument.
-        return math.nan if any(map(math.isnan, residuals)) else max(residuals)
+        )))  # NaN if any is NaN
 
     @property
     def passed(self) -> bool:

@@ -510,6 +510,14 @@ def _time_grid(ts) -> np.ndarray:
     return ts
 
 
+def _first_non_finite(*stacks: np.ndarray) -> Optional[int]:
+    """The earliest index along the leading axis at which any of ``stacks`` is not finite, or None: the one rule
+    that names the first bad point of a sampled grid."""
+    if all(np.isfinite(s).all() for s in stacks):  # the common case, in one whole-array test per stack
+        return None
+    return int(np.logical_and.reduce([np.isfinite(s).all(axis=tuple(range(1, s.ndim))) for s in stacks]).argmin())
+
+
 @dataclass(frozen=True, slots=True)
 class MatrixFunction:
     """A rectangular grid of scalar expressions, evaluable at any t."""
@@ -519,7 +527,7 @@ class MatrixFunction:
     _derivative: Optional["MatrixFunction"] = field(default=None, init=False, repr=False, compare=False)
     # Memo of the entries' tape (see _compile), built by the first eval_grid.
     _tape: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-    # Memo of the one-point frames this matrix is the chart of (see invariance._point_frames): one point at a time.
+    # Memo of the one-point FrameSamples of this chart (see invariance._point_frames): one point at a time.
     _point: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -600,8 +608,8 @@ class MatrixFunction:
         for k, value in enumerate(values):
             entries[k] = value
         out = np.ascontiguousarray(entries.T).reshape(ts.shape + self.shape)  # one transposed copy (none at one point)
-        if not np.isfinite(out).all():
-            k, i, j = map(int, np.argwhere(~np.isfinite(out))[0])
+        if (k := _first_non_finite(out)) is not None:
+            i, j = map(int, np.argwhere(~np.isfinite(out[k]))[0])
             raise EvaluationError(f"entry ({i},{j}) is not finite at t={float(ts[k])!r}", k)
         return out
 

@@ -586,3 +586,21 @@ def spiked_scenario(structure, m: int, n: int, seed: int):
     rows[0][0] = Unary("exp", Unary("neg", offset))
     spiked = MatrixFunction(tuple(map(tuple, rows)))
     return dataclasses.replace(spec, d=spiked), t_star
+
+
+def adjoint_spec(spec, side: str):
+    """The adjoint system z' = -A^T z of ``spec``, charted by the annihilator of one side of its splitting.
+
+    -A^T is built entry by entry as ``Unary("neg", A[j][i])``.  A subspace is invariant under y' = A y exactly when
+    its annihilator is invariant under the adjoint (Hartman, ODEs, ch. IV).  The main subspace of (A, C, C_comp)
+    is ker C_comp, annihilated by the rows of C_comp: side ``"mn"`` charts the adjoint by C_comp.  The complement
+    is ker C, annihilated by the rows of C: side ``"complement"`` charts it by C.  Neither side has a comp_chart,
+    so the adjoint's verdicts go through the Moore-Penrose route, on frames that need not be orthogonal.
+    """
+    from invman.invariance import SystemSpec
+    from invman.matexpr import MatrixFunction
+
+    a, m = spec.coeff.entries, spec.m
+    coeff = MatrixFunction(tuple(tuple(Unary("neg", a[j][i]) for j in range(m)) for i in range(m)))
+    chart = {"mn": spec.comp_chart, "complement": spec.chart}[side]
+    return SystemSpec(coeff=coeff, chart=chart, t_grid=spec.t_grid)

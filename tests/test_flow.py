@@ -35,7 +35,7 @@ from invman.flow import (
     manifold_drift,
     run_flow,
 )
-from invman.invariance import MAX_SAMPLED_ENTRIES, SystemSpec, _right_inverse, frame_samples
+from invman.invariance import MAX_SAMPLED_ENTRIES, SystemSpec, _march_frames, frame_samples
 from invman.matexpr import MatrixFunction
 from invman.scenario import Structure, random_scenario, to_system
 
@@ -419,23 +419,28 @@ class TestMarchFrames:
             spec = dataclasses.replace(spec, comp_chart=None)
         marched = []
 
-        def recording(spec, ts, chart_g):
-            result = _right_inverse(spec, ts, chart_g)
-            marched.append((ts, chart_g, result))
+        def recording(spec, ts, derivative):
+            result = _march_frames(spec, ts, derivative)
+            marched.append((ts, derivative, result))
             return result
 
         kwargs = dict(h=1e-2, t_span=(0.0, 0.3))
-        with mock.patch.object(flow, "_right_inverse", recording):
+        with mock.patch.object(flow, "_march_frames", recording):
             manifold_drift(spec, SIDE_MAIN, **kwargs)      # frames on the step grid
             flow._march(spec, conjugacy=True, **kwargs)   # frames on the half steps, for R
         _, _, half_ts = _half_grid(kwargs["t_span"], kwargs["h"], m, m)
-        assert [ts.tolist() for ts, *_ in marched] == [half_ts[::2].tolist(), half_ts.tolist()]
-        for ts, chart_g, result in marched:
+        assert [(ts.tolist(), derivative) for ts, derivative, _ in marched] == [
+            (half_ts[::2].tolist(), False), (half_ts.tolist(), True)]
+        for ts, derivative, result in marched:
             want = frame_samples(spec, ts)
-            assert len(result) == 1
-            assert chart_g.tobytes() == want.chart.tobytes()
-            assert result[0].shape == want.embedding.shape
-            assert result[0].tobytes() == want.embedding.tobytes()
+            assert result.chart.tobytes() == want.chart.tobytes()
+            if derivative:
+                assert result.dchart.tobytes() == want.dchart.tobytes()
+            else:
+                assert result.dchart is None
+            assert result.embedding.shape == want.embedding.shape
+            assert result.embedding.tobytes() == want.embedding.tobytes()
+            assert result.dembedding is result.comp_chart is result.comp_embedding is None
 
     def test_a_derivative_of_c_plus_past_the_float_range_is_refused_on_the_verdict_grid_only(self, tmp_path, capsys):
         # C+ = [1 / (1e-300 + t), 0]^T is finite on the window [0, 0.5], but dC+/dt = -(C+)^2 is not at t = 0.

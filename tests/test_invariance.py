@@ -26,7 +26,7 @@ from invman.manifold import build_frame
 from invman.matexpr import MatrixFunction
 from invman.scenario import Structure, random_scenario, to_system
 
-from helpers import fd_matrix_derivative
+from helpers import adjoint_spec, fd_matrix_derivative
 
 
 def _spec(coeff, chart, comp=None, grid=None):
@@ -220,6 +220,18 @@ NILPOTENT_A = [["0", "1"], ["0", "0"]]
 def test_a_malformed_system_is_refused(coeff, chart, comp, grid, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         _spec(coeff, chart, comp, grid=grid)
+
+
+def test_require_finite_names_the_first_curve_bad_at_the_earliest_time():
+    ts = np.array([0.0, 0.5, 1.0])
+    curves = {"a": np.array([0.0, 0.0, np.nan]), "b": np.array([0.0, np.inf, 0.0]),
+              "c": np.array([[[0.0]], [[np.nan]], [[np.nan]]])}
+    assert invariance._require_finite(ts, {"finite": np.zeros((3, 2, 2))}) is None
+    with pytest.raises(EvaluationError) as info:
+        invariance._require_finite(ts, curves)
+    assert (str(info.value), info.value.index) == ("residual 'b' is not finite at t=0.5", 1)
+    with pytest.raises(EvaluationError, match=r"^R 'c' is not finite at t=0\.5$"):
+        invariance._require_finite(ts, {"a": curves["a"], "c": curves["c"]}, "R")
 
 
 class TestSpecGrid:
@@ -417,6 +429,27 @@ def _fresh(spec):
     return dataclasses.replace(spec, chart=renew(spec.chart), comp_chart=renew(spec.comp_chart))
 
 
+# The largest max_defect_main of an adjoint on its invariant side, over TestAdjointDuality's 36 systems: the
+# rounding floor of the Moore-Penrose verdicts there, measured at 6.6e-16.
+_ADJOINT_FLOOR = 6.6e-16
+
+
+class TestAdjointDuality:
+    """Each one-sided verdict of (A, C, C_comp) is the main verdict of an adjoint system on the Moore-Penrose route."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("m", [3, 8, 16])
+    @pytest.mark.parametrize("structure", list(Structure))
+    def test_one_sided_verdicts_are_the_adjoint_main_verdicts(self, structure, m, seed):
+        spec = to_system(random_scenario(structure, m=m, n=m // 2, seed=seed))
+        report = verdicts(spec)
+        for side, holds in (("mn", report.main_invariant), ("complement", report.complement_kernel_condition)):
+            adjoint = verdicts(adjoint_spec(spec, side))
+            assert adjoint.main_invariant is holds
+            if holds:  # 16 floors leave room for another BLAS's rounding, and stay six decades under the tolerance
+                assert adjoint.max_defect_main <= 16 * _ADJOINT_FLOOR
+
+
 class TestOnePointMemo:
     """build_frame and the three one-point functions share one sampling of the frames per point, on the chart;
     the two that need A share one sampling of it per point, on the spec."""
@@ -574,18 +607,18 @@ class TestOnePointMemo:
         ts = np.linspace(-2.0, 2.0, 1000)
         for k, t in enumerate(ts):
             ONE_POINT[-1 - k % 3](spec, t)
-        comp, key, fields = spec.chart._point
+        comp, key, frames = spec.chart._point
         assert comp is None and key == ts[-1:].tobytes()
-        assert fields["ts"].shape == (1,) and fields["dchart"].shape == (1, 1, 2)
+        assert frames.ts.shape == (1,) and frames.dchart.shape == (1, 1, 2)
         key, coeff = spec._point
         assert key == ts[-1:].tobytes() and coeff.shape == (1, 2, 2)
 
     def test_build_frame_stores_no_derivatives(self):
         spec = _fresh(ROTATION_SPEC)
         build_frame(spec.chart, spec.comp_chart, 0.7)
-        comp, key, fields = spec.chart._point
+        comp, key, frames = spec.chart._point
         assert comp is spec.comp_chart and key == np.array([0.7]).tobytes()
-        assert fields["dchart"] is None and fields["dembedding"] is None
+        assert frames.dchart is None and frames.dembedding is None
         assert spec._point is None
 
 

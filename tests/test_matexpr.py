@@ -362,6 +362,22 @@ class TestMatrixFunction:
             MatrixFunction.build([["1"], ["sin("]])
 
 
+class TestFirstNonFinite:
+    """The one rule naming the first bad point of a sampled grid: the earliest leading index over every stack."""
+
+    def test_none_when_every_value_is_finite(self):
+        assert matexpr._first_non_finite(np.zeros(3), np.ones((3, 2, 2))) is None
+        assert matexpr._first_non_finite(np.empty((0, 2, 2))) is None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_the_earliest_index_over_every_stack(self, bad):
+        curve, stack = np.zeros(5), np.zeros((5, 2, 3))
+        curve[3] = stack[4, 0, 0] = stack[1, 1, 2] = bad
+        assert matexpr._first_non_finite(curve) == 3
+        assert matexpr._first_non_finite(stack) == 1
+        assert matexpr._first_non_finite(curve, stack) == matexpr._first_non_finite(stack, curve) == 1
+
+
 class TestDepthLimit:
     # Each shape is exactly MAX_DEPTH deep, by tree depth or by nesting.
     AT_LIMIT = {
