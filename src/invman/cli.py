@@ -246,7 +246,7 @@ def cmd_check(args) -> int:
 def cmd_reduce(args) -> int:
     spec, opts = load_config(args.config)
     report, frames, coeff = _sampled_verdicts(spec, opts.tolerance)
-    conj = _checked_conjugacy(spec, report, opts.h, opts.window)
+    conj = _checked_conjugacy(spec, report, opts.h, opts.window, keep=False)
     reduced = frames.reduced(coeff)
     payload = {
         "schema": "invman.reduce/1",

@@ -34,6 +34,7 @@ import numpy as np
 from . import linalg
 from .errors import (
     EvaluationError,
+    NumericalError,
     RankDeficiencyError,
     ShapeError,
     SingularMatrixError,
@@ -243,15 +244,24 @@ def _march_frames(spec: SystemSpec, ts: np.ndarray, derivative: bool) -> FrameSa
     """C, dC/dt if ``derivative``, and C+ over ``ts``: all the march reads of the frames, without complement fields.
 
     The stacked route eliminates [F | E_n] alone, F = [C; C_comp]: C+ is the first n columns of F^-1 bit
-    for bit, and F^-1's other columns are not formed.
+    for bit, and F^-1's other columns are not formed.  They are formed in the order C, dC/dt, C_comp, C+; an
+    error carries the name of the one that failed as ``stage``, so that a march can order failures across chunks.
     """
-    chart = spec.chart.eval_grid(ts)
-    dchart = spec.chart.derivative().eval_grid(ts) if derivative else None
-    if spec.comp_chart is None:
-        (embedding,) = _moore_penrose(ts, chart)
-    else:
-        frames = np.concatenate([chart, spec.comp_chart.eval_grid(ts)], axis=1)
-        (embedding,) = _stacked_inverse(frames, ts, cols=spec.n)
+    stage = "C"
+    try:
+        chart = spec.chart.eval_grid(ts)
+        stage = "dC/dt"
+        dchart = spec.chart.derivative().eval_grid(ts) if derivative else None
+        stage = "C_comp"
+        comp = None if spec.comp_chart is None else spec.comp_chart.eval_grid(ts)
+        stage = "C+"
+        if comp is None:
+            (embedding,) = _moore_penrose(ts, chart)
+        else:
+            (embedding,) = _stacked_inverse(np.concatenate([chart, comp], axis=1), ts, cols=spec.n)
+    except NumericalError as exc:
+        exc.stage = stage
+        raise
     return FrameSamples(ts=ts, chart=chart, dchart=dchart, embedding=embedding, dembedding=None,
                         comp_chart=None, comp_embedding=None)
 

@@ -567,3 +567,125 @@ class TestStepMatrixMarch:
             with pytest.raises(IntegrationOverflowError) as err:
                 march()
             assert err.value.step == launch_first
+
+
+# Chunk budgets for the blocked march, as (_STEP_BYTES, _PIECE_BYTES): a chunk of one step with A sampled per
+# chunk, the defaults, and the whole window in one chunk and one piece.
+_BUDGETS = {"one_step": (1, 1), "default": (_STEP_BYTES, flow._PIECE_BYTES), "whole_window": (2**60, 2**60)}
+
+
+def _budget(name):
+    step_bytes, piece_bytes = _BUDGETS[name]
+    return mock.patch.multiple(flow, _STEP_BYTES=step_bytes, _PIECE_BYTES=piece_bytes)
+
+
+class TestBlockedMarch:
+    """The march samples, inverts and steps one chunk at a time: no chunk budget moves a bit or a failure."""
+
+    @pytest.mark.parametrize("route", ["stacked", "moore_penrose"])
+    @pytest.mark.parametrize("m", [3, 8, 16])
+    @pytest.mark.parametrize("t_span", [(0.0, 0.3), (0.3, 0.0), (0.1, 0.1)], ids=["forward", "backward", "zero"])
+    def test_no_chunk_budget_changes_a_bit(self, t_span, m, route):
+        spec = to_system(random_scenario(Structure.UPPER_TRIANGULAR, m=m, n=m // 2, seed=3))
+        if route == "moore_penrose":
+            spec = dataclasses.replace(spec, comp_chart=None)
+        y0 = np.random.default_rng(m).standard_normal((m, 2))
+        runs = {}
+        for name in _BUDGETS:
+            with _budget(name):
+                ts, curves = flow._march(spec, t_span, 1e-3, (SIDE_MAIN, SIDE_COMPLEMENT), 3, 7, conjugacy=True,
+                                         keep=True)
+                marched = integrate_states(spec.coeff, y0, *t_span, 1e-3)
+                drift = manifold_drift(spec, SIDE_COMPLEMENT, trials=3, seed=7, t_span=t_span)
+            runs[name] = {"ts": ts, **curves, "integrate_states": marched.matrices, "manifold_drift": drift.residuals}
+        want = runs.pop("whole_window")
+        assert sorted(want) == sorted(["ts", "mn", "complement", "drift_mn", "drift_complement", "conjugacy_embedding",
+                                       "conjugacy_chart", "Y", "X", "integrate_states", "manifold_drift"])
+        assert want["ts"].size == round(abs(t_span[1] - t_span[0]) / 1e-3) + 1
+        np.testing.assert_array_equal(want["manifold_drift"], want["drift_complement"])
+        for got in runs.values():
+            assert sorted(got) == sorted(want)
+            for key, array in want.items():
+                assert got[key].shape == array.shape and got[key].tobytes() == array.tobytes(), key
+
+    # An m = 16 window of 250 steps: four chunks of 64 steps at the default budget.
+    WINDOW, H = (0.0, 0.25), 1e-3
+
+    def _spec_with(self, **bumps):
+        """The m = 16 upper triangular system, with a scalar expression added to entry (0, 0) of A, C or C_comp."""
+        spec = to_system(random_scenario(Structure.UPPER_TRIANGULAR, m=16, n=8, seed=3))
+
+        def bumped(mf, text):
+            entries = [["0"] * mf.cols for _ in range(mf.rows)]
+            entries[0][0] = text
+            return mf + MatrixFunction.build(entries)
+
+        return dataclasses.replace(spec, **{name: bumped(getattr(spec, name), text) for name, text in bumps.items()})
+
+    def _pole(self, half_step):
+        """The expression 1/(t - t_k) at the k-th half-step time t_k of the window, a pole there, and t_k."""
+        _, _, half_ts = _half_grid(self.WINDOW, self.H, 16, 16)
+        return f"1/(t - {float(half_ts[half_step])!r})", float(half_ts[half_step])
+
+    def _failures(self, spec, error, **kwargs):
+        """The error of the march at each budget; they are all the same, and the first is returned."""
+        seen = []
+        for name in _BUDGETS:
+            with _budget(name), pytest.raises(error) as info:
+                flow._march(spec, self.WINDOW, self.H, **kwargs)
+            value = info.value
+            seen.append((type(value), str(value), getattr(value, "index", None), getattr(value, "step", None),
+                         getattr(value, "t", None)))
+        assert seen == [seen[0]] * len(seen)
+        return seen[0]
+
+    @pytest.mark.parametrize("earlier", ["coeff", "comp_chart"])
+    @pytest.mark.parametrize("conjugacy", [False, True])
+    def test_a_chart_pole_in_a_later_chunk_beats_a_later_stage_in_an_earlier_one(self, conjugacy, earlier):
+        # A pole of C_comp or of A at step 10, in the first chunk; of C at step 150, in the third.
+        kwargs = dict(sides=() if conjugacy else (SIDE_MAIN,), trials=2, conjugacy=conjugacy)
+        (early_text, early_t), (chart_text, t) = self._pole(20), self._pole(300)
+        spec = self._spec_with(**{earlier: early_text, "chart": chart_text})
+        frame_index = (lambda half_step: half_step if conjugacy else half_step // 2)
+        _, message, index, _, _ = self._failures(spec, EvaluationError, **kwargs)
+        assert (message, index) == (f"entry (0,0) at t={t!r}: division by zero", frame_index(300))
+        # without the chart pole, the earlier chunk's failure is the one
+        _, message, index, _, _ = self._failures(self._spec_with(**{earlier: early_text}), EvaluationError, **kwargs)
+        want = 20 if earlier == "coeff" else frame_index(20)
+        assert (message, index) == (f"entry (0,0) at t={early_t!r}: division by zero", want)
+
+    def test_a_non_finite_a_in_a_later_chunk_beats_a_y_overflow_in_an_earlier_one(self):
+        # A = 1e5 E + ... overflows Y within the first chunk; A has a pole at step 200, in the fourth chunk.
+        a_text, t = self._pole(400)
+        spec = self._spec_with(coeff=f"1e5 + {a_text}")
+        _, message, index, _, _ = self._failures(spec, EvaluationError, sides=(SIDE_MAIN,), trials=2)
+        assert (message, index) == (f"entry (0,0) at t={t!r}: division by zero", 400)
+        _, _, _, step, _ = self._failures(self._spec_with(coeff="1e5"), IntegrationOverflowError, sides=(SIDE_MAIN,),
+                                          trials=2)
+        assert 0 < step < 64
+
+    @pytest.mark.parametrize("kwargs", [dict(sides=(SIDE_MAIN, SIDE_COMPLEMENT), trials=2), dict(conjugacy=True)],
+                             ids=["drift", "conjugacy"])
+    def test_an_overflow_names_the_window_step_and_time(self, kwargs):
+        # RK4 grows Y by about 8220 per step at A = 2e4: it leaves the float range near step 79, in the second chunk.
+        _, message, _, step, t = self._failures(self._spec_with(coeff="2e4"), IntegrationOverflowError, **kwargs)
+        t0, h_eff, _ = _half_grid(self.WINDOW, self.H, 16, 16)
+        assert 64 < step < 128 and t == t0 + step * h_eff
+        assert message == f"integration overflow at step {step} (t={t!r})"
+
+
+class TestMarchMemory:
+    @pytest.mark.parametrize("command", ["reduce", "flow"])
+    def test_a_default_window_march_at_m16_holds_one_chunk_at_a_time(self, tmp_path, capsys, command):
+        # 5001 steps: held whole, the stacks of C, C+, A, Y, X and the launches come to about 90 MiB.
+        config = str(tmp_path / "m16.json")
+        assert main(["generate", "--kind", "upper_triangular", "--m", "16", "--n", "8", "--seed", "5",
+                     "--out", config]) == 0
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert main([command, "--config", config]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 2**20

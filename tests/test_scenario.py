@@ -144,6 +144,20 @@ class TestExpectedVerdicts:
                 Structure.BLOCK_DIAGONAL,
             )
 
+    @pytest.mark.parametrize("block_bytes", [1, 5 * 32, 2**40], ids=["one_point", "five_points", "whole_grid"])
+    def test_the_frame_check_takes_the_whole_grid_max_over_its_blocks(self, monkeypatch, block_bytes):
+        # A rotation R(t) used as its own inverse: |R^2 - E| peaks at the grid's 8th point, inside the second block
+        # of five points (a block holds block_bytes // 32 products of 2 x 2 matrices).
+        fwd, _ = rotation_factor(2, 0, 1, parse_expr("t"))
+        grid = np.linspace(0.0, 5.0, 23)
+        stack = fwd.eval_grid(grid)
+        want = float(np.max(np.abs(stack @ stack - np.eye(2))))
+        monkeypatch.setattr(scenario, "_PRODUCT_BYTES", block_bytes)
+        message = f"frame inverse fails on the grid: max residual {want:.3e} > 1e-08"
+        with pytest.raises(FrameError, match=f"^{re.escape(message)}$"):
+            _scenario(FramePair(stack=fwd, inverse=fwd, n=1), [["-1"]], [["1"]], MatrixFunction.zeros(1, 1),
+                      MatrixFunction.zeros(1, 1), Structure.BLOCK_DIAGONAL, grid=grid)
+
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: FramePair(MatrixFunction.identity(2), MatrixFunction.identity(3), n=1), ShapeError,
